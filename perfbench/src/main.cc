@@ -14,11 +14,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -44,9 +46,57 @@ using Clock = std::chrono::steady_clock;
 constexpr int kSetupRepeats = 3;
 /// Miner threads never exceed this, whatever the machine offers.
 constexpr std::size_t kMaxThreads = 4;
+/// ReferenceMs() on an uncontended CPU of the machine the bounds in
+/// BENCHMARK.json were measured on (a 4-vCPU Intel Xeon VM, CPU family 6
+/// model 207). Timings are reported at this reference speed.
+constexpr double kNominalReferenceMs = 0.45;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+volatile std::uint32_t reference_sink;
+
+/// Times three fixed pieces of work that run no library code, on the
+/// calling thread, and returns the geometric mean of their times in ms.
+/// On a shared host the speed of a virtual CPU swings by up to 1.6x, for
+/// seconds at a time, with what the host's other tenants run; the whole
+/// machine drifts as much over minutes. Scaling a job's time by
+/// kNominalReferenceMs / ReferenceMs() taken on the same CPU just before
+/// it cancels most of that swing while keeping every change in the
+/// library's own cost. The pieces stand for what the library's jobs
+/// spend their time on: branchy integer work, cache and memory traffic,
+/// and the allocator.
+double ReferenceMs() {
+  static std::vector<std::uint32_t> keys(4096);
+  static std::vector<std::uint8_t> block(8u << 20);
+
+  Clock::time_point start = Clock::now();
+  std::uint32_t x = 2463534242u;
+  for (std::uint32_t& k : keys) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    k = x;
+  }
+  std::sort(keys.begin(), keys.end());
+  reference_sink = keys[keys.size() / 2];
+  const double sort_ms = 1e3 * SecondsSince(start);
+
+  start = Clock::now();
+  for (std::size_t i = 0; i < block.size(); i += 64) ++block[i];
+  reference_sink = block[block.size() / 2];
+  const double memory_ms = 1e3 * SecondsSince(start);
+
+  start = Clock::now();
+  {
+    std::vector<std::vector<double>> small;
+    for (int i = 0; i < 4000; ++i) small.emplace_back(4 + i % 13, i);
+    reference_sink = static_cast<std::uint32_t>(small[small.size() / 2][1]);
+  }
+  const double alloc_ms = 1e3 * SecondsSince(start);
+
+  return std::cbrt(sort_ms * memory_ms * alloc_ms);
 }
 
 struct Options {
@@ -93,6 +143,42 @@ std::size_t OnlineCpus() {
   if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
   return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
 }
+
+/// Moves the calling thread to the next CPU it may run on, round robin,
+/// and gives it back its whole CPU set when destroyed. The swings of
+/// different virtual CPUs (see ReferenceMs) are mostly independent;
+/// issuing successive jobs from successive CPUs makes every job kind
+/// sample all of them, and keeps a job on the CPU its reference time was
+/// taken on. Only the calling thread moves: the miner thread pool exists
+/// before the first move and keeps the whole set.
+class CpuRotation {
+ public:
+  CpuRotation() {
+    CPU_ZERO(&allowed_);
+    if (sched_getaffinity(0, sizeof(allowed_), &allowed_) != 0) return;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &allowed_)) cpus_.push_back(c);
+    }
+  }
+  ~CpuRotation() {
+    if (!cpus_.empty()) sched_setaffinity(0, sizeof(allowed_), &allowed_);
+  }
+  CpuRotation(const CpuRotation&) = delete;
+  CpuRotation& operator=(const CpuRotation&) = delete;
+
+  void Next() {
+    if (cpus_.size() < 2) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpus_[next_++ % cpus_.size()], &one);
+    sched_setaffinity(0, sizeof(one), &one);
+  }
+
+ private:
+  cpu_set_t allowed_;
+  std::vector<int> cpus_;
+  std::size_t next_ = 0;
+};
 
 std::string CpuModel() {
   std::ifstream in("/proc/cpuinfo");
@@ -146,7 +232,9 @@ void PrintEnvironment(const Options& opt, std::size_t threads,
 struct JobRecord {
   const Job* job = nullptr;
   int id = 0;
-  double ms = 0.0;
+  double raw_ms = 0.0;        ///< wall time
+  double reference_ms = 0.0;  ///< ReferenceMs() just before the job
+  double ms = 0.0;            ///< wall time at the reference speed
   std::size_t peak_bytes = 0;
   bool ok = false;
   std::string error;
@@ -156,19 +244,23 @@ struct JobRecord {
   double mine_cpu_s = 0.0;
 };
 
-/// Issues jobs back to back for `seconds` of wall time. Each job is timed
-/// from outside (wall time and heap growth), then checked; with a
+/// Issues jobs back to back for `seconds` of wall time, each from the
+/// next CPU (see CpuRotation) after a reference time on it. Each job is
+/// timed from outside (wall time and heap growth), then checked; with a
 /// tracer, its replay runs after the check, outside the job's timing.
 std::vector<JobRecord> RunLoop(Workload& workload, double seconds,
                                Tracer* tracer, int* next_id) {
   workload.Restart();
   std::vector<JobRecord> records;
+  CpuRotation rotation;
   const Clock::time_point start = Clock::now();
   while (SecondsSince(start) < seconds) {
+    rotation.Next();
     Job& job = workload.Next();
     JobRecord rec;
     rec.job = &job;
     rec.id = (*next_id)++;
+    rec.reference_ms = ReferenceMs();
     ufim::Result<JobOutput> out = ufim::Status::Internal("not run");
     {
       const ufim::ScopedPeakMemory heap;
@@ -177,8 +269,9 @@ std::vector<JobRecord> RunLoop(Workload& workload, double seconds,
         ScopedSpan span(tracer, "job", rec.id);
         out = job.run(tracer, rec.id);
       }
-      rec.ms = 1e3 * SecondsSince(job_start);
+      rec.raw_ms = 1e3 * SecondsSince(job_start);
       rec.peak_bytes = heap.PeakDeltaBytes();
+      rec.ms = rec.raw_ms * kNominalReferenceMs / rec.reference_ms;
     }
     ufim::Status status = out.ok() ? CheckOutput(job, *out) : out.status();
     if (status.ok() && tracer != nullptr && job.replay) {
@@ -203,17 +296,24 @@ std::size_t CountFailed(const std::vector<JobRecord>& records) {
       records.begin(), records.end(), [](const JobRecord& r) { return !r.ok; }));
 }
 
-/// Correct jobs per second of job wall time, with each kind's jobs timed
-/// at their median: the job list's kinds divided by the time one pass
-/// over them takes at median latencies, times the share of jobs that
-/// passed their check. The per-kind median keeps a burst of outside load
-/// on the machine from swinging the figure the way a plain mean would.
-double JobsPerSecond(const std::vector<JobRecord>& records) {
+/// Correct jobs per second of job time (`JobRecord::ms` by default: at
+/// the reference speed): the job list's kinds divided by the time one
+/// pass over them takes at each kind's mean latency, times the share of
+/// jobs that passed their check. Averaging per kind keeps a last,
+/// unfinished pass from favouring the kinds it reached. A mean, not a
+/// median: what is left of the host's swings moves a mean with the share
+/// of jobs they hit, but makes a median jump once that share crosses one
+/// half.
+double JobsPerSecond(const std::vector<JobRecord>& records,
+                     double JobRecord::*time_ms = &JobRecord::ms) {
   if (records.empty()) return 0.0;
   std::map<const Job*, std::vector<double>> ms_by_kind;
-  for (const JobRecord& r : records) ms_by_kind[r.job].push_back(r.ms);
+  for (const JobRecord& r : records) ms_by_kind[r.job].push_back(r.*time_ms);
   double pass_s = 0.0;
-  for (const auto& [kind, ms] : ms_by_kind) pass_s += Median(ms) / 1e3;
+  for (const auto& [kind, ms] : ms_by_kind) {
+    pass_s += std::accumulate(ms.begin(), ms.end(), 0.0) /
+              static_cast<double>(ms.size()) / 1e3;
+  }
   const double ok_share =
       1.0 - static_cast<double>(CountFailed(records)) /
                 static_cast<double>(records.size());
@@ -221,19 +321,20 @@ double JobsPerSecond(const std::vector<JobRecord>& records) {
 }
 
 void PrintKinds(const std::vector<JobRecord>& records) {
-  std::map<std::string, std::vector<double>> ms;
+  std::map<std::string, std::vector<double>> ms, raw_ms;
   std::map<std::string, std::size_t> frequent, peak;
   for (const JobRecord& r : records) {
     ms[r.job->kind].push_back(r.ms);
+    raw_ms[r.job->kind].push_back(r.raw_ms);
     frequent[r.job->kind] = r.frequent;
     peak[r.job->kind] = std::max(peak[r.job->kind], r.peak_bytes);
   }
-  std::printf("== jobs by kind (kind, jobs, median ms, frequent itemsets, "
-              "peak heap MB)\n");
+  std::printf("== jobs by kind (kind, jobs, median ms at reference speed, "
+              "median wall ms, frequent itemsets, peak heap MB)\n");
   for (const auto& [kind, samples] : ms) {
-    std::printf("%-24s %5zu %10.3f %8zu %10.3f\n", kind.c_str(), samples.size(),
-                Median(samples), frequent[kind],
-                static_cast<double>(peak[kind]) / 1e6);
+    std::printf("%-24s %5zu %10.3f %10.3f %8zu %10.3f\n", kind.c_str(),
+                samples.size(), Median(samples), Median(raw_ms[kind]),
+                frequent[kind], static_cast<double>(peak[kind]) / 1e6);
   }
   for (const JobRecord& r : records) {
     if (!r.ok) {
@@ -245,12 +346,26 @@ void PrintKinds(const std::vector<JobRecord>& records) {
 
 std::vector<Metric> EndToEndMetrics(const std::vector<JobRecord>& records,
                                     double setup_s) {
-  std::vector<double> ms;
+  std::vector<double> ms, raw_ms, reference_ms;
+  std::map<const Job*, std::vector<double>> ms_by_kind;
   std::size_t peak = 0;
   for (const JobRecord& r : records) {
     ms.push_back(r.ms);
+    ms_by_kind[r.job].push_back(r.ms);
+    raw_ms.push_back(r.raw_ms);
+    reference_ms.push_back(r.reference_ms);
     peak = std::max(peak, r.peak_bytes);
   }
+  std::printf("reference time     p10 %.4f, p50 %.4f, p90 %.4f ms (nominal %.4f ms)\n",
+              Percentile(reference_ms, 10.0), Median(reference_ms),
+              Percentile(reference_ms, 90.0), kNominalReferenceMs);
+  std::printf("at wall time       jobs_per_s %.4f 1/s, job_ms.p50 %.4f ms\n",
+              JobsPerSecond(records, &JobRecord::raw_ms), Median(raw_ms));
+  // The median job of a pass over the job list: the middle one of the
+  // kinds' median latencies. Pooling all jobs instead lets the uneven
+  // last pass move the median from one kind's latencies to the next.
+  std::vector<double> kind_medians;
+  for (const auto& [kind, samples] : ms_by_kind) kind_medians.push_back(Median(samples));
   const std::optional<TailPick> tail = PickTail(ms);
   if (tail.has_value()) {
     std::printf("job_ms.tail is p%g over %zu jobs (%zu beyond it)\n",
@@ -260,7 +375,7 @@ std::vector<Metric> EndToEndMetrics(const std::vector<JobRecord>& records,
   }
   return {
       {"jobs_per_s", JobsPerSecond(records), "1/s"},
-      {"job_ms.p50", Median(ms), "ms"},
+      {"job_ms.p50", Median(kind_medians), "ms"},
       {"job_ms.tail", tail.has_value() ? tail->value : Percentile(ms, 100.0), "ms"},
       {"peak_heap_mb", static_cast<double>(peak) / 1e6, "MB"},
       {"setup_s", setup_s, "s"},
@@ -556,24 +671,37 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  // Setup, several times; the last instance is the one measured.
+  // The miner thread pool starts here, with the whole CPU set, before
+  // any CpuRotation moves this thread.
+  static_cast<void>(ufim::ThreadPool::Global());
+
+  // Setup, several times and each from the next CPU, timed at the
+  // reference speed (the mean of a reference time before and after it);
+  // the last instance is the one measured.
   const WorkloadConfig config{opt.seed, threads, data_dir};
   std::unique_ptr<Workload> workload;
   std::vector<double> setup_s;
-  for (int r = 0; r < kSetupRepeats; ++r) {
-    const Clock::time_point start = r == 0 ? process_start : Clock::now();
-    workload.reset();
-    workload = MakeWorkload(opt.workload, config);
-    if (workload == nullptr) {
-      std::fprintf(stderr, "unknown workload '%s'\n", opt.workload.c_str());
-      return 2;
+  {
+    CpuRotation setup_rotation;
+    for (int r = 0; r < kSetupRepeats; ++r) {
+      setup_rotation.Next();
+      const double reference_before = ReferenceMs();
+      const Clock::time_point start = r == 0 ? process_start : Clock::now();
+      workload.reset();
+      workload = MakeWorkload(opt.workload, config);
+      if (workload == nullptr) {
+        std::fprintf(stderr, "unknown workload '%s'\n", opt.workload.c_str());
+        return 2;
+      }
+      const ufim::Status status = workload->Setup();
+      if (!status.ok()) {
+        std::fprintf(stderr, "setup failed: %s\n", status.ToString().c_str());
+        return 1;
+      }
+      const double wall_s = SecondsSince(start);
+      const double reference_ms = (reference_before + ReferenceMs()) / 2.0;
+      setup_s.push_back(wall_s * kNominalReferenceMs / reference_ms);
     }
-    const ufim::Status status = workload->Setup();
-    if (!status.ok()) {
-      std::fprintf(stderr, "setup failed: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    setup_s.push_back(SecondsSince(start));
   }
   PrintEnvironment(opt, threads, *workload);
   const ufim::Status self_check = SelfCheck(*workload);
