@@ -6,7 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_datasets.h"
-#include "core/miner_factory.h"
+#include "core/flat_view.h"
+#include "core/miner_registry.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
 
@@ -16,8 +17,12 @@ namespace {
 constexpr double kMinSup = 0.2;
 constexpr double kPft = 0.9;
 
+const FlatView& View() {
+  static const FlatView& view = *new FlatView(AccidentDb(2000));
+  return view;
+}
+
 void SamplingCase(benchmark::State& state, std::size_t samples) {
-  const UncertainDatabase& db = AccidentDb(2000);
   ProbabilisticParams params;
   params.min_sup = kMinSup;
   params.pft = kPft;
@@ -26,17 +31,14 @@ void SamplingCase(benchmark::State& state, std::size_t samples) {
     ProbabilisticParams p;
     p.min_sup = kMinSup;
     p.pft = kPft;
-    auto r = CreateProbabilisticMiner(ProbabilisticAlgorithm::kDCB)
-                 ->Mine(AccidentDb(2000), p);
+    auto r = MinerRegistry::Global().Create("DCB")->Mine(View(), p);
     return *new MiningResult(std::move(r).value());
   }();
 
   MinerOptions options;
   options.mc_samples = samples;
-  auto miner = CreateProbabilisticMiner(ProbabilisticAlgorithm::kMCSampling,
-                                        options);
   for (auto _ : state) {
-    auto m = RunProbabilisticExperiment(*miner, db, params);
+    auto m = RunRegisteredExperiment("MCSampling", View(), params, options);
     if (!m.ok()) {
       state.SkipWithError(m.status().ToString().c_str());
       return;
@@ -48,14 +50,12 @@ void SamplingCase(benchmark::State& state, std::size_t samples) {
   }
 }
 
-void MomentBaselineCase(benchmark::State& state, ProbabilisticAlgorithm algo) {
-  const UncertainDatabase& db = AccidentDb(2000);
+void MomentBaselineCase(benchmark::State& state, const char* algo) {
   ProbabilisticParams params;
   params.min_sup = kMinSup;
   params.pft = kPft;
-  auto miner = CreateProbabilisticMiner(algo);
   for (auto _ : state) {
-    auto m = RunProbabilisticExperiment(*miner, db, params);
+    auto m = RunRegisteredExperiment(algo, View(), params);
     if (!m.ok()) {
       state.SkipWithError(m.status().ToString().c_str());
       return;
@@ -75,10 +75,8 @@ void RegisterAll() {
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);
   }
-  for (ProbabilisticAlgorithm algo : {ProbabilisticAlgorithm::kNDUApriori,
-                                      ProbabilisticAlgorithm::kPDUApriori}) {
-    std::string name =
-        std::string("ablation_sampling/baseline/") + std::string(ToString(algo));
+  for (const char* algo : {"NDUApriori", "PDUApriori"}) {
+    std::string name = std::string("ablation_sampling/baseline/") + algo;
     benchmark::RegisterBenchmark(name.c_str(),
                                  [algo](benchmark::State& state) {
                                    MomentBaselineCase(state, algo);

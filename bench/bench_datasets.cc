@@ -1,36 +1,56 @@
 #include "bench_datasets.h"
 
+#include <map>
+
 #include "gen/benchmark_datasets.h"
 #include "gen/probability.h"
 
 namespace ufim::bench {
 
 namespace {
+
 constexpr std::uint64_t kSeed = 20120827;  // VLDB'12 conference date
+
+// One instance per requested size: a binary that sweeps several sizes of
+// one family gets each of them, not whichever size it asked for first.
+// Each family passes its own lambda type, so each gets its own cache;
+// std::map nodes never move, so the returned references stay valid.
+template <typename Make>
+const UncertainDatabase& Memoized(std::size_t n, Make make) {
+  static auto* cache = new std::map<std::size_t, UncertainDatabase>();
+  auto it = cache->find(n);
+  if (it == cache->end()) it = cache->emplace(n, make()).first;
+  return it->second;
+}
+
 }  // namespace
 
 const UncertainDatabase& ConnectDb(std::size_t n) {
-  static const UncertainDatabase& db = *new UncertainDatabase(
-      AssignGaussianProbabilities(MakeConnectLike(n, kSeed), 0.95, 0.05, kSeed + 1));
-  return db;
+  return Memoized(n, [n] {
+    return AssignGaussianProbabilities(MakeConnectLike(n, kSeed), 0.95, 0.05,
+                                       kSeed + 1);
+  });
 }
 
 const UncertainDatabase& AccidentDb(std::size_t n) {
-  static const UncertainDatabase& db = *new UncertainDatabase(
-      AssignGaussianProbabilities(MakeAccidentLike(n, kSeed), 0.5, 0.5, kSeed + 2));
-  return db;
+  return Memoized(n, [n] {
+    return AssignGaussianProbabilities(MakeAccidentLike(n, kSeed), 0.5, 0.5,
+                                       kSeed + 2);
+  });
 }
 
 const UncertainDatabase& KosarakDb(std::size_t n) {
-  static const UncertainDatabase& db = *new UncertainDatabase(
-      AssignGaussianProbabilities(MakeKosarakLike(n, kSeed), 0.5, 0.5, kSeed + 3));
-  return db;
+  return Memoized(n, [n] {
+    return AssignGaussianProbabilities(MakeKosarakLike(n, kSeed), 0.5, 0.5,
+                                       kSeed + 3);
+  });
 }
 
 const UncertainDatabase& GazelleDb(std::size_t n) {
-  static const UncertainDatabase& db = *new UncertainDatabase(
-      AssignGaussianProbabilities(MakeGazelleLike(n, kSeed), 0.95, 0.05, kSeed + 4));
-  return db;
+  return Memoized(n, [n] {
+    return AssignGaussianProbabilities(MakeGazelleLike(n, kSeed), 0.95, 0.05,
+                                       kSeed + 4);
+  });
 }
 
 UncertainDatabase QuestDb(std::size_t n) {

@@ -8,10 +8,13 @@
 namespace ufim::bench {
 
 /// Scaled instances of the paper's five benchmark datasets (Table 6) with
-/// the Table 7 probability parameters. Transaction counts are reduced to
-/// single-core laptop scale; EXPERIMENTS.md records the scaling. Each
-/// function memoizes its default-size instance so that bench binaries pay
-/// generation cost once.
+/// the Table 7 probability parameters. Transaction counts are cut to
+/// 500-32000, one to two orders of magnitude below the paper's (e.g. the
+/// Quest family sweeps 2k-32k where the paper sweeps 20k-320k), so that a
+/// whole figure sweep runs in seconds on one core. Basket shapes follow
+/// gen/benchmark_datasets.h (Kosarak's item universe is cut to 4096
+/// items there). The four named families memoize one instance per
+/// requested size so that bench binaries pay generation cost once.
 
 /// Connect: dense, Gaussian(0.95, 0.05).
 const UncertainDatabase& ConnectDb(std::size_t n = 2000);

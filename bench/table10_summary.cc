@@ -11,7 +11,8 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_datasets.h"
-#include "bench_util.h"
+#include "core/flat_view.h"
+#include "eval/experiment.h"
 
 namespace ufim::bench {
 namespace {
@@ -33,33 +34,17 @@ std::vector<Cell>& Cells() {
   return *cells;
 }
 
-void RunExpectedGroup(const char* dataset, const UncertainDatabase& db,
-                      double min_esup) {
-  Cell cell{"expected-support", dataset, {}};
-  ExpectedSupportParams params;
-  params.min_esup = min_esup;
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto miner = CreateExpectedSupportMiner(algo);
-    auto m = RunExpectedExperiment(*miner, db, params);
-    if (m.ok()) {
-      cell.outcomes.push_back(Outcome{std::string(m->algorithm), m->millis,
-                                      static_cast<double>(m->peak_bytes) / 1e6});
-    }
-  }
-  Cells().push_back(std::move(cell));
-}
+const std::vector<const char*> kExpected = {"UApriori", "UFP-growth",
+                                           "UH-Mine"};
+const std::vector<const char*> kExact = {"DPNB", "DPB", "DCNB", "DCB"};
+const std::vector<const char*> kApproximate = {"PDUApriori", "NDUApriori",
+                                              "NDUH-Mine"};
 
-void RunProbabilisticGroup(const char* group, const char* dataset,
-                           const UncertainDatabase& db,
-                           const std::vector<ProbabilisticAlgorithm>& algos,
-                           double min_sup, double pft) {
+void RunGroup(const char* group, const char* dataset, const FlatView& view,
+              const std::vector<const char*>& algos, const MiningTask& task) {
   Cell cell{group, dataset, {}};
-  ProbabilisticParams params;
-  params.min_sup = min_sup;
-  params.pft = pft;
-  for (ProbabilisticAlgorithm algo : algos) {
-    auto miner = CreateProbabilisticMiner(algo);
-    auto m = RunProbabilisticExperiment(*miner, db, params);
+  for (const char* algo : algos) {
+    auto m = RunRegisteredExperiment(algo, view, task);
     if (m.ok()) {
       cell.outcomes.push_back(Outcome{std::string(m->algorithm), m->millis,
                                       static_cast<double>(m->peak_bytes) / 1e6});
@@ -76,19 +61,21 @@ void Table10(benchmark::State& state) {
     // two regimes Table 10 contrasts. The exact group keeps Accident-like
     // for its dense cell (exact mining on Connect-like at high density
     // explodes combinatorially, as the paper's 1-hour timeouts show).
-    const UncertainDatabase& dense = ConnectDb(2000);
-    const UncertainDatabase& dense_exact = AccidentDb(1500);
-    const UncertainDatabase& sparse = KosarakDb(10000);
-    RunExpectedGroup("dense", dense, 0.5);
-    RunExpectedGroup("sparse", sparse, 0.0005);
-    RunProbabilisticGroup("exact-probabilistic", "dense", dense_exact,
-                          AllExactProbabilisticAlgorithms(), 0.3, 0.9);
-    RunProbabilisticGroup("exact-probabilistic", "sparse", sparse,
-                          AllExactProbabilisticAlgorithms(), 0.05, 0.9);
-    RunProbabilisticGroup("approx-probabilistic", "dense", dense,
-                          AllApproximateProbabilisticAlgorithms(), 0.45, 0.9);
-    RunProbabilisticGroup("approx-probabilistic", "sparse", sparse,
-                          AllApproximateProbabilisticAlgorithms(), 0.0005, 0.9);
+    const FlatView dense(ConnectDb(2000));
+    const FlatView dense_exact(AccidentDb(1500));
+    const FlatView sparse(KosarakDb(10000));
+    RunGroup("expected-support", "dense", dense, kExpected,
+             ExpectedSupportParams{0.5});
+    RunGroup("expected-support", "sparse", sparse, kExpected,
+             ExpectedSupportParams{0.0005});
+    RunGroup("exact-probabilistic", "dense", dense_exact, kExact,
+             ProbabilisticParams{0.3, 0.9});
+    RunGroup("exact-probabilistic", "sparse", sparse, kExact,
+             ProbabilisticParams{0.05, 0.9});
+    RunGroup("approx-probabilistic", "dense", dense, kApproximate,
+             ProbabilisticParams{0.45, 0.9});
+    RunGroup("approx-probabilistic", "sparse", sparse, kApproximate,
+             ProbabilisticParams{0.0005, 0.9});
   }
 }
 

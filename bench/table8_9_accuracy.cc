@@ -8,12 +8,14 @@
 // Each benchmark row reports precision/recall as counters and, after all
 // rows ran, main() prints the two tables in the paper's layout.
 #include <cstdio>
+#include <iterator>
 #include <map>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_datasets.h"
-#include "bench_util.h"
+#include "core/flat_view.h"
+#include "core/miner_registry.h"
 #include "eval/metrics.h"
 
 namespace ufim::bench {
@@ -31,22 +33,24 @@ std::map<std::pair<std::string, double>, Row>& Results() {
   return *r;
 }
 
-void AccuracyCase(benchmark::State& state, const UncertainDatabase& db,
+constexpr const char* kApproximate[] = {"PDUApriori", "NDUApriori",
+                                        "NDUH-Mine"};
+
+void AccuracyCase(benchmark::State& state, const FlatView& view,
                   const char* dataset, double min_sup) {
   ProbabilisticParams params;
   params.min_sup = min_sup;
   params.pft = kPft;
+  const MinerRegistry& registry = MinerRegistry::Global();
   for (auto _ : state) {
-    auto exact = CreateProbabilisticMiner(ProbabilisticAlgorithm::kDCB)
-                     ->Mine(db, params);
+    auto exact = registry.Create("DCB")->Mine(view, params);
     if (!exact.ok()) {
       state.SkipWithError(exact.status().ToString().c_str());
       return;
     }
-    const auto algos = AllApproximateProbabilisticAlgorithms();
     Row row{};
-    for (std::size_t i = 0; i < algos.size(); ++i) {
-      auto approx = CreateProbabilisticMiner(algos[i])->Mine(db, params);
+    for (std::size_t i = 0; i < std::size(kApproximate); ++i) {
+      auto approx = registry.Create(kApproximate[i])->Mine(view, params);
       if (!approx.ok()) {
         state.SkipWithError(approx.status().ToString().c_str());
         return;
@@ -54,8 +58,8 @@ void AccuracyCase(benchmark::State& state, const UncertainDatabase& db,
       PrecisionRecall pr = ComputePrecisionRecall(*approx, *exact);
       row.precision[i] = pr.precision;
       row.recall[i] = pr.recall;
-      state.counters[std::string(ToString(algos[i])) + "_P"] = pr.precision;
-      state.counters[std::string(ToString(algos[i])) + "_R"] = pr.recall;
+      state.counters[std::string(kApproximate[i]) + "_P"] = pr.precision;
+      state.counters[std::string(kApproximate[i]) + "_R"] = pr.recall;
     }
     state.counters["exact_frequent"] = static_cast<double>(exact->size());
     Results()[{dataset, min_sup}] = row;
@@ -74,14 +78,14 @@ void RegisterAll() {
       {"Kosarak", &KosarakDb, 5000, {0.0025, 0.005, 0.01, 0.05, 0.1}},
   };
   for (const Sweep& sweep : kSweeps) {
-    const UncertainDatabase& db = sweep.db(sweep.n);
+    const FlatView* view = new FlatView(sweep.db(sweep.n));
     for (double min_sup : sweep.thresholds) {
       std::string name = std::string("table8_9/") + sweep.dataset +
                          "/min_sup=" + std::to_string(min_sup);
       benchmark::RegisterBenchmark(
           name.c_str(),
-          [&db, dataset = sweep.dataset, min_sup](benchmark::State& state) {
-            AccuracyCase(state, db, dataset, min_sup);
+          [view, dataset = sweep.dataset, min_sup](benchmark::State& state) {
+            AccuracyCase(state, *view, dataset, min_sup);
           })
           ->Unit(benchmark::kMillisecond)
           ->Iterations(1);

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "algo/top_k.h"
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "core/postprocess.h"
 #include "core/result_io.h"
 #include "gen/benchmark_datasets.h"
@@ -21,7 +21,7 @@ int main() {
   std::printf("Catalog sessions: %zu\n", db.size());
 
   // 1. No threshold in mind? Ask for the strongest itemsets directly.
-  auto top = MineTopKExpected(db, 12);
+  auto top = MineTopKExpected(FlatView(db), 12);
   if (!top.ok()) {
     std::fprintf(stderr, "%s\n", top.status().ToString().c_str());
     return 1;
@@ -41,8 +41,7 @@ int main() {
   // data sit far below the single-product supports: mine deep.
   ExpectedSupportParams params;
   params.min_esup = 0.003;
-  auto miner = CreateExpectedSupportMiner(ExpectedAlgorithm::kUHMine);
-  auto all = miner->Mine(db, params);
+  auto all = MinerRegistry::Global().Create("UH-Mine")->Mine(FlatView(db), params);
   if (!all.ok()) return 1;
   MiningResult closed = FilterClosed(*all);
   MiningResult maximal = FilterMaximal(*all);

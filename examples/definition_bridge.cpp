@@ -11,7 +11,7 @@
 //   $ ./definition_bridge
 #include <cstdio>
 
-#include "core/miner_factory.h"
+#include "core/flat_view.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "gen/benchmark_datasets.h"
@@ -30,16 +30,16 @@ int main() {
   pparams.pft = 0.9;
   const std::size_t msc = pparams.MinSupportCount(db.size());
 
+  const FlatView view(db);
+
   // 1. Exact.
-  auto exact_miner = CreateProbabilisticMiner(ProbabilisticAlgorithm::kDCB);
-  auto exact = RunProbabilisticExperiment(*exact_miner, db, pparams);
+  auto exact = RunRegisteredExperiment("DCB", view, pparams);
   if (!exact.ok()) return 1;
   std::printf("\n1. exact DCB:            %8.1f ms, %4zu itemsets\n",
               exact->millis, exact->num_frequent);
 
   // 2. Normal approximation inside the miner.
-  auto approx_miner = CreateProbabilisticMiner(ProbabilisticAlgorithm::kNDUHMine);
-  auto approx = RunProbabilisticExperiment(*approx_miner, db, pparams);
+  auto approx = RunRegisteredExperiment("NDUH-Mine", view, pparams);
   if (!approx.ok()) return 1;
   std::printf("2. NDUH-Mine:            %8.1f ms, %4zu itemsets\n",
               approx->millis, approx->num_frequent);
@@ -47,8 +47,7 @@ int main() {
   // 3. The bridge recipe: any expected-support miner + variance + Φ.
   ExpectedSupportParams eparams;
   eparams.min_esup = 0.5 * static_cast<double>(msc) / db.size();
-  auto es_miner = CreateExpectedSupportMiner(ExpectedAlgorithm::kUHMine);
-  auto es = RunExpectedExperiment(*es_miner, db, eparams);
+  auto es = RunRegisteredExperiment("UH-Mine", view, eparams);
   if (!es.ok()) return 1;
   MiningResult bridged;
   for (const FrequentItemset& fi : es->result.itemsets()) {

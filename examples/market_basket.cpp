@@ -7,8 +7,10 @@
 //
 //   $ ./market_basket
 #include <cstdio>
+#include <string>
 
-#include "core/miner_factory.h"
+#include "core/flat_view.h"
+#include "core/miner_registry.h"
 #include "eval/experiment.h"
 #include "gen/benchmark_datasets.h"
 #include "gen/probability.h"
@@ -31,12 +33,13 @@ int main() {
 
   std::printf("\n%-12s %10s %12s %12s\n", "algorithm", "time (ms)",
               "candidates", "#frequent");
+  const FlatView view(db);
   MiningResult reference;
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto miner = CreateExpectedSupportMiner(algo);
-    auto m = RunExpectedExperiment(*miner, db, params);
+  for (const std::string& algo : MinerRegistry::Global().NamesOf(
+           TaskFamily::kExpectedSupport, /*production_only=*/true)) {
+    auto m = RunRegisteredExperiment(algo, view, params);
     if (!m.ok()) {
-      std::fprintf(stderr, "%s failed: %s\n", ToString(algo).data(),
+      std::fprintf(stderr, "%s failed: %s\n", algo.c_str(),
                    m.status().ToString().c_str());
       return 1;
     }

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "eval/metrics.h"
 #include "io/dataset_io.h"
 
@@ -78,10 +78,9 @@ int main() {
   params.min_sup = 0.3;  // events co-occurring in >= 30%% of epochs
   params.pft = 0.9;
 
-  auto exact = CreateProbabilisticMiner(ProbabilisticAlgorithm::kDCB)
-                   ->Mine(*reloaded, params);
-  auto approx = CreateProbabilisticMiner(ProbabilisticAlgorithm::kNDUHMine)
-                    ->Mine(*reloaded, params);
+  const FlatView view(*reloaded);
+  auto exact = MinerRegistry::Global().Create("DCB")->Mine(view, params);
+  auto approx = MinerRegistry::Global().Create("NDUH-Mine")->Mine(view, params);
   if (!exact.ok() || !approx.ok()) {
     std::fprintf(stderr, "mining failed\n");
     return 1;

@@ -25,27 +25,6 @@ std::vector<ItemStats> CollectItemStats(const FlatView& view) {
   return out;
 }
 
-std::vector<ItemStats> CollectItemStats(const UncertainDatabase& db) {
-  // Direct row pass — building a FlatView just to read its caches would
-  // cost more than this single scan.
-  const std::size_t n_items = db.num_items();
-  std::vector<double> esup(n_items, 0.0), sq(n_items, 0.0);
-  for (const Transaction& t : db) {
-    for (const ProbItem& u : t) {
-      esup[u.item] += u.prob;
-      sq[u.item] += u.prob * u.prob;
-    }
-  }
-  std::vector<ItemStats> out;
-  out.reserve(n_items);
-  for (std::size_t i = 0; i < n_items; ++i) {
-    if (esup[i] > 0.0) {
-      out.push_back(ItemStats{static_cast<ItemId>(i), esup[i], sq[i]});
-    }
-  }
-  return out;
-}
-
 std::vector<Itemset> GenerateCandidates(const std::vector<Itemset>& frequent_k,
                                         std::uint64_t* pruned) {
   std::vector<Itemset> candidates;
@@ -404,17 +383,6 @@ std::vector<CandidateStats> EvaluateCandidates(const FlatView& view,
   return stats;
 }
 
-std::vector<CandidateStats> EvaluateCandidates(const UncertainDatabase& db,
-                                               const std::vector<Itemset>& candidates,
-                                               bool collect_probs,
-                                               double decremental_threshold) {
-  // One-shot row-oriented callers get the single-pass scan; rebuilding
-  // the columnar index per call would dominate the counting itself.
-  // Miners that amortize the index use the FlatView overload.
-  return EvaluateCandidatesRowScan(db, candidates, collect_probs,
-                                   decremental_threshold);
-}
-
 std::vector<CandidateStats> EvaluateCandidatesRowScan(
     const UncertainDatabase& db, const std::vector<Itemset>& candidates,
     bool collect_probs, double decremental_threshold) {
@@ -650,16 +618,6 @@ std::vector<FrequentItemset> MineAprioriGeneric(const FlatView& view,
                        counters, num_threads, /*judge_threads=*/1, context);
 }
 
-std::vector<FrequentItemset> MineAprioriGeneric(const UncertainDatabase& db,
-                                                const AprioriCallbacks& callbacks,
-                                                double decremental_threshold,
-                                                MiningCounters* counters,
-                                                std::size_t num_threads,
-                                                const RunContext* context) {
-  return MineAprioriGeneric(FlatView(db), callbacks, decremental_threshold,
-                            counters, num_threads, context);
-}
-
 std::vector<FrequentItemset> MineProbabilisticApriori(
     const FlatView& view, std::size_t msc, double pft, const TailFn& tail_fn,
     const ProbabilisticLoopOptions& options, MiningCounters* counters) {
@@ -710,14 +668,6 @@ std::vector<FrequentItemset> MineProbabilisticApriori(
       /*decremental_threshold=*/-1.0, counters, options.num_threads,
       /*judge_threads=*/options.parallel_tails ? options.num_threads : 1,
       options.context);
-}
-
-std::vector<FrequentItemset> MineProbabilisticApriori(
-    const UncertainDatabase& db, std::size_t msc, double pft,
-    const TailFn& tail_fn, const ProbabilisticLoopOptions& options,
-    MiningCounters* counters) {
-  return MineProbabilisticApriori(FlatView(db), msc, pft, tail_fn, options,
-                                  counters);
 }
 
 }  // namespace ufim

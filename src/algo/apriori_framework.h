@@ -24,8 +24,8 @@ namespace ufim {
 /// containment probabilities come from a merge-join of its members'
 /// posting arrays (ascending-tid index joins over contiguous memory),
 /// replacing the row-oriented probe-array scan. The row scan survives as
-/// `EvaluateCandidatesRowScan` — the baseline the equivalence tests and
-/// the FlatView bench compare against.
+/// `EvaluateCandidatesRowScan` — the reference the equivalence tests
+/// compare against.
 ///
 /// Counting is parallel when `num_threads > 1`, and deterministically so:
 /// the posting-join path partitions by candidate (each candidate's join
@@ -52,10 +52,6 @@ struct ItemStats {
 /// Item-level moments from the view's cached per-item arrays (items with
 /// zero support omitted). O(num_items) on a full view.
 std::vector<ItemStats> CollectItemStats(const FlatView& view);
-
-/// Row-oriented variant: one pass over the transactions (no index
-/// build). Same contents as the view overload.
-std::vector<ItemStats> CollectItemStats(const UncertainDatabase& db);
 
 /// Classic Apriori candidate generation: joins lexicographically sorted
 /// frequent k-itemsets sharing a (k-1)-prefix and prunes joins that have
@@ -98,17 +94,10 @@ std::vector<CandidateStats> EvaluateCandidates(const FlatView& view,
                                                std::size_t num_threads = 1,
                                                const RunContext* context = nullptr);
 
-/// Row-oriented convenience overload for one-shot callers: delegates to
-/// the row-scan baseline rather than paying a full index build per call.
-std::vector<CandidateStats> EvaluateCandidates(const UncertainDatabase& db,
-                                               const std::vector<Itemset>& candidates,
-                                               bool collect_probs,
-                                               double decremental_threshold = -1.0);
-
 /// The pre-columnar implementation: one pass over row-oriented
 /// transactions probing a dense per-transaction probability array.
-/// Kept as the reference baseline for equivalence tests and the
-/// FlatView-vs-row-scan bench; production miners use the view overload.
+/// Kept as the reference for the equivalence tests; production miners
+/// use the view overload.
 std::vector<CandidateStats> EvaluateCandidatesRowScan(
     const UncertainDatabase& db, const std::vector<Itemset>& candidates,
     bool collect_probs, double decremental_threshold = -1.0);
@@ -135,12 +124,6 @@ struct AprioriCallbacks {
 /// candidate evaluation and per judged candidate; a trip unwinds with
 /// RunAbortedError (the Miner facade converts it to a Status).
 std::vector<FrequentItemset> MineAprioriGeneric(const FlatView& view,
-                                                const AprioriCallbacks& callbacks,
-                                                double decremental_threshold,
-                                                MiningCounters* counters,
-                                                std::size_t num_threads = 1,
-                                                const RunContext* context = nullptr);
-std::vector<FrequentItemset> MineAprioriGeneric(const UncertainDatabase& db,
                                                 const AprioriCallbacks& callbacks,
                                                 double decremental_threshold,
                                                 MiningCounters* counters,
@@ -196,10 +179,6 @@ struct ProbabilisticLoopOptions {
 std::vector<FrequentItemset> MineProbabilisticApriori(
     const FlatView& view, std::size_t msc, double pft, const TailFn& tail_fn,
     const ProbabilisticLoopOptions& options, MiningCounters* counters);
-std::vector<FrequentItemset> MineProbabilisticApriori(
-    const UncertainDatabase& db, std::size_t msc, double pft,
-    const TailFn& tail_fn, const ProbabilisticLoopOptions& options,
-    MiningCounters* counters);
 
 }  // namespace ufim
 

@@ -20,6 +20,7 @@ class BruteForceExpected final : public ExpectedSupportMiner {
 
   std::string_view name() const override { return "BruteForceExpected"; }
 
+ protected:
   Result<MiningResult> MineExpected(
       const FlatView& view,
       const ExpectedSupportParams& params) const override;
@@ -35,6 +36,7 @@ class BruteForceProbabilistic final : public ProbabilisticMiner {
   std::string_view name() const override { return "BruteForceProbabilistic"; }
   bool is_exact() const override { return true; }
 
+ protected:
   Result<MiningResult> MineProbabilistic(
       const FlatView& view,
       const ProbabilisticParams& params) const override;

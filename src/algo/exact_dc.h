@@ -33,6 +33,7 @@ class ExactDC final : public ProbabilisticMiner {
   std::string_view name() const override { return use_chernoff_ ? "DCB" : "DCNB"; }
   bool is_exact() const override { return true; }
 
+ protected:
   Result<MiningResult> MineProbabilistic(
       const FlatView& view,
       const ProbabilisticParams& params) const override;

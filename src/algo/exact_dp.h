@@ -32,6 +32,7 @@ class ExactDP final : public ProbabilisticMiner {
   std::string_view name() const override { return use_chernoff_ ? "DPB" : "DPNB"; }
   bool is_exact() const override { return true; }
 
+ protected:
   Result<MiningResult> MineProbabilistic(
       const FlatView& view,
       const ProbabilisticParams& params) const override;

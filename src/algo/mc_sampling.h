@@ -42,6 +42,7 @@ class MCSampling final : public ProbabilisticMiner {
   std::string_view name() const override { return "MCSampling"; }
   bool is_exact() const override { return false; }
 
+ protected:
   Result<MiningResult> MineProbabilistic(
       const FlatView& view,
       const ProbabilisticParams& params) const override;

@@ -23,6 +23,7 @@ class NDUApriori final : public ProbabilisticMiner {
   std::string_view name() const override { return "NDUApriori"; }
   bool is_exact() const override { return false; }
 
+ protected:
   Result<MiningResult> MineProbabilistic(
       const FlatView& view,
       const ProbabilisticParams& params) const override;

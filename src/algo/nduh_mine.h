@@ -25,6 +25,7 @@ class NDUHMine final : public ProbabilisticMiner {
   std::string_view name() const override { return "NDUH-Mine"; }
   bool is_exact() const override { return false; }
 
+ protected:
   Result<MiningResult> MineProbabilistic(
       const FlatView& view,
       const ProbabilisticParams& params) const override;

@@ -25,6 +25,7 @@ class PDUApriori final : public ProbabilisticMiner {
   std::string_view name() const override { return "PDUApriori"; }
   bool is_exact() const override { return false; }
 
+ protected:
   Result<MiningResult> MineProbabilistic(
       const FlatView& view,
       const ProbabilisticParams& params) const override;

@@ -155,12 +155,6 @@ Result<MiningResult> MineTopKExpected(const FlatView& view, std::size_t k,
   return result;
 }
 
-Result<MiningResult> MineTopKExpected(const UncertainDatabase& db,
-                                      std::size_t k,
-                                      const RunContext* context) {
-  return MineTopKExpected(FlatView(db), k, context);
-}
-
 Result<MiningResult> TopKMiner::Mine(const FlatView& view,
                                      const MiningTask& task) const {
   const auto* params = std::get_if<TopKParams>(&task);
@@ -169,8 +163,8 @@ Result<MiningResult> TopKMiner::Mine(const FlatView& view,
                                    std::string(TaskKindName(task)) + " tasks");
   }
   UFIM_RETURN_IF_ERROR(params->Validate());
-  // Overrides the variant dispatcher directly, so it needs its own abort
-  // guard (the typed entry points' guards never run for this miner).
+  // Overrides Miner::Mine directly, so it needs its own abort guard (the
+  // adapter bases' guards never run for this miner).
   return internal::GuardMine(
       [&] { return MineTopKExpected(view, params->k, &run_context()); });
 }

@@ -26,11 +26,6 @@ namespace ufim {
 Result<MiningResult> MineTopKExpected(const FlatView& view, std::size_t k,
                                       const RunContext* context = nullptr);
 
-/// Convenience overload that builds a FlatView first.
-Result<MiningResult> MineTopKExpected(const UncertainDatabase& db,
-                                      std::size_t k,
-                                      const RunContext* context = nullptr);
-
 /// The `Miner` facade over MineTopKExpected: answers `TopKParams` tasks,
 /// registered as "TopK" so the CLI, experiment runner and benches reach
 /// threshold-free mining through the same registry path as every other
@@ -49,7 +44,6 @@ class TopKMiner final : public Miner {
 
   Result<MiningResult> Mine(const FlatView& view,
                             const MiningTask& task) const override;
-  using Miner::Mine;
 };
 
 }  // namespace ufim

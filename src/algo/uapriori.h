@@ -27,6 +27,7 @@ class UApriori final : public ExpectedSupportMiner {
 
   std::string_view name() const override { return "UApriori"; }
 
+ protected:
   Result<MiningResult> MineExpected(
       const FlatView& view,
       const ExpectedSupportParams& params) const override;

@@ -35,6 +35,7 @@ class UFPGrowth final : public ExpectedSupportMiner {
 
   std::string_view name() const override { return "UFP-growth"; }
 
+ protected:
   Result<MiningResult> MineExpected(
       const FlatView& view,
       const ExpectedSupportParams& params) const override;

@@ -23,6 +23,7 @@ class UHMine final : public ExpectedSupportMiner {
 
   std::string_view name() const override { return "UH-Mine"; }
 
+ protected:
   Result<MiningResult> MineExpected(
       const FlatView& view,
       const ExpectedSupportParams& params) const override;

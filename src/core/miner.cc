@@ -64,11 +64,6 @@ std::string_view TaskKindName(const MiningTask& task) {
   return "top-k";
 }
 
-Result<MiningResult> Miner::Mine(const UncertainDatabase& db,
-                                 const MiningTask& task) const {
-  return Mine(FlatView(db), task);
-}
-
 namespace {
 
 Status UnsupportedTask(const Miner& miner, const MiningTask& task) {
@@ -82,7 +77,7 @@ Status UnsupportedTask(const Miner& miner, const MiningTask& task) {
 Result<MiningResult> ExpectedSupportMiner::Mine(const FlatView& view,
                                                 const MiningTask& task) const {
   if (const auto* params = std::get_if<ExpectedSupportParams>(&task)) {
-    return Mine(view, *params);  // guarded typed entry point
+    return internal::GuardMine([&] { return MineExpected(view, *params); });
   }
   return UnsupportedTask(*this, task);
 }
@@ -90,7 +85,8 @@ Result<MiningResult> ExpectedSupportMiner::Mine(const FlatView& view,
 Result<MiningResult> ProbabilisticMiner::Mine(const FlatView& view,
                                               const MiningTask& task) const {
   if (const auto* params = std::get_if<ProbabilisticParams>(&task)) {
-    return Mine(view, *params);  // guarded typed entry point
+    return internal::GuardMine(
+        [&] { return MineProbabilistic(view, *params); });
   }
   return UnsupportedTask(*this, task);
 }

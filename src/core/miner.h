@@ -13,7 +13,6 @@
 #include "common/thread_annotations.h"
 #include "core/flat_view.h"
 #include "core/mining_result.h"
-#include "core/uncertain_database.h"
 
 namespace ufim {
 
@@ -145,11 +144,6 @@ class Miner {
   virtual Result<MiningResult> Mine(const FlatView& view,
                                     const MiningTask& task) const = 0;
 
-  /// Convenience: builds the FlatView internally. Prefer the view
-  /// overload when mining the same database repeatedly.
-  Result<MiningResult> Mine(const UncertainDatabase& db,
-                            const MiningTask& task) const;
-
   /// Attaches the cooperative cancellation / deadline / budget token this
   /// miner polls at its checkpoint sites. `MinerRegistry::Create` forwards
   /// `MinerOptions::run_context` automatically; direct constructions keep
@@ -207,8 +201,7 @@ Result<MiningResult> GuardMine(Fn&& fn) {
 
 /// Adapter base of the expected-support-based miners (UApriori,
 /// UFP-growth, UH-Mine, brute force). Subclasses implement
-/// `MineExpected`; the `MiningTask` dispatch and the typed convenience
-/// overloads live here.
+/// `MineExpected`; the `MiningTask` dispatch lives here.
 class ExpectedSupportMiner : public Miner {
  public:
   bool Supports(const MiningTask& task) const final {
@@ -218,20 +211,8 @@ class ExpectedSupportMiner : public Miner {
 
   Result<MiningResult> Mine(const FlatView& view,
                             const MiningTask& task) const final;
-  using Miner::Mine;
 
-  /// Typed entry points (tests and legacy call sites). Guarded like the
-  /// variant dispatch: a checkpoint abort surfaces as a Status here too.
-  Result<MiningResult> Mine(const FlatView& view,
-                            const ExpectedSupportParams& params) const {
-    return internal::GuardMine([&] { return MineExpected(view, params); });
-  }
-  Result<MiningResult> Mine(const UncertainDatabase& db,
-                            const ExpectedSupportParams& params) const {
-    return internal::GuardMine(
-        [&] { return MineExpected(FlatView(db), params); });
-  }
-
+ protected:
   /// Finds all itemsets with esup(X) >= N * params.min_esup. Every
   /// returned itemset carries (expected_support, variance); variance is
   /// reported because it is free to accumulate and is exactly what turns
@@ -254,19 +235,8 @@ class ProbabilisticMiner : public Miner {
 
   Result<MiningResult> Mine(const FlatView& view,
                             const MiningTask& task) const final;
-  using Miner::Mine;
 
-  Result<MiningResult> Mine(const FlatView& view,
-                            const ProbabilisticParams& params) const {
-    return internal::GuardMine(
-        [&] { return MineProbabilistic(view, params); });
-  }
-  Result<MiningResult> Mine(const UncertainDatabase& db,
-                            const ProbabilisticParams& params) const {
-    return internal::GuardMine(
-        [&] { return MineProbabilistic(FlatView(db), params); });
-  }
-
+ protected:
   /// Finds all itemsets with Pr(sup(X) >= N*min_sup) > pft.
   virtual Result<MiningResult> MineProbabilistic(
       const FlatView& view, const ProbabilisticParams& params) const = 0;

@@ -83,7 +83,6 @@ class ShardedMiner final : public Miner {
 
   Result<MiningResult> Mine(const FlatView& view,
                             const MiningTask& task) const override;
-  using Miner::Mine;
 
   /// Propagates the token to the inner miner, so cancellation observed at
   /// the driver's phase boundaries also stops the per-shard mining.

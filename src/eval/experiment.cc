@@ -11,14 +11,12 @@
 
 namespace ufim {
 
-namespace {
-
-template <typename DataT>
-Result<ExperimentMeasurement> RunOne(const Miner& miner, const DataT& data,
-                                     const MiningTask& task) {
+Result<ExperimentMeasurement> RunExperiment(const Miner& miner,
+                                            const FlatView& view,
+                                            const MiningTask& task) {
   ScopedPeakMemory mem;
   Stopwatch watch;
-  Result<MiningResult> mined = miner.Mine(data, task);
+  Result<MiningResult> mined = miner.Mine(view, task);
   if (!mined.ok()) return mined.status();
   ExperimentMeasurement m;
   m.millis = watch.ElapsedMillis();
@@ -28,20 +26,6 @@ Result<ExperimentMeasurement> RunOne(const Miner& miner, const DataT& data,
   m.counters = mined.value().counters();
   m.result = std::move(mined).value();
   return m;
-}
-
-}  // namespace
-
-Result<ExperimentMeasurement> RunExperiment(const Miner& miner,
-                                            const FlatView& view,
-                                            const MiningTask& task) {
-  return RunOne(miner, view, task);
-}
-
-Result<ExperimentMeasurement> RunExperiment(const Miner& miner,
-                                            const UncertainDatabase& db,
-                                            const MiningTask& task) {
-  return RunOne(miner, db, task);
 }
 
 Result<ExperimentMeasurement> RunRegisteredExperiment(
@@ -65,15 +49,4 @@ Result<ExperimentMeasurement> RunRegisteredExperiment(
   return RunExperiment(*miner, view, task);
 }
 
-Result<ExperimentMeasurement> RunExpectedExperiment(
-    const ExpectedSupportMiner& miner, const UncertainDatabase& db,
-    const ExpectedSupportParams& params) {
-  return RunExperiment(miner, db, MiningTask(params));
-}
-
-Result<ExperimentMeasurement> RunProbabilisticExperiment(
-    const ProbabilisticMiner& miner, const UncertainDatabase& db,
-    const ProbabilisticParams& params) {
-  return RunExperiment(miner, db, MiningTask(params));
-}
 }  // namespace ufim

@@ -8,7 +8,6 @@
 #include "core/flat_view.h"
 #include "core/miner.h"
 #include "core/mining_result.h"
-#include "core/uncertain_database.h"
 
 namespace ufim {
 
@@ -24,14 +23,10 @@ struct ExperimentMeasurement {
 };
 
 /// Runs `miner` once on `task` under the stopwatch and the peak-memory
-/// scope. The view overload excludes FlatView construction from the
-/// timing (the view is built once per sweep); the database overload
-/// times it as part of the run.
+/// scope. FlatView construction is excluded from the timing: callers
+/// build the view once per sweep.
 Result<ExperimentMeasurement> RunExperiment(const Miner& miner,
                                             const FlatView& view,
-                                            const MiningTask& task);
-Result<ExperimentMeasurement> RunExperiment(const Miner& miner,
-                                            const UncertainDatabase& db,
                                             const MiningTask& task);
 
 /// Registry-driven variant: instantiates `algorithm` with `options`
@@ -43,15 +38,6 @@ Result<ExperimentMeasurement> RunExperiment(const Miner& miner,
 Result<ExperimentMeasurement> RunRegisteredExperiment(
     std::string_view algorithm, const FlatView& view, const MiningTask& task,
     const MinerOptions& options = {}, std::size_t num_shards = 1);
-
-/// Typed conveniences retained for the per-definition sweeps.
-Result<ExperimentMeasurement> RunExpectedExperiment(
-    const ExpectedSupportMiner& miner, const UncertainDatabase& db,
-    const ExpectedSupportParams& params);
-
-Result<ExperimentMeasurement> RunProbabilisticExperiment(
-    const ProbabilisticMiner& miner, const UncertainDatabase& db,
-    const ProbabilisticParams& params);
 
 }  // namespace ufim
 

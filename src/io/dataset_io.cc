@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace ufim {
@@ -29,18 +30,27 @@ Result<Transaction> ParseTransactionLine(const std::string& line) {
       return Status::InvalidArgument("malformed unit '" + token +
                                      "' (expected item:prob)");
     }
+    // strtoul would accept a sign (wrapping "-1") and values past
+    // ItemId's range; item ids are plain decimal digits that fit ItemId.
+    if (token[0] < '0' || token[0] > '9') {
+      return Status::InvalidArgument("malformed item id in '" + token + "'");
+    }
     errno = 0;
     char* end = nullptr;
     const unsigned long item = std::strtoul(token.c_str(), &end, 10);
     if (errno != 0 || end != token.c_str() + colon) {
       return Status::InvalidArgument("malformed item id in '" + token + "'");
     }
+    if (item > std::numeric_limits<ItemId>::max()) {
+      return Status::InvalidArgument("item id out of range in '" + token + "'");
+    }
     errno = 0;
     const double prob = std::strtod(token.c_str() + colon + 1, &end);
     if (errno != 0 || end != token.c_str() + token.size()) {
       return Status::InvalidArgument("malformed probability in '" + token + "'");
     }
-    if (prob < 0.0 || prob > 1.0) {
+    // Written so that NaN fails too; infinities fall outside the range.
+    if (!(prob >= 0.0 && prob <= 1.0)) {
       return Status::InvalidArgument("probability out of [0,1] in '" + token +
                                      "'");
     }

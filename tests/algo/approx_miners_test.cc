@@ -24,7 +24,7 @@ TEST(NDUAprioriTest, AnnotatesFrequentProbability) {
   ProbabilisticParams params;
   params.min_sup = 0.5;
   params.pft = 0.5;
-  auto result = NDUApriori().Mine(db, params);
+  auto result = NDUApriori().Mine(FlatView(db), params);
   ASSERT_TRUE(result.ok());
   for (const FrequentItemset& fi : result->itemsets()) {
     ASSERT_TRUE(fi.frequent_probability.has_value());
@@ -39,7 +39,7 @@ TEST(PDUAprioriTest, DoesNotAnnotateFrequentProbability) {
   ProbabilisticParams params;
   params.min_sup = 0.02;
   params.pft = 0.9;
-  auto result = PDUApriori().Mine(db, params);
+  auto result = PDUApriori().Mine(FlatView(db), params);
   ASSERT_TRUE(result.ok());
   ASSERT_GT(result->size(), 0u);
   for (const FrequentItemset& fi : result->itemsets()) {
@@ -63,13 +63,13 @@ TEST_P(ApproxAccuracyTest, HighPrecisionAndRecallAgainstExact) {
   ProbabilisticParams params;
   params.min_sup = c.min_sup;
   params.pft = c.pft;
-  auto exact = ExactDC(true).Mine(db, params);
+  auto exact = ExactDC(true).Mine(FlatView(db), params);
   ASSERT_TRUE(exact.ok());
   ASSERT_GT(exact->size(), 0u) << "exact result empty: weak test";
 
-  auto ndu = NDUApriori().Mine(db, params);
-  auto nduh = NDUHMine().Mine(db, params);
-  auto pdu = PDUApriori().Mine(db, params);
+  auto ndu = NDUApriori().Mine(FlatView(db), params);
+  auto nduh = NDUHMine().Mine(FlatView(db), params);
+  auto pdu = PDUApriori().Mine(FlatView(db), params);
   ASSERT_TRUE(ndu.ok());
   ASSERT_TRUE(nduh.ok());
   ASSERT_TRUE(pdu.ok());
@@ -102,8 +102,8 @@ TEST(NDUAprioriVsNDUHMineTest, SameResultsDifferentFrameworks) {
   ProbabilisticParams params;
   params.min_sup = 0.02;
   params.pft = 0.9;
-  auto ndu = NDUApriori().Mine(db, params);
-  auto nduh = NDUHMine().Mine(db, params);
+  auto ndu = NDUApriori().Mine(FlatView(db), params);
+  auto nduh = NDUHMine().Mine(FlatView(db), params);
   ASSERT_TRUE(ndu.ok());
   ASSERT_TRUE(nduh.ok());
   ASSERT_EQ(ndu->size(), nduh->size());
@@ -131,7 +131,7 @@ TEST(ApproxMinersTest, EmptyDatabase) {
   for (auto* miner :
        std::initializer_list<ProbabilisticMiner*>{new PDUApriori(), new NDUApriori(),
                                                   new NDUHMine()}) {
-    auto result = miner->Mine(db, params);
+    auto result = miner->Mine(FlatView(db), params);
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->empty());
     delete miner;
@@ -142,9 +142,9 @@ TEST(ApproxMinersTest, RejectInvalidParams) {
   UncertainDatabase db = MakePaperTable1();
   ProbabilisticParams bad;
   bad.pft = -1.0;
-  EXPECT_FALSE(PDUApriori().Mine(db, bad).ok());
-  EXPECT_FALSE(NDUApriori().Mine(db, bad).ok());
-  EXPECT_FALSE(NDUHMine().Mine(db, bad).ok());
+  EXPECT_FALSE(PDUApriori().Mine(FlatView(db), bad).ok());
+  EXPECT_FALSE(NDUApriori().Mine(FlatView(db), bad).ok());
+  EXPECT_FALSE(NDUHMine().Mine(FlatView(db), bad).ok());
 }
 
 }  // namespace

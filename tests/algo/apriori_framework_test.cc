@@ -11,7 +11,7 @@ namespace {
 
 TEST(CollectItemStatsTest, MatchesPaperTable1) {
   UncertainDatabase db = MakePaperTable1();
-  auto stats = CollectItemStats(db);
+  auto stats = CollectItemStats(FlatView(db));
   ASSERT_EQ(stats.size(), 6u);
   EXPECT_EQ(stats[0].item, kItemA);
   EXPECT_NEAR(stats[0].esup, 2.1, 1e-12);
@@ -54,7 +54,7 @@ TEST(EvaluateCandidatesTest, MatchesDirectExpectedSupport) {
   UncertainDatabase db = testing_util::MakeRandomDatabase({.seed = 3});
   std::vector<Itemset> cands = {Itemset({0, 1}), Itemset({2, 5}),
                                 Itemset({0, 3, 6})};
-  auto stats = EvaluateCandidates(db, cands, /*collect_probs=*/false);
+  auto stats = EvaluateCandidates(FlatView(db), cands, /*collect_probs=*/false);
   ASSERT_EQ(stats.size(), cands.size());
   for (std::size_t c = 0; c < cands.size(); ++c) {
     EXPECT_NEAR(stats[c].esup, db.ExpectedSupport(cands[c]), 1e-9)
@@ -65,7 +65,7 @@ TEST(EvaluateCandidatesTest, MatchesDirectExpectedSupport) {
 TEST(EvaluateCandidatesTest, CollectsProbsMatchingDatabase) {
   UncertainDatabase db = testing_util::MakeRandomDatabase({.seed = 4});
   std::vector<Itemset> cands = {Itemset({1, 2})};
-  auto stats = EvaluateCandidates(db, cands, /*collect_probs=*/true);
+  auto stats = EvaluateCandidates(FlatView(db), cands, /*collect_probs=*/true);
   auto expected = db.ContainmentProbabilities(cands[0]);
   ASSERT_EQ(stats[0].probs.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -80,8 +80,8 @@ TEST(EvaluateCandidatesTest, DecrementalPruningNeverAffectsFrequentOnes) {
       {.seed = 5, .num_transactions = 2000, .num_items = 6});
   std::vector<Itemset> cands = {Itemset({0, 1}), Itemset({4, 5})};
   const double threshold = 100.0;
-  auto pruned = EvaluateCandidates(db, cands, false, threshold);
-  auto full = EvaluateCandidates(db, cands, false);
+  auto pruned = EvaluateCandidates(FlatView(db), cands, false, threshold);
+  auto full = EvaluateCandidates(FlatView(db), cands, false);
   for (std::size_t c = 0; c < cands.size(); ++c) {
     if (full[c].esup >= threshold) {
       EXPECT_NEAR(pruned[c].esup, full[c].esup, 1e-9);
@@ -97,7 +97,7 @@ TEST(MineAprioriGenericTest, ThresholdPredicateFindsPaperExample) {
   AprioriCallbacks cb;
   cb.is_frequent = [&db](double esup, double) { return esup >= 0.5 * db.size(); };
   MiningCounters counters;
-  auto found = MineAprioriGeneric(db, cb, -1.0, &counters);
+  auto found = MineAprioriGeneric(FlatView(db), cb, -1.0, &counters);
   ASSERT_EQ(found.size(), 2u);  // {A}, {C}
   EXPECT_GT(counters.database_scans, 0u);
 }
@@ -112,10 +112,10 @@ TEST(MineProbabilisticAprioriTest, ChernoffCountersMove) {
     return 1.0;
   };
   ProbabilisticLoopOptions loop;
-  MineProbabilisticApriori(db, 30, 0.9, zero_tail, loop, &without_bound);
+  MineProbabilisticApriori(FlatView(db), 30, 0.9, zero_tail, loop, &without_bound);
   EXPECT_EQ(without_bound.candidates_rejected_bound, 0u);
   loop.use_chernoff = true;
-  MineProbabilisticApriori(db, 30, 0.9, zero_tail, loop, &with_bound);
+  MineProbabilisticApriori(FlatView(db), 30, 0.9, zero_tail, loop, &with_bound);
   EXPECT_GT(with_bound.candidates_rejected_bound, 0u);
 }
 
@@ -128,10 +128,10 @@ TEST(MineProbabilisticAprioriTest, CascadeRejectsSkipTailEvaluations) {
                        std::size_t) { return PoissonBinomialTailDP(probs, k); };
   MiningCounters off, bounds;
   ProbabilisticLoopOptions loop;
-  auto baseline = MineProbabilisticApriori(db, 60, 0.9, exact_tail, loop, &off);
+  auto baseline = MineProbabilisticApriori(FlatView(db), 60, 0.9, exact_tail, loop, &off);
   loop.prefilter = PrefilterMode::kBounds;
   auto screened =
-      MineProbabilisticApriori(db, 60, 0.9, exact_tail, loop, &bounds);
+      MineProbabilisticApriori(FlatView(db), 60, 0.9, exact_tail, loop, &bounds);
 
   // Identical results, fewer exact tails, and the reject/eval split still
   // partitions the candidate count.

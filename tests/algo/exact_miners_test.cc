@@ -26,7 +26,7 @@ TEST(ExactDPTest, PaperExample2) {
   ProbabilisticParams params;
   params.min_sup = 0.5;
   params.pft = 0.7;
-  auto result = ExactDP(/*use_chernoff_pruning=*/false).Mine(db, params);
+  auto result = ExactDP(/*use_chernoff_pruning=*/false).Mine(FlatView(db), params);
   ASSERT_TRUE(result.ok());
   const FrequentItemset* a = result->Find(Itemset({kItemA}));
   ASSERT_NE(a, nullptr);
@@ -50,8 +50,8 @@ TEST_P(ExactMinerPropertyTest, DPNBMatchesBruteForce) {
   ProbabilisticParams params;
   params.min_sup = c.min_sup;
   params.pft = c.pft;
-  auto fast = ExactDP(false).Mine(db, params);
-  auto oracle = BruteForceProbabilistic().Mine(db, params);
+  auto fast = ExactDP(false).Mine(FlatView(db), params);
+  auto oracle = BruteForceProbabilistic().Mine(FlatView(db), params);
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(oracle.ok());
   ExpectSameProbabilisticResults(*fast, *oracle);
@@ -65,8 +65,8 @@ TEST_P(ExactMinerPropertyTest, DCNBMatchesBruteForce) {
   ProbabilisticParams params;
   params.min_sup = c.min_sup;
   params.pft = c.pft;
-  auto fast = ExactDC(false).Mine(db, params);
-  auto oracle = BruteForceProbabilistic().Mine(db, params);
+  auto fast = ExactDC(false).Mine(FlatView(db), params);
+  auto oracle = BruteForceProbabilistic().Mine(FlatView(db), params);
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(oracle.ok());
   ExpectSameProbabilisticResults(*fast, *oracle);
@@ -82,10 +82,10 @@ TEST_P(ExactMinerPropertyTest, ChernoffVariantsReturnIdenticalSets) {
   ProbabilisticParams params;
   params.min_sup = c.min_sup;
   params.pft = c.pft;
-  auto dpb = ExactDP(true).Mine(db, params);
-  auto dpnb = ExactDP(false).Mine(db, params);
-  auto dcb = ExactDC(true).Mine(db, params);
-  auto dcnb = ExactDC(false).Mine(db, params);
+  auto dpb = ExactDP(true).Mine(FlatView(db), params);
+  auto dpnb = ExactDP(false).Mine(FlatView(db), params);
+  auto dcb = ExactDC(true).Mine(FlatView(db), params);
+  auto dcnb = ExactDC(false).Mine(FlatView(db), params);
   ASSERT_TRUE(dpb.ok());
   ASSERT_TRUE(dpnb.ok());
   ASSERT_TRUE(dcb.ok());
@@ -113,8 +113,8 @@ TEST(ExactMinersTest, ChernoffPruningReducesExactEvaluations) {
   ProbabilisticParams params;
   params.min_sup = 0.6;  // far above typical esup: plenty to prune
   params.pft = 0.9;
-  auto with = ExactDP(true).Mine(db, params);
-  auto without = ExactDP(false).Mine(db, params);
+  auto with = ExactDP(true).Mine(FlatView(db), params);
+  auto without = ExactDP(false).Mine(FlatView(db), params);
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(without.ok());
   EXPECT_LT(with->counters().exact_tail_evals,
@@ -134,8 +134,8 @@ TEST(ExactMinersTest, NamesReflectChernoffFlag) {
 TEST(ExactMinersTest, EmptyDatabase) {
   UncertainDatabase db;
   ProbabilisticParams params;
-  auto dp = ExactDP(true).Mine(db, params);
-  auto dc = ExactDC(true).Mine(db, params);
+  auto dp = ExactDP(true).Mine(FlatView(db), params);
+  auto dc = ExactDC(true).Mine(FlatView(db), params);
   ASSERT_TRUE(dp.ok());
   ASSERT_TRUE(dc.ok());
   EXPECT_TRUE(dp->empty());
@@ -146,8 +146,8 @@ TEST(ExactMinersTest, RejectsInvalidParams) {
   UncertainDatabase db = MakePaperTable1();
   ProbabilisticParams bad;
   bad.min_sup = 0.0;
-  EXPECT_FALSE(ExactDP(true).Mine(db, bad).ok());
-  EXPECT_FALSE(ExactDC(true).Mine(db, bad).ok());
+  EXPECT_FALSE(ExactDP(true).Mine(FlatView(db), bad).ok());
+  EXPECT_FALSE(ExactDC(true).Mine(FlatView(db), bad).ok());
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ TEST(MCSamplingTest, Metadata) {
 TEST(MCSamplingTest, RejectsZeroSamples) {
   UncertainDatabase db = MakePaperTable1();
   ProbabilisticParams params;
-  EXPECT_FALSE(MCSampling(0).Mine(db, params).ok());
+  EXPECT_FALSE(MCSampling(0).Mine(FlatView(db), params).ok());
 }
 
 TEST(MCSamplingTest, DeterministicInSeed) {
@@ -29,8 +29,8 @@ TEST(MCSamplingTest, DeterministicInSeed) {
   ProbabilisticParams params;
   params.min_sup = 0.3;
   params.pft = 0.6;
-  auto a = MCSampling(256, 5).Mine(db, params);
-  auto b = MCSampling(256, 5).Mine(db, params);
+  auto a = MCSampling(256, 5).Mine(FlatView(db), params);
+  auto b = MCSampling(256, 5).Mine(FlatView(db), params);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->ItemsetsOnly(), b->ItemsetsOnly());
@@ -46,7 +46,7 @@ TEST(MCSamplingTest, PaperExample2WithManySamples) {
   ProbabilisticParams params;
   params.min_sup = 0.5;
   params.pft = 0.7;
-  auto result = MCSampling(20000, 1).Mine(db, params);
+  auto result = MCSampling(20000, 1).Mine(FlatView(db), params);
   ASSERT_TRUE(result.ok());
   const FrequentItemset* a = result->Find(Itemset({kItemA}));
   ASSERT_NE(a, nullptr);
@@ -71,8 +71,8 @@ TEST_P(MCSamplingAgreementTest, HighAgreementWithExact) {
   ProbabilisticParams params;
   params.min_sup = c.min_sup;
   params.pft = c.pft;
-  auto exact = BruteForceProbabilistic().Mine(db, params);
-  auto sampled = MCSampling(4096, c.seed).Mine(db, params);
+  auto exact = BruteForceProbabilistic().Mine(FlatView(db), params);
+  auto sampled = MCSampling(4096, c.seed).Mine(FlatView(db), params);
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(sampled.ok());
   PrecisionRecall pr = ComputePrecisionRecall(*sampled, *exact);
@@ -101,8 +101,8 @@ TEST(MCSamplingTest, ChernoffPruningStillSound) {
   ProbabilisticParams params;
   params.min_sup = 0.4;
   params.pft = 0.9;
-  auto exact = BruteForceProbabilistic().Mine(db, params);
-  auto sampled = MCSampling(8192, 2).Mine(db, params);
+  auto exact = BruteForceProbabilistic().Mine(FlatView(db), params);
+  auto sampled = MCSampling(8192, 2).Mine(FlatView(db), params);
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(sampled.ok());
   PrecisionRecall pr = ComputePrecisionRecall(*sampled, *exact);
@@ -119,11 +119,11 @@ TEST(MCSamplingTest, ParallelTailsBitIdenticalAcrossThreadCounts) {
   ProbabilisticParams params;
   params.min_sup = 0.2;
   params.pft = 0.5;
-  auto baseline = MCSampling(512, 9, /*num_threads=*/1).Mine(db, params);
+  auto baseline = MCSampling(512, 9, /*num_threads=*/1).Mine(FlatView(db), params);
   ASSERT_TRUE(baseline.ok());
   ASSERT_FALSE(baseline->empty());
   for (std::size_t threads : {2u, 8u}) {
-    auto run = MCSampling(512, 9, threads).Mine(db, params);
+    auto run = MCSampling(512, 9, threads).Mine(FlatView(db), params);
     ASSERT_TRUE(run.ok());
     ASSERT_EQ(run->size(), baseline->size()) << threads << " threads";
     for (std::size_t i = 0; i < baseline->size(); ++i) {
@@ -142,7 +142,7 @@ TEST(MCSamplingTest, ParallelTailsBitIdenticalAcrossThreadCounts) {
 TEST(MCSamplingTest, EmptyDatabase) {
   UncertainDatabase db;
   ProbabilisticParams params;
-  auto result = MCSampling().Mine(db, params);
+  auto result = MCSampling().Mine(FlatView(db), params);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }

@@ -5,7 +5,7 @@
 // inequality slip would hide.
 #include <gtest/gtest.h>
 
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "gen/benchmark_datasets.h"
 
 namespace ufim {
@@ -28,15 +28,16 @@ TEST(PathologicalTest, CertainDatabaseExpectedMinersMatchCounts) {
   UncertainDatabase db = CertainDb();
   ExpectedSupportParams params;
   params.min_esup = 0.5;
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto result = CreateExpectedSupportMiner(algo)->Mine(db, params);
-    ASSERT_TRUE(result.ok()) << ToString(algo);
-    ASSERT_EQ(result->size(), 3u) << ToString(algo);
+  for (const std::string& algo : MinerRegistry::Global().NamesOf(
+           TaskFamily::kExpectedSupport, /*production_only=*/true)) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), params);
+    ASSERT_TRUE(result.ok()) << algo;
+    ASSERT_EQ(result->size(), 3u) << algo;
     EXPECT_NE(result->Find(Itemset({0})), nullptr);
     EXPECT_NE(result->Find(Itemset({1})), nullptr);
     EXPECT_NE(result->Find(Itemset({0, 1})), nullptr);
     for (const FrequentItemset& fi : result->itemsets()) {
-      EXPECT_EQ(fi.variance, 0.0) << ToString(algo) << fi.itemset.ToString();
+      EXPECT_EQ(fi.variance, 0.0) << algo << fi.itemset.ToString();
     }
   }
 }
@@ -49,10 +50,10 @@ TEST(PathologicalTest, CertainDatabaseProbabilisticMinersAreStepFunctions) {
   params.min_sup = 0.5;
   for (double pft : {0.0, 0.5, 0.99}) {
     params.pft = pft;
-    for (ProbabilisticAlgorithm algo : AllExactProbabilisticAlgorithms()) {
-      auto result = CreateProbabilisticMiner(algo)->Mine(db, params);
-      ASSERT_TRUE(result.ok()) << ToString(algo);
-      EXPECT_EQ(result->size(), 3u) << ToString(algo) << " pft=" << pft;
+    for (std::string_view algo : {"DPNB", "DPB", "DCNB", "DCB"}) {
+      auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), params);
+      ASSERT_TRUE(result.ok()) << algo;
+      EXPECT_EQ(result->size(), 3u) << algo << " pft=" << pft;
       for (const FrequentItemset& fi : result->itemsets()) {
         EXPECT_EQ(*fi.frequent_probability, 1.0);
       }
@@ -61,11 +62,10 @@ TEST(PathologicalTest, CertainDatabaseProbabilisticMinersAreStepFunctions) {
     // an exact step function; the Poisson-based one cannot represent a
     // degenerate distribution at all (its variance is forced to equal
     // its mean), so it is exempt here — the price §4.4 quantifies.
-    for (ProbabilisticAlgorithm algo : {ProbabilisticAlgorithm::kNDUApriori,
-                                        ProbabilisticAlgorithm::kNDUHMine}) {
-      auto result = CreateProbabilisticMiner(algo)->Mine(db, params);
-      ASSERT_TRUE(result.ok()) << ToString(algo);
-      EXPECT_EQ(result->size(), 3u) << ToString(algo) << " pft=" << pft;
+    for (std::string_view algo : {"NDUApriori", "NDUH-Mine"}) {
+      auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), params);
+      ASSERT_TRUE(result.ok()) << algo;
+      EXPECT_EQ(result->size(), 3u) << algo << " pft=" << pft;
     }
   }
 }
@@ -80,17 +80,19 @@ TEST(PathologicalTest, SingleItemUniverse) {
   UncertainDatabase db(std::move(txns));
   ExpectedSupportParams params;
   params.min_esup = 0.5;  // abs 5.0 == esup exactly: >= keeps it
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto result = CreateExpectedSupportMiner(algo)->Mine(db, params);
+  for (const std::string& algo : MinerRegistry::Global().NamesOf(
+           TaskFamily::kExpectedSupport, /*production_only=*/true)) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), params);
     ASSERT_TRUE(result.ok());
-    ASSERT_EQ(result->size(), 1u) << ToString(algo);
+    ASSERT_EQ(result->size(), 1u) << algo;
     EXPECT_EQ((*result)[0].expected_support, 5.0);
   }
   params.min_esup = 0.5000001;  // just above: must drop it
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto result = CreateExpectedSupportMiner(algo)->Mine(db, params);
+  for (const std::string& algo : MinerRegistry::Global().NamesOf(
+           TaskFamily::kExpectedSupport, /*production_only=*/true)) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), params);
     ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(result->empty()) << ToString(algo);
+    EXPECT_TRUE(result->empty()) << algo;
   }
 }
 
@@ -105,17 +107,18 @@ TEST(PathologicalTest, DuplicateTransactionsShareUFPNodes) {
   ExpectedSupportParams params;
   params.min_esup = 0.1;
   MiningResult reference;
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto result = CreateExpectedSupportMiner(algo)->Mine(db, params);
+  for (const std::string& algo : MinerRegistry::Global().NamesOf(
+           TaskFamily::kExpectedSupport, /*production_only=*/true)) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), params);
     ASSERT_TRUE(result.ok());
     if (reference.empty()) {
       reference = std::move(result).value();
       continue;
     }
-    ASSERT_EQ(result->size(), reference.size()) << ToString(algo);
+    ASSERT_EQ(result->size(), reference.size()) << algo;
     for (const FrequentItemset& fi : reference.itemsets()) {
       const FrequentItemset* hit = result->Find(fi.itemset);
-      ASSERT_NE(hit, nullptr) << ToString(algo) << fi.itemset.ToString();
+      ASSERT_NE(hit, nullptr) << algo << fi.itemset.ToString();
       EXPECT_NEAR(hit->expected_support, fi.expected_support, 1e-9);
       EXPECT_NEAR(hit->variance, fi.variance, 1e-9);
     }
@@ -130,17 +133,17 @@ TEST(PathologicalTest, MinSupOneRequiresSupportInEveryTransaction) {
   ProbabilisticParams params;
   params.min_sup = 1.0;  // msc = 2
   params.pft = 0.89;     // Pr(sup=2) = 0.9 > 0.89: frequent
-  for (ProbabilisticAlgorithm algo : AllExactProbabilisticAlgorithms()) {
-    auto result = CreateProbabilisticMiner(algo)->Mine(db, params);
+  for (std::string_view algo : {"DPNB", "DPB", "DCNB", "DCB"}) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), params);
     ASSERT_TRUE(result.ok());
-    ASSERT_EQ(result->size(), 1u) << ToString(algo);
+    ASSERT_EQ(result->size(), 1u) << algo;
     EXPECT_NEAR(*(*result)[0].frequent_probability, 0.9, 1e-12);
   }
   params.pft = 0.91;  // 0.9 < 0.91: not frequent
-  for (ProbabilisticAlgorithm algo : AllExactProbabilisticAlgorithms()) {
-    auto result = CreateProbabilisticMiner(algo)->Mine(db, params);
+  for (std::string_view algo : {"DPNB", "DPB", "DCNB", "DCB"}) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), params);
     ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(result->empty()) << ToString(algo);
+    EXPECT_TRUE(result->empty()) << algo;
   }
 }
 
@@ -154,10 +157,11 @@ TEST(PathologicalTest, WideTransactionSingleRow) {
   UncertainDatabase db(std::move(txns));
   ExpectedSupportParams params;
   params.min_esup = 1.0;
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto result = CreateExpectedSupportMiner(algo)->Mine(db, params);
+  for (const std::string& algo : MinerRegistry::Global().NamesOf(
+           TaskFamily::kExpectedSupport, /*production_only=*/true)) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), params);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->size(), (1u << 12) - 1) << ToString(algo);
+    EXPECT_EQ(result->size(), (1u << 12) - 1) << algo;
   }
 }
 

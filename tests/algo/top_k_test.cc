@@ -11,11 +11,11 @@ namespace ufim {
 namespace {
 
 TEST(TopKMinerTest, RejectsZeroK) {
-  EXPECT_FALSE(MineTopKExpected(MakePaperTable1(), 0).ok());
+  EXPECT_FALSE(MineTopKExpected(FlatView(MakePaperTable1()), 0).ok());
 }
 
 TEST(TopKMinerTest, PaperTable1TopTwoAreCAndA) {
-  auto result = MineTopKExpected(MakePaperTable1(), 2);
+  auto result = MineTopKExpected(FlatView(MakePaperTable1()), 2);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 2u);
   EXPECT_EQ((*result)[0].itemset, Itemset({kItemC}));  // esup 2.6
@@ -28,7 +28,7 @@ TEST(TopKMinerTest, KLargerThanLatticeReturnsEverything) {
   std::vector<Transaction> txns;
   txns.emplace_back(std::vector<ProbItem>{{0, 0.5}, {1, 0.5}});
   UncertainDatabase db(std::move(txns));
-  auto result = MineTopKExpected(db, 100);
+  auto result = MineTopKExpected(FlatView(db), 100);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 3u);
 }
@@ -47,12 +47,12 @@ TEST_P(TopKPropertyTest, MatchesRankedBruteForce) {
   const TopKCase c = GetParam();
   UncertainDatabase db = testing_util::MakeRandomDatabase(
       {.seed = c.seed, .num_transactions = 15, .num_items = 6});
-  auto top = MineTopKExpected(db, c.k);
+  auto top = MineTopKExpected(FlatView(db), c.k);
   ASSERT_TRUE(top.ok());
 
   ExpectedSupportParams params;
   params.min_esup = 1e-9;  // everything
-  auto all = BruteForceExpected().Mine(db, params);
+  auto all = BruteForceExpected().Mine(FlatView(db), params);
   ASSERT_TRUE(all.ok());
   MiningResult oracle = TopK(*all, c.k);
 
@@ -80,7 +80,7 @@ TEST(TopKMinerTest, PrunesAgainstExhaustiveSearch) {
   UncertainDatabase db = testing_util::MakeRandomDatabase(
       {.seed = 9, .num_transactions = 100, .num_items = 14,
        .item_presence = 0.4});
-  auto top = MineTopKExpected(db, 5);
+  auto top = MineTopKExpected(FlatView(db), 5);
   ASSERT_TRUE(top.ok());
   EXPECT_EQ(top->size(), 5u);
   // Full lattice over 14 items is 2^14-1 = 16383; the bound should keep
@@ -89,7 +89,7 @@ TEST(TopKMinerTest, PrunesAgainstExhaustiveSearch) {
 }
 
 TEST(TopKMinerTest, EmptyDatabase) {
-  auto result = MineTopKExpected(UncertainDatabase(), 3);
+  auto result = MineTopKExpected(FlatView(UncertainDatabase()), 3);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }

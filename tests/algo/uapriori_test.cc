@@ -23,7 +23,7 @@ TEST(UAprioriTest, PaperExample1) {
   UncertainDatabase db = MakePaperTable1();
   ExpectedSupportParams params;
   params.min_esup = 0.5;
-  auto result = UApriori().Mine(db, params);
+  auto result = UApriori().Mine(FlatView(db), params);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 2u);
   EXPECT_NE(result->Find(Itemset({kItemA})), nullptr);
@@ -45,8 +45,8 @@ TEST_P(UAprioriPropertyTest, MatchesBruteForce) {
        .item_presence = c.presence});
   ExpectedSupportParams params;
   params.min_esup = c.min_esup;
-  auto fast = UApriori().Mine(db, params);
-  auto oracle = BruteForceExpected().Mine(db, params);
+  auto fast = UApriori().Mine(FlatView(db), params);
+  auto oracle = BruteForceExpected().Mine(FlatView(db), params);
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(oracle.ok());
   ExpectSameResults(*fast, *oracle);
@@ -66,8 +66,8 @@ TEST(UAprioriTest, DecrementalPruningPreservesResults) {
        .item_presence = 0.4});
   ExpectedSupportParams params;
   params.min_esup = 0.15;
-  auto with = UApriori(/*decremental_pruning=*/true).Mine(db, params);
-  auto without = UApriori(/*decremental_pruning=*/false).Mine(db, params);
+  auto with = UApriori(/*decremental_pruning=*/true).Mine(FlatView(db), params);
+  auto without = UApriori(/*decremental_pruning=*/false).Mine(FlatView(db), params);
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(without.ok());
   ExpectSameResults(*with, *without);
@@ -77,7 +77,7 @@ TEST(UAprioriTest, CountsDatabaseScansPerLevel) {
   UncertainDatabase db = MakePaperTable1();
   ExpectedSupportParams params;
   params.min_esup = 0.25;
-  auto result = UApriori().Mine(db, params);
+  auto result = UApriori().Mine(FlatView(db), params);
   ASSERT_TRUE(result.ok());
   // At least the item scan plus one candidate level.
   EXPECT_GE(result->counters().database_scans, 2u);
@@ -87,7 +87,7 @@ TEST(UAprioriTest, EmptyDatabase) {
   UncertainDatabase db;
   ExpectedSupportParams params;
   params.min_esup = 0.5;
-  auto result = UApriori().Mine(db, params);
+  auto result = UApriori().Mine(FlatView(db), params);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }
@@ -101,7 +101,7 @@ TEST(UAprioriTest, ThresholdOneRequiresCertainUnits) {
   UncertainDatabase db(std::move(txns));
   ExpectedSupportParams params;
   params.min_esup = 1.0;
-  auto result = UApriori().Mine(db, params);
+  auto result = UApriori().Mine(FlatView(db), params);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
   EXPECT_EQ((*result)[0].itemset, Itemset({0}));

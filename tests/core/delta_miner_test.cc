@@ -54,7 +54,7 @@ TEST(DeltaMinerTest, MatchesPlainMinerForEveryExpectedSupportAlgorithm) {
       ASSERT_TRUE(incremental.ok()) << algorithm;
       accumulated.Append(batch);
       Result<MiningResult> reference =
-          plain->Mine(accumulated, MiningTask(params));
+          plain->Mine(FlatView(accumulated), MiningTask(params));
       ASSERT_TRUE(reference.ok()) << algorithm;
       MiningResult expect = std::move(reference).value();
       expect.SortCanonical();

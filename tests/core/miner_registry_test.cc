@@ -4,32 +4,13 @@
 
 #include <algorithm>
 
-#include "core/miner_factory.h"
 #include "gen/benchmark_datasets.h"
 
 namespace ufim {
 namespace {
 
-std::vector<std::string_view> EveryFactoryName() {
-  std::vector<std::string_view> names;
-  for (ExpectedAlgorithm algo :
-       {ExpectedAlgorithm::kUApriori, ExpectedAlgorithm::kUFPGrowth,
-        ExpectedAlgorithm::kUHMine, ExpectedAlgorithm::kBruteForce}) {
-    names.push_back(ToString(algo));
-  }
-  for (ProbabilisticAlgorithm algo :
-       {ProbabilisticAlgorithm::kDPNB, ProbabilisticAlgorithm::kDPB,
-        ProbabilisticAlgorithm::kDCNB, ProbabilisticAlgorithm::kDCB,
-        ProbabilisticAlgorithm::kPDUApriori, ProbabilisticAlgorithm::kNDUApriori,
-        ProbabilisticAlgorithm::kNDUHMine, ProbabilisticAlgorithm::kMCSampling,
-        ProbabilisticAlgorithm::kBruteForce}) {
-    names.push_back(ToString(algo));
-  }
-  return names;
-}
-
 TEST(MinerRegistryTest, RoundTripsEveryFactoryName) {
-  for (std::string_view name : EveryFactoryName()) {
+  for (const std::string& name : MinerRegistry::Global().Names()) {
     const MinerEntry* entry = MinerRegistry::Global().Find(name);
     ASSERT_NE(entry, nullptr) << name;
     EXPECT_EQ(entry->name, name);
@@ -37,15 +18,42 @@ TEST(MinerRegistryTest, RoundTripsEveryFactoryName) {
     ASSERT_NE(miner, nullptr) << name;
     EXPECT_EQ(miner->name(), name);
     // The registered family must agree with what the miner accepts.
-    const bool expects_esup =
-        entry->family == TaskFamily::kExpectedSupport;
     EXPECT_EQ(miner->Supports(MiningTask(ExpectedSupportParams{})),
-              expects_esup)
+              entry->family == TaskFamily::kExpectedSupport)
         << name;
     EXPECT_EQ(miner->Supports(MiningTask(ProbabilisticParams{})),
-              !expects_esup)
+              entry->family == TaskFamily::kProbabilistic)
+        << name;
+    EXPECT_EQ(miner->Supports(MiningTask(TopKParams{})),
+              entry->family == TaskFamily::kTopK)
         << name;
   }
+}
+
+TEST(MinerRegistryTest, ExactnessFlagsMatchTaxonomy) {
+  const MinerRegistry& registry = MinerRegistry::Global();
+  EXPECT_TRUE(registry.Create("DPB")->is_exact());
+  EXPECT_TRUE(registry.Create("DCNB")->is_exact());
+  EXPECT_FALSE(registry.Create("PDUApriori")->is_exact());
+  EXPECT_FALSE(registry.Create("NDUApriori")->is_exact());
+  EXPECT_FALSE(registry.Create("NDUH-Mine")->is_exact());
+}
+
+TEST(MinerRegistryTest, OptionsReachUApriori) {
+  // Both configurations must produce identical results (pruning is an
+  // optimization); this smoke-tests the options plumbing.
+  const FlatView view(MakePaperTable1());
+  ExpectedSupportParams params;
+  params.min_esup = 0.3;
+  MinerOptions on;
+  on.decremental_pruning = true;
+  MinerOptions off;
+  off.decremental_pruning = false;
+  auto a = MinerRegistry::Global().Create("UApriori", on)->Mine(view, params);
+  auto b = MinerRegistry::Global().Create("UApriori", off)->Mine(view, params);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->ItemsetsOnly(), b->ItemsetsOnly());
 }
 
 TEST(MinerRegistryTest, UnknownNameIsNull) {
@@ -126,15 +134,15 @@ TEST(MinerRegistryTest, UnifiedFacadeDispatchesOnTask) {
 TEST(MinerRegistryTest, EveryMinerRunsThroughUnifiedFacadeOverFlatView) {
   UncertainDatabase db = MakePaperTable1();
   FlatView view(db);
-  for (std::string_view name : EveryFactoryName()) {
+  for (const std::string& name : MinerRegistry::Global().Names()) {
     const MinerEntry* entry = MinerRegistry::Global().Find(name);
     ASSERT_NE(entry, nullptr) << name;
-    MiningTask task;
+    MiningTask task = TopKParams{2};
     if (entry->family == TaskFamily::kExpectedSupport) {
       ExpectedSupportParams params;
       params.min_esup = 0.3;
       task = params;
-    } else {
+    } else if (entry->family == TaskFamily::kProbabilistic) {
       ProbabilisticParams params;
       params.min_sup = 0.4;
       params.pft = 0.5;

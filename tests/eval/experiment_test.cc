@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "gen/benchmark_datasets.h"
 
 namespace ufim {
@@ -10,10 +10,10 @@ namespace {
 
 TEST(ExperimentTest, RunsExpectedMinerAndFillsMeasurement) {
   UncertainDatabase db = MakePaperTable1();
-  auto miner = CreateExpectedSupportMiner(ExpectedAlgorithm::kUApriori);
+  auto miner = MinerRegistry::Global().Create("UApriori");
   ExpectedSupportParams params;
   params.min_esup = 0.5;
-  auto m = RunExpectedExperiment(*miner, db, params);
+  auto m = RunExperiment(*miner, FlatView(db), params);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->algorithm, "UApriori");
   EXPECT_EQ(m->num_frequent, 2u);  // {A}, {C} per paper Example 1
@@ -24,11 +24,11 @@ TEST(ExperimentTest, RunsExpectedMinerAndFillsMeasurement) {
 
 TEST(ExperimentTest, RunsProbabilisticMinerAndFillsMeasurement) {
   UncertainDatabase db = MakePaperTable1();
-  auto miner = CreateProbabilisticMiner(ProbabilisticAlgorithm::kDPB);
+  auto miner = MinerRegistry::Global().Create("DPB");
   ProbabilisticParams params;
   params.min_sup = 0.5;
   params.pft = 0.7;
-  auto m = RunProbabilisticExperiment(*miner, db, params);
+  auto m = RunExperiment(*miner, FlatView(db), params);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->algorithm, "DPB");
   EXPECT_GT(m->num_frequent, 0u);
@@ -36,10 +36,10 @@ TEST(ExperimentTest, RunsProbabilisticMinerAndFillsMeasurement) {
 
 TEST(ExperimentTest, PropagatesParameterErrors) {
   UncertainDatabase db = MakePaperTable1();
-  auto miner = CreateExpectedSupportMiner(ExpectedAlgorithm::kUApriori);
+  auto miner = MinerRegistry::Global().Create("UApriori");
   ExpectedSupportParams bad;
   bad.min_esup = 0.0;
-  auto m = RunExpectedExperiment(*miner, db, bad);
+  auto m = RunExperiment(*miner, FlatView(db), bad);
   EXPECT_FALSE(m.ok());
   EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
 }
@@ -47,10 +47,10 @@ TEST(ExperimentTest, PropagatesParameterErrors) {
 TEST(ExperimentTest, PeakBytesZeroWithoutHooks) {
   // This test binary does NOT link ufim_alloc_hooks.
   UncertainDatabase db = MakePaperTable1();
-  auto miner = CreateExpectedSupportMiner(ExpectedAlgorithm::kUHMine);
+  auto miner = MinerRegistry::Global().Create("UH-Mine");
   ExpectedSupportParams params;
   params.min_esup = 0.5;
-  auto m = RunExpectedExperiment(*miner, db, params);
+  auto m = RunExperiment(*miner, FlatView(db), params);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->peak_bytes, 0u);
 }

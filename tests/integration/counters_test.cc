@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "algo/exact_dc.h"
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "gen/benchmark_datasets.h"
 #include "gen/probability.h"
 #include "testing/random_db.h"
@@ -18,7 +18,7 @@ TEST(CountersTest, UAprioriScansOncePerLevelPlusItems) {
   ExpectedSupportParams params;
   params.min_esup = 0.25;
   auto result =
-      CreateExpectedSupportMiner(ExpectedAlgorithm::kUApriori)->Mine(db, params);
+      MinerRegistry::Global().Create("UApriori")->Mine(FlatView(db), params);
   ASSERT_TRUE(result.ok());
   std::size_t max_size = 0;
   for (const FrequentItemset& fi : result->itemsets()) {
@@ -34,20 +34,21 @@ TEST(CountersTest, CandidatesGeneratedAtLeastResults) {
       {.seed = 91, .num_transactions = 30, .num_items = 8});
   ExpectedSupportParams eparams;
   eparams.min_esup = 0.1;
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto result = CreateExpectedSupportMiner(algo)->Mine(db, eparams);
+  for (const std::string& algo : MinerRegistry::Global().NamesOf(
+           TaskFamily::kExpectedSupport, /*production_only=*/true)) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), eparams);
     ASSERT_TRUE(result.ok());
     EXPECT_GE(result->counters().candidates_generated, result->size())
-        << ToString(algo);
+        << algo;
   }
   ProbabilisticParams pparams;
   pparams.min_sup = 0.2;
   pparams.pft = 0.5;
-  for (ProbabilisticAlgorithm algo : AllExactProbabilisticAlgorithms()) {
-    auto result = CreateProbabilisticMiner(algo)->Mine(db, pparams);
+  for (std::string_view algo : {"DPNB", "DPB", "DCNB", "DCB"}) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), pparams);
     ASSERT_TRUE(result.ok());
     EXPECT_GE(result->counters().candidates_generated, result->size())
-        << ToString(algo);
+        << algo;
   }
 }
 
@@ -60,14 +61,13 @@ TEST(CountersTest, ChernoffPlusExactEvalsCoverAllCandidates) {
   ProbabilisticParams params;
   params.min_sup = 0.3;
   params.pft = 0.9;
-  for (ProbabilisticAlgorithm algo :
-       {ProbabilisticAlgorithm::kDPB, ProbabilisticAlgorithm::kDCB}) {
-    auto result = CreateProbabilisticMiner(algo)->Mine(db, params);
+  for (std::string_view algo : {"DPB", "DCB"}) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), params);
     ASSERT_TRUE(result.ok());
     const MiningCounters& c = result->counters();
     EXPECT_EQ(c.candidates_rejected_bound + c.exact_tail_evals,
               c.candidates_generated)
-        << ToString(algo);
+        << algo;
   }
 }
 
@@ -77,14 +77,13 @@ TEST(CountersTest, UnboundedMinersEvaluateEverything) {
   ProbabilisticParams params;
   params.min_sup = 0.4;
   params.pft = 0.9;
-  for (ProbabilisticAlgorithm algo :
-       {ProbabilisticAlgorithm::kDPNB, ProbabilisticAlgorithm::kDCNB}) {
-    auto result = CreateProbabilisticMiner(algo)->Mine(db, params);
+  for (std::string_view algo : {"DPNB", "DCNB"}) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), params);
     ASSERT_TRUE(result.ok());
     const MiningCounters& c = result->counters();
-    EXPECT_EQ(c.candidates_rejected_bound, 0u) << ToString(algo);
+    EXPECT_EQ(c.candidates_rejected_bound, 0u) << algo;
     EXPECT_EQ(c.exact_tail_evals, c.candidates_generated)
-        << ToString(algo);
+        << algo;
   }
 }
 
@@ -100,7 +99,7 @@ TEST(CountersTest, AprioriSubsetPruningCountsJoinsDropped) {
   ExpectedSupportParams params;
   params.min_esup = 0.4;  // abs 8: {0}, {1}, {2}, {0,1}, {0,2} qualify
   auto result =
-      CreateExpectedSupportMiner(ExpectedAlgorithm::kUApriori)->Mine(db, params);
+      MinerRegistry::Global().Create("UApriori")->Mine(FlatView(db), params);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->Find(Itemset({0, 1, 2})), nullptr);
   EXPECT_GE(result->counters().candidates_pruned_apriori, 1u);
@@ -114,10 +113,10 @@ TEST(FftThresholdInvarianceTest, MiningResultsIdenticalAcrossThresholds) {
   ProbabilisticParams params;
   params.min_sup = 0.25;
   params.pft = 0.9;
-  auto reference = ExactDC(false, 64).Mine(db, params);
+  auto reference = ExactDC(false, 64).Mine(FlatView(db), params);
   ASSERT_TRUE(reference.ok());
   for (std::size_t threshold : {1u, 16u, 1024u, 1u << 30}) {
-    auto other = ExactDC(false, threshold).Mine(db, params);
+    auto other = ExactDC(false, threshold).Mine(FlatView(db), params);
     ASSERT_TRUE(other.ok());
     ASSERT_EQ(other->size(), reference->size()) << "threshold=" << threshold;
     for (const FrequentItemset& fi : reference->itemsets()) {

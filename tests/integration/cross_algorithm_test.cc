@@ -4,7 +4,7 @@
 // Swept over randomized databases and thresholds.
 #include <gtest/gtest.h>
 
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "gen/benchmark_datasets.h"
 #include "gen/probability.h"
 #include "testing/random_db.h"
@@ -32,10 +32,11 @@ TEST_P(CrossAlgorithmTest, ExpectedSupportMinersAgree) {
   params.min_esup = c.threshold;
 
   std::vector<MiningResult> results;
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto miner = CreateExpectedSupportMiner(algo);
-    auto r = miner->Mine(db, params);
-    ASSERT_TRUE(r.ok()) << ToString(algo);
+  for (const std::string& algo : MinerRegistry::Global().NamesOf(
+           TaskFamily::kExpectedSupport, /*production_only=*/true)) {
+    auto miner = MinerRegistry::Global().Create(algo);
+    auto r = miner->Mine(FlatView(db), params);
+    ASSERT_TRUE(r.ok()) << algo;
     results.push_back(std::move(r).value());
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
@@ -60,10 +61,10 @@ TEST_P(CrossAlgorithmTest, ExactProbabilisticMinersAgree) {
   params.pft = c.pft;
 
   std::vector<MiningResult> results;
-  for (ProbabilisticAlgorithm algo : AllExactProbabilisticAlgorithms()) {
-    auto miner = CreateProbabilisticMiner(algo);
-    auto r = miner->Mine(db, params);
-    ASSERT_TRUE(r.ok()) << ToString(algo);
+  for (std::string_view algo : {"DPNB", "DPB", "DCNB", "DCB"}) {
+    auto miner = MinerRegistry::Global().Create(algo);
+    auto r = miner->Mine(FlatView(db), params);
+    ASSERT_TRUE(r.ok()) << algo;
     results.push_back(std::move(r).value());
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
@@ -95,9 +96,9 @@ TEST(CrossAlgorithmRealisticTest, ExpectedMinersAgreeOnAccidentLike) {
       MakeAccidentLike(300, 1), 0.5, 0.5, 2);
   ExpectedSupportParams params;
   params.min_esup = 0.2;
-  auto ua = CreateExpectedSupportMiner(ExpectedAlgorithm::kUApriori)->Mine(db, params);
-  auto uh = CreateExpectedSupportMiner(ExpectedAlgorithm::kUHMine)->Mine(db, params);
-  auto ufp = CreateExpectedSupportMiner(ExpectedAlgorithm::kUFPGrowth)->Mine(db, params);
+  auto ua = MinerRegistry::Global().Create("UApriori")->Mine(FlatView(db), params);
+  auto uh = MinerRegistry::Global().Create("UH-Mine")->Mine(FlatView(db), params);
+  auto ufp = MinerRegistry::Global().Create("UFP-growth")->Mine(FlatView(db), params);
   ASSERT_TRUE(ua.ok());
   ASSERT_TRUE(uh.ok());
   ASSERT_TRUE(ufp.ok());

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "eval/metrics.h"
 #include "gen/benchmark_datasets.h"
 #include "gen/probability.h"
@@ -28,7 +28,7 @@ TEST(DefinitionBridgeTest, MomentsFromMinersMatchDistributionMachinery) {
   ExpectedSupportParams params;
   params.min_esup = 0.25;
   auto result =
-      CreateExpectedSupportMiner(ExpectedAlgorithm::kUHMine)->Mine(db, params);
+      MinerRegistry::Global().Create("UH-Mine")->Mine(FlatView(db), params);
   ASSERT_TRUE(result.ok());
   for (const FrequentItemset& fi : result->itemsets()) {
     auto probs = db.ContainmentProbabilities(fi.itemset);
@@ -47,14 +47,14 @@ TEST(DefinitionBridgeTest, NormalTestOverExpectedResultsEqualsNDUApriori) {
   pparams.pft = 0.9;
   const std::size_t msc = pparams.MinSupportCount(db.size());
 
-  auto ndu = CreateProbabilisticMiner(ProbabilisticAlgorithm::kNDUApriori)
-                 ->Mine(db, pparams);
+  auto ndu = MinerRegistry::Global().Create("NDUApriori")
+                 ->Mine(FlatView(db), pparams);
   ASSERT_TRUE(ndu.ok());
 
   ExpectedSupportParams eparams;
   eparams.min_esup = 0.005;  // low enough to cover all candidates
-  auto expected = CreateExpectedSupportMiner(ExpectedAlgorithm::kUHMine)
-                      ->Mine(db, eparams);
+  auto expected = MinerRegistry::Global().Create("UH-Mine")
+                      ->Mine(FlatView(db), eparams);
   ASSERT_TRUE(expected.ok());
 
   MiningResult bridged;
@@ -76,8 +76,8 @@ TEST(DefinitionBridgeTest, FrequentProbabilitiesSaturateOnLargeData) {
   ProbabilisticParams params;
   params.min_sup = 0.015;
   params.pft = 0.9;
-  auto result = CreateProbabilisticMiner(ProbabilisticAlgorithm::kDCB)
-                    ->Mine(db, params);
+  auto result = MinerRegistry::Global().Create("DCB")
+                    ->Mine(FlatView(db), params);
   ASSERT_TRUE(result.ok());
   ASSERT_GT(result->size(), 0u);
   std::size_t saturated = 0;
@@ -96,12 +96,13 @@ TEST(DefinitionBridgeTest, VarianceNeverExceedsMean) {
   UncertainDatabase db = LargeSparse(5);
   ExpectedSupportParams params;
   params.min_esup = 0.01;
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto result = CreateExpectedSupportMiner(algo)->Mine(db, params);
+  for (const std::string& algo : MinerRegistry::Global().NamesOf(
+           TaskFamily::kExpectedSupport, /*production_only=*/true)) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), params);
     ASSERT_TRUE(result.ok());
     for (const FrequentItemset& fi : result->itemsets()) {
-      EXPECT_LE(fi.variance, fi.expected_support + 1e-9) << ToString(algo);
-      EXPECT_GE(fi.variance, -1e-9) << ToString(algo);
+      EXPECT_LE(fi.variance, fi.expected_support + 1e-9) << algo;
+      EXPECT_GE(fi.variance, -1e-9) << algo;
     }
   }
 }

@@ -2,7 +2,7 @@
 // example (Table 1, Examples 1 and 2).
 #include <gtest/gtest.h>
 
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "gen/benchmark_datasets.h"
 
 namespace ufim {
@@ -12,16 +12,17 @@ TEST(PaperExampleTest, Example1AllExpectedMiners) {
   UncertainDatabase db = MakePaperTable1();
   ExpectedSupportParams params;
   params.min_esup = 0.5;
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto result = CreateExpectedSupportMiner(algo)->Mine(db, params);
-    ASSERT_TRUE(result.ok()) << ToString(algo);
-    ASSERT_EQ(result->size(), 2u) << ToString(algo);
+  for (const std::string& algo : MinerRegistry::Global().NamesOf(
+           TaskFamily::kExpectedSupport, /*production_only=*/true)) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), params);
+    ASSERT_TRUE(result.ok()) << algo;
+    ASSERT_EQ(result->size(), 2u) << algo;
     const FrequentItemset* a = result->Find(Itemset({kItemA}));
     const FrequentItemset* c = result->Find(Itemset({kItemC}));
-    ASSERT_NE(a, nullptr) << ToString(algo);
-    ASSERT_NE(c, nullptr) << ToString(algo);
-    EXPECT_NEAR(a->expected_support, 2.1, 1e-9) << ToString(algo);
-    EXPECT_NEAR(c->expected_support, 2.6, 1e-9) << ToString(algo);
+    ASSERT_NE(a, nullptr) << algo;
+    ASSERT_NE(c, nullptr) << algo;
+    EXPECT_NEAR(a->expected_support, 2.1, 1e-9) << algo;
+    EXPECT_NEAR(c->expected_support, 2.6, 1e-9) << algo;
   }
 }
 
@@ -30,13 +31,13 @@ TEST(PaperExampleTest, Example2AllExactMiners) {
   ProbabilisticParams params;
   params.min_sup = 0.5;
   params.pft = 0.7;
-  for (ProbabilisticAlgorithm algo : AllExactProbabilisticAlgorithms()) {
-    auto result = CreateProbabilisticMiner(algo)->Mine(db, params);
-    ASSERT_TRUE(result.ok()) << ToString(algo);
+  for (std::string_view algo : {"DPNB", "DPB", "DCNB", "DCB"}) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(db), params);
+    ASSERT_TRUE(result.ok()) << algo;
     const FrequentItemset* a = result->Find(Itemset({kItemA}));
-    ASSERT_NE(a, nullptr) << ToString(algo);
+    ASSERT_NE(a, nullptr) << algo;
     ASSERT_TRUE(a->frequent_probability.has_value());
-    EXPECT_NEAR(*a->frequent_probability, 0.8, 1e-9) << ToString(algo);
+    EXPECT_NEAR(*a->frequent_probability, 0.8, 1e-9) << algo;
   }
 }
 
@@ -45,8 +46,8 @@ TEST(PaperExampleTest, ChernoffDoesNotChangeTable1Results) {
   ProbabilisticParams params;
   params.min_sup = 0.5;
   params.pft = 0.7;
-  auto dpb = CreateProbabilisticMiner(ProbabilisticAlgorithm::kDPB)->Mine(db, params);
-  auto dpnb = CreateProbabilisticMiner(ProbabilisticAlgorithm::kDPNB)->Mine(db, params);
+  auto dpb = MinerRegistry::Global().Create("DPB")->Mine(FlatView(db), params);
+  auto dpnb = MinerRegistry::Global().Create("DPNB")->Mine(FlatView(db), params);
   ASSERT_TRUE(dpb.ok());
   ASSERT_TRUE(dpnb.ok());
   EXPECT_EQ(dpb->ItemsetsOnly(), dpnb->ItemsetsOnly());

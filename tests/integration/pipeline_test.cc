@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/miner_factory.h"
+#include "core/miner_registry.h"
 #include "core/postprocess.h"
 #include "core/result_io.h"
 #include "eval/metrics.h"
@@ -34,9 +34,9 @@ TEST_F(PipelineTest, DatasetRoundTripPreservesMiningResults) {
 
   ExpectedSupportParams params;
   params.min_esup = 0.005;
-  auto miner = CreateExpectedSupportMiner(ExpectedAlgorithm::kUHMine);
-  auto before = miner->Mine(original, params);
-  auto after = miner->Mine(*reloaded, params);
+  auto miner = MinerRegistry::Global().Create("UH-Mine");
+  auto before = miner->Mine(FlatView(original), params);
+  auto after = miner->Mine(FlatView(*reloaded), params);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(after.ok());
   ASSERT_EQ(before->size(), after->size());
@@ -53,8 +53,8 @@ TEST_F(PipelineTest, ResultRoundTripThenPostprocess) {
   ProbabilisticParams params;
   params.min_sup = 0.004;
   params.pft = 0.9;
-  auto mined = CreateProbabilisticMiner(ProbabilisticAlgorithm::kNDUHMine)
-                   ->Mine(db, params);
+  auto mined = MinerRegistry::Global().Create("NDUH-Mine")
+                   ->Mine(FlatView(db), params);
   ASSERT_TRUE(mined.ok());
   ASSERT_GT(mined->size(), 0u);
 
@@ -82,9 +82,9 @@ TEST_F(PipelineTest, DiffTwoAlgorithmsThroughSerializedResults) {
   params.pft = 0.9;
   const std::string path_a = TempPath("dcb.txt");
   const std::string path_b = TempPath("nduh.txt");
-  auto a = CreateProbabilisticMiner(ProbabilisticAlgorithm::kDCB)->Mine(db, params);
+  auto a = MinerRegistry::Global().Create("DCB")->Mine(FlatView(db), params);
   auto b =
-      CreateProbabilisticMiner(ProbabilisticAlgorithm::kNDUHMine)->Mine(db, params);
+      MinerRegistry::Global().Create("NDUH-Mine")->Mine(FlatView(db), params);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(WriteResult(*a, path_a).ok());
@@ -110,9 +110,10 @@ TEST_F(PipelineTest, ZipfPipelineEndToEnd) {
   ASSERT_TRUE(reloaded.ok());
   ExpectedSupportParams params;
   params.min_esup = 0.1;
-  for (ExpectedAlgorithm algo : AllExpectedAlgorithms()) {
-    auto result = CreateExpectedSupportMiner(algo)->Mine(*reloaded, params);
-    ASSERT_TRUE(result.ok()) << ToString(algo);
+  for (const std::string& algo : MinerRegistry::Global().NamesOf(
+           TaskFamily::kExpectedSupport, /*production_only=*/true)) {
+    auto result = MinerRegistry::Global().Create(algo)->Mine(FlatView(*reloaded), params);
+    ASSERT_TRUE(result.ok()) << algo;
   }
   std::remove(path.c_str());
 }

@@ -33,6 +33,21 @@ TEST_F(DatasetIoTest, ParseRejectsMalformedUnits) {
   EXPECT_FALSE(ParseTransactionLine("x:0.5").ok());
   EXPECT_FALSE(ParseTransactionLine("1:1.5").ok());
   EXPECT_FALSE(ParseTransactionLine("1:-0.2").ok());
+  // NaN compares false against both range ends; it must not slip through.
+  EXPECT_FALSE(ParseTransactionLine("0:nan 1:0.5").ok());
+  EXPECT_FALSE(ParseTransactionLine("0:inf").ok());
+  EXPECT_FALSE(ParseTransactionLine("0:-inf").ok());
+}
+
+TEST_F(DatasetIoTest, ParseRejectsItemIdsOutsideItemIdRange) {
+  // strtoul accepts both and the cast to ItemId would wrap them.
+  EXPECT_FALSE(ParseTransactionLine("4294967296:0.5").ok());
+  EXPECT_FALSE(ParseTransactionLine("-1:0.5 1:0.5").ok());
+  EXPECT_FALSE(ParseTransactionLine("+1:0.5").ok());
+  EXPECT_FALSE(ParseTransactionLine("99999999999999999999999:0.5").ok());
+  Result<Transaction> widest = ParseTransactionLine("4294967295:0.5");
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ((*widest)[0].item, 4294967295u);
 }
 
 TEST_F(DatasetIoTest, ParseAcceptsEmptyLineAsEmptyTransaction) {
@@ -77,6 +92,20 @@ TEST_F(DatasetIoTest, ReadReportsLineNumberOnError) {
   Result<UncertainDatabase> loaded = ReadDataset(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST_F(DatasetIoTest, ReadRejectsOutOfRangeItemIdWithLineNumber) {
+  const std::string path = TempPath("wide_id.udb");
+  {
+    std::ofstream out(path);
+    out << "4294967296:0.5\n0:0.4\n";
+  }
+  Result<UncertainDatabase> loaded = ReadDataset(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(loaded.status().message().rfind("line 1: ", 0), 0u)
+      << loaded.status().message();
   std::remove(path.c_str());
 }
 
