@@ -5,19 +5,25 @@
 namespace ufim {
 
 Transaction::Transaction(std::vector<ProbItem> units) : units_(std::move(units)) {
-  std::stable_sort(units_.begin(), units_.end(),
-                   [](const ProbItem& a, const ProbItem& b) { return a.item < b.item; });
-  // Deduplicate by item, keeping the last occurrence, dropping p <= 0.
-  std::vector<ProbItem> cleaned;
-  cleaned.reserve(units_.size());
+  const auto by_item = [](const ProbItem& a, const ProbItem& b) {
+    return a.item < b.item;
+  };
+  if (!std::is_sorted(units_.begin(), units_.end(), by_item)) {
+    std::stable_sort(units_.begin(), units_.end(), by_item);
+  }
+  // Deduplicate by item in place, keeping the last occurrence, dropping
+  // p <= 0. The write index never passes the read index.
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < units_.size(); ++i) {
     if (i + 1 < units_.size() && units_[i + 1].item == units_[i].item) continue;
     ProbItem u = units_[i];
     if (u.prob <= 0.0) continue;
     if (u.prob > 1.0) u.prob = 1.0;
-    cleaned.push_back(u);
+    units_[kept++] = u;
   }
-  units_ = std::move(cleaned);
+  units_.resize(kept);
+  // Hold no more memory than the units need, as a copy would.
+  if (units_.capacity() != units_.size()) units_.shrink_to_fit();
 }
 
 double Transaction::ProbabilityOf(ItemId item) const {

@@ -31,6 +31,12 @@ TEST(TransactionTest, DeduplicatesKeepingLast) {
   EXPECT_EQ(t[0].prob, 0.8);
 }
 
+TEST(TransactionTest, SortedInputIsCleanedInPlace) {
+  Transaction t({{1, 0.3}, {1, 0.8}, {2, 0.0}, {3, 1.5}, {4, 0.5}});
+  EXPECT_EQ(t.units(), (std::vector<ProbItem>{{1, 0.8}, {3, 1.0}, {4, 0.5}}));
+  EXPECT_EQ(t.units().capacity(), t.size());
+}
+
 TEST(TransactionTest, ProbabilityOf) {
   Transaction t({{1, 0.3}, {5, 0.9}});
   EXPECT_EQ(t.ProbabilityOf(1), 0.3);
