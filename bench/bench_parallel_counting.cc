@@ -10,9 +10,8 @@
 //     matching thread counts, against the unsharded single-thread run.
 //
 // Results are recorded in BENCH_parallel.json. Speedups require real
-// cores: on a single-core container every multi-thread configuration
-// degenerates to ~1x (scheduling overhead included), which the recorded
-// environment block makes explicit.
+// cores: the recorded environment block states how many the run had,
+// and thread counts above it only time-slice.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>

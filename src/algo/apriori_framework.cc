@@ -252,7 +252,7 @@ std::vector<CandidateStats> ProbeSweep(const FlatView& view,
     const std::size_t batch = std::min(wave, num_shards - base);
     ParallelFor(
         batch, num_threads,
-        [&](std::size_t j) {
+        [&](std::size_t j, std::size_t /*worker*/) {
           PollRunContext(context);  // checkpoint: one per sweep shard
           const std::size_t s = base + j;
           SweepShard(view, candidates, buckets, active, collect_probs,
@@ -363,21 +363,18 @@ std::vector<CandidateStats> EvaluateCandidates(const FlatView& view,
   // Posting-join path: partitioned by candidate — each candidate's join
   // runs whole on one worker, so per-candidate accumulation (and the
   // decremental abandonment schedule) is exactly the sequential one at
-  // every thread count. Workers are dealt contiguous candidate chunks
-  // so each can reuse one JoinScratch across its whole share (the batch
-  // kernel allocates nothing after the first join).
+  // every thread count. Each worker reuses one JoinScratch across the
+  // candidates it claims (the batch kernel allocates nothing after the
+  // first join).
   std::vector<CandidateStats> stats(candidates.size());
   std::vector<JoinScratch> scratches(
-      ParallelChunkCount(candidates.size(), num_threads));
-  ParallelForChunks(
+      ParallelWorkerCount(candidates.size(), num_threads));
+  ParallelFor(
       candidates.size(), num_threads,
-      [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
-        JoinScratch& scratch = scratches[chunk];
-        for (std::size_t c = lo; c < hi; ++c) {
-          PollRunContext(context);  // checkpoint: one per candidate join
-          JoinCandidate(view, candidates[c], collect_probs,
-                        decremental_threshold, scratch, stats[c]);
-        }
+      [&](std::size_t c, std::size_t worker) {
+        PollRunContext(context);  // checkpoint: one per candidate join
+        JoinCandidate(view, candidates[c], collect_probs,
+                      decremental_threshold, scratches[worker], stats[c]);
       },
       context);
   return stats;
@@ -484,7 +481,7 @@ std::vector<JudgeOutcome> JudgeAll(const std::vector<Itemset>& candidates,
   std::vector<JudgeOutcome> outcomes(candidates.size());
   ParallelFor(
       candidates.size(), judge_threads,
-      [&](std::size_t c) {
+      [&](std::size_t c, std::size_t /*worker*/) {
         PollRunContext(context);  // checkpoint: one per judged candidate
         outcomes[c] = judge(candidates[c], stats[c], ordinal_base + c);
       },

@@ -275,7 +275,7 @@ Result<MiningResult> UFPGrowth::MineExpected(
   const std::size_t n_ranks = rank_to_item.size();
   std::vector<std::vector<FrequentItemset>> per_rank(n_ranks);
   std::vector<MiningCounters> per_rank_counters(n_ranks);
-  ParallelForDynamic(
+  ParallelFor(
       n_ranks, num_threads_,
       [&](std::size_t rank, std::size_t /*worker*/) {
         std::vector<std::uint32_t> prefix;

@@ -144,7 +144,7 @@ std::vector<FrequentItemset> UHStructEngine::Mine(
 
   // For each frequent item (every rank, by construction), emit and grow —
   // one dynamically-claimed task per top-level rank (prefix subtree costs
-  // are skewed, so static chunks would convoy behind the deep ranks).
+  // are skewed, so no worker may wait behind a deep rank).
   // Tasks write only their own per-rank output/counter slots and carry
   // per-worker scratch; the merge below walks ascending rank — the
   // sequential loop's order — so results and counters are bit-identical
@@ -172,7 +172,7 @@ std::vector<FrequentItemset> UHStructEngine::Mine(
     state.num_ranks = n_ranks;
     split = &state;
   }
-  ParallelForDynamic(
+  ParallelFor(
       n_ranks, num_threads, [&](std::size_t rank, std::size_t worker) {
         const std::uint32_t r = static_cast<std::uint32_t>(rank);
         std::vector<FrequentItemset>& rank_out = per_rank[r];

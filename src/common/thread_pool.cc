@@ -1,17 +1,23 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <deque>
+#include <exception>
 #include <optional>
+#include <thread>
 #include <utility>
+#include <vector>
+
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 
 namespace ufim {
 
 namespace {
-
-/// Set while a ThreadPool worker is running its loop (lets callers ask
-/// ThreadPool::InWorker, e.g. to avoid blocking a worker on IO).
-thread_local bool t_in_worker = false;
 
 constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
@@ -26,6 +32,63 @@ namespace internal {
 
 // ---------------------------------------------------------------------------
 // Chase-Lev deque.
+
+/// A Chase-Lev work-stealing deque of task pointers (Le, Pop, Cohen &
+/// Nardelli, PPoPP'13 memory orderings). Exactly one thread — the slot
+/// owner — may Push/Pop at the bottom (LIFO); any thread may Steal from
+/// the top (FIFO). The buffer grows geometrically; retired buffers are
+/// kept alive until destruction because a concurrent thief may still be
+/// reading one (its CAS on `top_` then decides who owns the element).
+///
+/// The owner/thief split is machine-checked: `owner_role_` is a pure
+/// role capability (see thread_annotations.h), `Push`/`Pop` require it,
+/// and the slot-routing code in TaskGroupImpl claims it via
+/// `AssertOwner()` exactly where the participation stack proves this
+/// thread holds the slot. Calling `Push`/`Pop` from any path without
+/// that claim fails the `-Wthread-safety` build; `Steal` is
+/// deliberately unannotated — any thread may race for the top end.
+class TaskDeque {
+ public:
+  TaskDeque();
+  ~TaskDeque();
+
+  TaskDeque(const TaskDeque&) = delete;
+  TaskDeque& operator=(const TaskDeque&) = delete;
+
+  /// Owner only. Pushes onto the bottom, growing the buffer if full.
+  void Push(void* task) UFIM_REQUIRES(owner_role_);
+
+  /// Owner only. Pops from the bottom (most recently pushed first);
+  /// nullptr when empty.
+  void* Pop() UFIM_REQUIRES(owner_role_);
+
+  /// Any thread. Steals from the top (oldest first); nullptr when empty
+  /// or when the race for the element was lost (callers just rescan).
+  void* Steal();
+
+  /// Claims the owner role to the thread-safety analysis (no runtime
+  /// effect). Callers invoke it at the point where the scheduling
+  /// protocol designates this thread the slot owner — in this codebase,
+  /// where the thread-local participation stack maps the calling thread
+  /// to this deque's slot.
+  void AssertOwner() const UFIM_ASSERT_CAPABILITY(owner_role_) {}
+
+ private:
+  struct Buffer;
+
+  void Grow(std::int64_t top, std::int64_t bottom)
+      UFIM_REQUIRES(owner_role_);
+
+  std::atomic<std::int64_t> top_{0};
+  std::atomic<std::int64_t> bottom_{0};
+  std::atomic<Buffer*> buffer_;
+  /// Superseded buffers, freed only at destruction. Owner-only: guarded
+  /// by the owner role, not a lock (thieves never touch this vector).
+  std::vector<std::unique_ptr<Buffer>> retired_ UFIM_GUARDED_BY(owner_role_);
+
+  /// The "I am the slot owner" capability; see the class comment.
+  Role owner_role_;
+};
 
 struct TaskDeque::Buffer {
   explicit Buffer(std::int64_t cap)
@@ -112,6 +175,34 @@ void* TaskDeque::Steal() {
   return result;
 }
 
+/// The lowest-index failure among work items that run concurrently:
+/// one mutex-guarded (index, exception) pair, so the exception rethrown
+/// never depends on which failure happened first in real time.
+class FirstError {
+ public:
+  void Record(std::size_t index, std::exception_ptr error) {
+    MutexLock lock(mu_);
+    if (index < index_) {
+      index_ = index;
+      error_ = std::move(error);
+    }
+  }
+
+  /// The recorded exception, or nullptr. Clears the record.
+  std::exception_ptr Take() {
+    MutexLock lock(mu_);
+    index_ = kNone;
+    return std::exchange(error_, nullptr);
+  }
+
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  Mutex mu_;
+  std::size_t index_ UFIM_GUARDED_BY(mu_) = kNone;
+  std::exception_ptr error_ UFIM_GUARDED_BY(mu_);
+};
+
 // ---------------------------------------------------------------------------
 // Task groups.
 
@@ -148,10 +239,6 @@ class TaskGroupImpl {
   /// replacements if more work appears).
   void DrainAsHelper(std::size_t slot);
 
-  /// The recorded exception of the lowest-spawn-index failing task, or
-  /// nullptr. Clears the error list.
-  std::exception_ptr TakeFirstError();
-
   std::size_t TryAcquireSlot();
   void ReleaseSlot(std::size_t slot);
 
@@ -176,15 +263,15 @@ class TaskGroupImpl {
   std::atomic<std::size_t> next_index_{0};
   std::atomic<std::size_t> helpers_engaged_{0};
 
-  /// Guards the slot table, the overflow list and the error slots —
-  /// the group's coarse-grained shared state (the deques are lock-free
-  /// and carry their own owner-role annotations).
+  /// Guards the slot table and the overflow list — the group's
+  /// coarse-grained shared state (the deques are lock-free and carry
+  /// their own owner-role annotations).
   Mutex mu_;
   std::condition_variable done_cv_;
   std::vector<bool> slot_taken_ UFIM_GUARDED_BY(mu_);
   std::deque<Task*> overflow_ UFIM_GUARDED_BY(mu_);
-  std::vector<std::pair<std::size_t, std::exception_ptr>> errors_
-      UFIM_GUARDED_BY(mu_);
+  /// The lowest-spawn-index failing task's exception.
+  FirstError errors_;
 
   friend class ::ufim::TaskGroup;
 };
@@ -252,8 +339,7 @@ void TaskGroupImpl::RunTask(Task* task) {
     // their own body checkpoints.
     if (!ctx_ || !ctx_->aborted()) task->fn();
   } catch (...) {
-    MutexLock lock(mu_);
-    errors_.emplace_back(task->index, std::current_exception());
+    errors_.Record(task->index, std::current_exception());
   }
   delete task;
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -285,17 +371,6 @@ void TaskGroupImpl::DrainAsHelper(std::size_t slot) {
   while (Task* task = FindWork(slot)) RunTask(task);
 }
 
-std::exception_ptr TaskGroupImpl::TakeFirstError() {
-  MutexLock lock(mu_);
-  if (errors_.empty()) return nullptr;
-  auto lowest = std::min_element(
-      errors_.begin(), errors_.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::exception_ptr error = lowest->second;
-  errors_.clear();
-  return error;
-}
-
 std::size_t TaskGroupImpl::TryAcquireSlot() {
   MutexLock lock(mu_);
   // Slot 0 is reserved for the owner.
@@ -325,101 +400,88 @@ bool TaskGroupImpl::ShouldPostToken() {
   return false;
 }
 
-}  // namespace internal
-
 // ---------------------------------------------------------------------------
-// ThreadPool.
+// The worker pool.
 
-struct ThreadPool::Injected {
-  std::packaged_task<void()> task;                    ///< legacy Submit
-  std::shared_ptr<internal::TaskGroupImpl> help;      ///< help token
-};
-
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  const std::size_t n = std::max<std::size_t>(num_threads, 1);
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+/// The pool behind `ThreadPool::Global()`. Its workers sleep on one
+/// condition variable until a group posts a help token, then join that
+/// group as helpers until it runs dry.
+///
+/// Thread-safety contract (annotated, not just documented): `mu_`
+/// guards the token queue — every touch of `tokens_` must hold `mu_`,
+/// and the `-Wthread-safety` CI leg proves it. The sleep protocol is the
+/// classic monitor: producers push under `mu_` then notify `cv_`;
+/// workers re-check `tokens_.empty()` in a plain `while` loop under
+/// `mu_` (not the predicate overload — the analysis cannot see into a
+/// predicate lambda). The Chase-Lev deques are *not* guarded by `mu_`;
+/// their ownership split is annotated on TaskDeque itself.
+class HelperPool final : public ThreadPool {
+ public:
+  explicit HelperPool(std::size_t num_threads) {
+    workers_.reserve(num_threads);
+    for (std::size_t i = 0; i < num_threads; ++i) {
+      workers_.emplace_back([this] { WorkerLoop(); });
+    }
   }
-}
 
-ThreadPool::~ThreadPool() {
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
-  std::future<void> future = task.get_future();
-  {
-    MutexLock lock(mu_);
-    queue_.push_back(Injected{std::move(task), nullptr});
-  }
-  cv_.notify_one();
-  return future;
-}
-
-void ThreadPool::PostHelpToken(
-    std::shared_ptr<internal::TaskGroupImpl> group) {
-  {
-    MutexLock lock(mu_);
-    queue_.push_back(Injected{{}, std::move(group)});
-  }
-  cv_.notify_one();
-}
-
-void ThreadPool::WorkerLoop() {
-  t_in_worker = true;
-  for (;;) {
-    Injected item;
+  /// Asks an idle worker to help drain `group`; no-op when none is idle
+  /// by the time the token is popped (the token re-checks).
+  void PostHelpToken(std::shared_ptr<TaskGroupImpl> group) {
     {
       MutexLock lock(mu_);
-      // Plain wait loop (not the predicate overload): the thread-safety
-      // analysis checks the guarded reads here, in a scope it can see
-      // holds mu_ — it cannot look inside a predicate lambda.
-      while (!stop_ && queue_.empty()) cv_.wait(lock.native_lock());
-      // Drain the queue before honoring stop_ so ~ThreadPool never
-      // abandons a future (or a group needing help) someone waits on.
-      if (queue_.empty()) return;
-      item = std::move(queue_.front());
-      queue_.pop_front();
+      tokens_.push_back(std::move(group));
     }
-    if (item.task.valid()) {
-      item.task();  // packaged_task stores any exception in the future
-    } else if (item.help != nullptr) {
-      internal::TaskGroupImpl& group = *item.help;
-      const std::size_t slot = group.TryAcquireSlot();
-      if (slot != kNoSlot) {
-        internal::t_participation.push_back({&group, slot});
-        group.DrainAsHelper(slot);
-        internal::t_participation.pop_back();
-        group.ReleaseSlot(slot);
+    cv_.notify_one();
+  }
+
+ private:
+  void WorkerLoop() {
+    for (;;) {
+      std::shared_ptr<TaskGroupImpl> group;
+      {
+        MutexLock lock(mu_);
+        // Plain wait loop (not the predicate overload): the thread-safety
+        // analysis checks the guarded reads here, in a scope it can see
+        // holds mu_ — it cannot look inside a predicate lambda.
+        while (tokens_.empty()) cv_.wait(lock.native_lock());
+        group = std::move(tokens_.front());
+        tokens_.pop_front();
       }
-      group.TokenDone();
+      const std::size_t slot = group->TryAcquireSlot();
+      if (slot != kNoSlot) {
+        t_participation.push_back({group.get(), slot});
+        group->DrainAsHelper(slot);
+        t_participation.pop_back();
+        group->ReleaseSlot(slot);
+      }
+      group->TokenDone();
     }
   }
-}
 
-ThreadPool& ThreadPool::Global() {
+  Mutex mu_;
+  std::deque<std::shared_ptr<TaskGroupImpl>> tokens_ UFIM_GUARDED_BY(mu_);
+  std::condition_variable cv_;
+  /// Never joined: the pool is never destroyed (see Pool()), so its
+  /// workers run until the process exits.
+  std::vector<std::thread> workers_;
+};
+
+HelperPool& Pool() {
   // Leaked on purpose: worker threads must outlive every static whose
-  // destructor might still submit, and process exit reclaims them.
-  static ThreadPool* pool = new ThreadPool(HardwareThreads());
+  // destructor might still spawn, and process exit reclaims them.
+  static HelperPool* pool = new HelperPool(HardwareThreads());
   return *pool;
 }
 
-bool ThreadPool::InWorker() { return t_in_worker; }
+}  // namespace internal
+
+ThreadPool& ThreadPool::Global() { return internal::Pool(); }
 
 // ---------------------------------------------------------------------------
 // TaskGroup.
 
-TaskGroup::TaskGroup(std::size_t max_workers, const RunContext* context,
-                     ThreadPool& pool)
-    : pool_(pool),
-      impl_(std::make_shared<internal::TaskGroupImpl>(std::max<std::size_t>(
+TaskGroup::TaskGroup(std::size_t max_workers, const RunContext* context)
+    : impl_(std::make_shared<internal::TaskGroupImpl>(std::max<std::size_t>(
           max_workers == 0 ? HardwareThreads() : max_workers, 1))) {
   if (context != nullptr) impl_->ctx_ = *context;
   {
@@ -431,7 +493,7 @@ TaskGroup::TaskGroup(std::size_t max_workers, const RunContext* context,
 
 TaskGroup::~TaskGroup() {
   impl_->WaitAll(0);  // never abandon spawned tasks
-  (void)impl_->TakeFirstError();
+  (void)impl_->errors_.Take();
   // Groups are scoped fork-join objects, but tolerate out-of-order
   // destruction of siblings by erasing this group's entry wherever it
   // sits on the participation stack.
@@ -449,7 +511,7 @@ std::size_t TaskGroup::Spawn(std::function<void()> fn) {
   const std::size_t index = impl_->Spawn(std::move(fn));
   if (impl_->num_slots() > 1 && impl_->ShouldPostToken()) {
     try {
-      pool_.PostHelpToken(impl_);
+      internal::Pool().PostHelpToken(impl_);
     } catch (...) {
       impl_->TokenDone();
       throw;
@@ -460,96 +522,26 @@ std::size_t TaskGroup::Spawn(std::function<void()> fn) {
 
 void TaskGroup::Wait() {
   impl_->WaitAll(0);
-  if (std::exception_ptr error = impl_->TakeFirstError()) {
+  if (std::exception_ptr error = impl_->errors_.Take()) {
     std::rethrow_exception(error);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Parallel loop helpers.
-
-void ParallelFor(std::size_t n, std::size_t num_threads,
-                 const std::function<void(std::size_t)>& body,
-                 const RunContext* context) {
-  if (num_threads == 0) num_threads = HardwareThreads();
-  const std::size_t chunks = std::min(num_threads, n);
-  if (chunks <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (context != nullptr && context->aborted()) break;
-      body(i);
-    }
-    PollRunContext(context);
-    return;
-  }
-
-  // Per-chunk error slots: a throwing chunk stops at the bad index, the
-  // other chunks still run whole, and the lowest-numbered failing chunk
-  // is the one rethrown (chunk 0 — the caller's — is the lowest).
-  std::vector<std::exception_ptr> chunk_errors(chunks);
-  TaskGroup group(chunks, context);
-  std::exception_ptr early_error;
-  try {
-    for (std::size_t c = 1; c < chunks; ++c) {
-      const std::size_t lo = c * n / chunks;
-      const std::size_t hi = (c + 1) * n / chunks;
-      group.Spawn([&body, &chunk_errors, context, c, lo, hi] {
-        try {
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (context != nullptr && context->aborted()) break;
-            body(i);
-          }
-        } catch (...) {
-          chunk_errors[c] = std::current_exception();
-        }
-      });
-    }
-    const std::size_t hi0 = n / chunks;
-    for (std::size_t i = 0; i < hi0; ++i) {
-      if (context != nullptr && context->aborted()) break;
-      body(i);
-    }
-  } catch (...) {
-    // Spawn itself (allocation) or the caller's chunk threw; every
-    // spawned chunk still runs to completion below.
-    early_error = std::current_exception();
-  }
-  group.Wait();  // task bodies never throw (errors captured per chunk)
-  if (early_error) std::rethrow_exception(early_error);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    if (chunk_errors[c]) std::rethrow_exception(chunk_errors[c]);
-  }
-  // A tripped context may have made workers skip indices silently; the
-  // poll turns that into an unwind the caller cannot miss.
-  PollRunContext(context);
-}
+// ParallelFor.
 
 std::size_t ParallelWorkerCount(std::size_t n, std::size_t num_threads) {
-  // Same policy as the chunk count on purpose: one worker per would-be
-  // chunk. Delegating keeps the two from drifting apart — callers size
-  // per-worker scratch off this and ParallelForDynamic hands out ids
-  // below it.
-  return ParallelChunkCount(n, num_threads);
+  if (num_threads == 0) num_threads = HardwareThreads();
+  return std::min(num_threads, n);
 }
 
-void ParallelForDynamic(
+void ParallelFor(
     std::size_t n, std::size_t num_threads,
     const std::function<void(std::size_t, std::size_t)>& body,
     const RunContext* context) {
-  const std::size_t workers = ParallelWorkerCount(n, num_threads);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (context != nullptr && context->aborted()) break;
-      body(i, 0);
-    }
-    PollRunContext(context);
-    return;
-  }
-
-  // Per-index error slots (not per-worker): the rethrow choice must not
-  // depend on which worker happened to claim the failing index.
   std::atomic<std::size_t> cursor{0};
-  std::vector<std::exception_ptr> errors(n);
-  auto drain = [&cursor, &errors, &body, context, n](std::size_t worker) {
+  internal::FirstError first_error;
+  auto drain = [&cursor, &first_error, &body, context, n](std::size_t worker) {
     for (;;) {
       // Stop claiming work once the token trips; the index in flight
       // drains via its own body checkpoints.
@@ -559,50 +551,35 @@ void ParallelForDynamic(
       try {
         body(i, worker);
       } catch (...) {
-        errors[i] = std::current_exception();
+        first_error.Record(i, std::current_exception());
       }
     }
   };
 
-  TaskGroup group(workers, context);
-  std::exception_ptr spawn_error;
-  try {
-    for (std::size_t w = 1; w < workers; ++w) {
-      group.Spawn([&drain, w] { drain(w); });
+  const std::size_t workers = ParallelWorkerCount(n, num_threads);
+  if (workers <= 1) {
+    drain(0);
+  } else {
+    TaskGroup group(workers, context);
+    try {
+      for (std::size_t w = 1; w < workers; ++w) {
+        group.Spawn([&drain, w] { drain(w); });
+      }
+    } catch (...) {
+      // A failed spawn ranks after every body failure.
+      first_error.Record(n, std::current_exception());
     }
-  } catch (...) {
-    spawn_error = std::current_exception();
+    // The caller's drain claims every index no helper takes — including
+    // all of them when spawning failed — so every index is attempted.
+    drain(0);
+    group.Wait();  // drain() never throws
   }
-  // The caller's drain claims every index no helper takes — including
-  // all of them when spawning failed — so every index is attempted.
-  drain(0);
-  group.Wait();  // drain() never throws
-  for (std::size_t i = 0; i < n; ++i) {
-    if (errors[i]) std::rethrow_exception(errors[i]);
+  if (std::exception_ptr error = first_error.Take()) {
+    std::rethrow_exception(error);
   }
-  if (spawn_error) std::rethrow_exception(spawn_error);
   // Unclaimed indices after a trip must surface as an abort, never as a
   // silently-shortened loop.
   PollRunContext(context);
-}
-
-std::size_t ParallelChunkCount(std::size_t n, std::size_t num_threads) {
-  if (num_threads == 0) num_threads = HardwareThreads();
-  return std::min(std::max<std::size_t>(num_threads, 1), n);
-}
-
-void ParallelForChunks(
-    std::size_t n, std::size_t num_threads,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-    const RunContext* context) {
-  const std::size_t k = ParallelChunkCount(n, num_threads);
-  if (k == 0) return;
-  ParallelFor(
-      k, num_threads,
-      [&body, n, k](std::size_t chunk) {
-        body(chunk, chunk * n / k, (chunk + 1) * n / k);
-      },
-      context);
 }
 
 }  // namespace ufim

@@ -1,21 +1,11 @@
 #ifndef UFIM_COMMON_THREAD_POOL_H_
 #define UFIM_COMMON_THREAD_POOL_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
-#include <thread>
-#include <vector>
 
-#include "common/mutex.h"
 #include "common/run_context.h"
-#include "common/thread_annotations.h"
 
 namespace ufim {
 
@@ -24,137 +14,28 @@ namespace ufim {
 std::size_t HardwareThreads();
 
 namespace internal {
-
-/// A Chase-Lev work-stealing deque of task pointers (Le, Pop, Cohen &
-/// Nardelli, PPoPP'13 memory orderings). Exactly one thread — the slot
-/// owner — may Push/Pop at the bottom (LIFO); any thread may Steal from
-/// the top (FIFO). The buffer grows geometrically; retired buffers are
-/// kept alive until destruction because a concurrent thief may still be
-/// reading one (its CAS on `top_` then decides who owns the element).
-///
-/// The owner/thief split is machine-checked: `owner_role_` is a pure
-/// role capability (see thread_annotations.h), `Push`/`Pop` require it,
-/// and the slot-routing code in TaskGroupImpl claims it via
-/// `AssertOwner()` exactly where the participation stack proves this
-/// thread holds the slot. Calling `Push`/`Pop` from any path without
-/// that claim fails the `-Wthread-safety` build; `Steal` is
-/// deliberately unannotated — any thread may race for the top end.
-class TaskDeque {
- public:
-  TaskDeque();
-  ~TaskDeque();
-
-  TaskDeque(const TaskDeque&) = delete;
-  TaskDeque& operator=(const TaskDeque&) = delete;
-
-  /// Owner only. Pushes onto the bottom, growing the buffer if full.
-  void Push(void* task) UFIM_REQUIRES(owner_role_);
-
-  /// Owner only. Pops from the bottom (most recently pushed first);
-  /// nullptr when empty.
-  void* Pop() UFIM_REQUIRES(owner_role_);
-
-  /// Any thread. Steals from the top (oldest first); nullptr when empty
-  /// or when the race for the element was lost (callers just rescan).
-  void* Steal();
-
-  /// Claims the owner role to the thread-safety analysis (no runtime
-  /// effect). Callers invoke it at the point where the scheduling
-  /// protocol designates this thread the slot owner — in this codebase,
-  /// where the thread-local participation stack maps the calling thread
-  /// to this deque's slot.
-  void AssertOwner() const UFIM_ASSERT_CAPABILITY(owner_role_) {}
-
- private:
-  struct Buffer;
-
-  void Grow(std::int64_t top, std::int64_t bottom)
-      UFIM_REQUIRES(owner_role_);
-
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::atomic<Buffer*> buffer_;
-  /// Superseded buffers, freed only at destruction. Owner-only: guarded
-  /// by the owner role, not a lock (thieves never touch this vector).
-  std::vector<std::unique_ptr<Buffer>> retired_ UFIM_GUARDED_BY(owner_role_);
-
-  /// The "I am the slot owner" capability; see the class comment.
-  Role owner_role_;
-};
-
 class TaskGroupImpl;
-
 }  // namespace internal
 
-/// A fixed-size pool of worker threads. Two kinds of work flow through
-/// it:
-///   * one-off closures via `Submit` (a mutex-guarded FIFO injection
-///     queue — coarse, rare, and the only thing the pool-wide mutex
-///     guards), and
-///   * fork-join task groups (`TaskGroup`), whose tasks live in
-///     per-participant Chase-Lev deques — pushed LIFO by the thread that
-///     spawned them, stolen FIFO by the other participants. Idle pool
-///     workers discover groups needing help through lightweight help
-///     tokens placed on the injection queue.
-/// Workers therefore sleep on one condition variable exactly as a plain
-/// FIFO pool would; all the lock-free machinery is scoped inside groups.
-///
-/// Thread-safety contract (annotated, not just documented): `mu_`
-/// guards the injection queue and the stop flag — every touch of
-/// `queue_`/`stop_` must hold `mu_`, and the `-Wthread-safety` CI leg
-/// proves it. The sleep protocol is the classic monitor: producers
-/// push under `mu_` then notify `cv_`; workers re-check
-/// `stop_ || !queue_.empty()` in a plain `while` loop under `mu_`
-/// (not the predicate overload — the analysis cannot see into a
-/// predicate lambda). The Chase-Lev deques are *not* guarded by `mu_`;
-/// their ownership split is annotated on TaskDeque itself.
+/// Handle to the process-wide worker pool, sized to HardwareThreads(),
+/// created on first use and kept alive for the process lifetime. Every
+/// `TaskGroup` / `ParallelFor` recruits its helpers from it; per-call
+/// thread counts cap how many of its workers one call occupies. The pool
+/// has no public operations: calling `Global()` only starts the workers
+/// early, e.g. before the caller pins itself to one CPU, so the workers
+/// keep the whole CPU set. The pool's workers sleep on one condition
+/// variable until a group posts a help token; the scheduling machinery
+/// is scoped inside groups (see thread_pool.cc).
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (clamped to at least 1).
-  explicit ThreadPool(std::size_t num_threads);
-
-  /// Drains outstanding tasks, then joins the workers.
-  ~ThreadPool();
+  static ThreadPool& Global();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t num_threads() const { return workers_.size(); }
-
-  /// Enqueues `fn`; the future observes completion and rethrows any
-  /// exception the task raised. Safe to call from inside a task (the
-  /// nested task is queued normally; nothing in the pool ever waits on
-  /// another task, so this cannot deadlock).
-  std::future<void> Submit(std::function<void()> fn);
-
-  /// The process-wide pool, sized to HardwareThreads(), created on first
-  /// use and kept alive for the process lifetime. All `TaskGroup` /
-  /// `ParallelFor` calls share it; per-call `num_threads` caps how many
-  /// of its workers one call occupies.
-  static ThreadPool& Global();
-
-  /// True when the calling thread is a worker of any ThreadPool.
-  static bool InWorker();
-
- private:
-  friend class TaskGroup;
-
-  /// Asks an idle worker to help drain `group`; no-op when none is idle
-  /// by the time the token is popped (the token re-checks).
-  void PostHelpToken(std::shared_ptr<internal::TaskGroupImpl> group);
-
-  void WorkerLoop();
-
-  struct Injected;
-
-  /// Written by the constructor only; joined by the destructor.
-  std::vector<std::thread> workers_;
-  /// Guards the injection queue and the stop flag (the only pool-wide
-  /// shared state; see the class comment).
-  Mutex mu_;
-  std::deque<Injected> queue_ UFIM_GUARDED_BY(mu_);
-  std::condition_variable cv_;
-  bool stop_ UFIM_GUARDED_BY(mu_) = false;
+ protected:
+  ThreadPool() = default;
+  ~ThreadPool() = default;
 };
 
 /// A fork-join group of tasks scheduled over the shared pool's
@@ -194,8 +75,7 @@ class TaskGroup {
   /// `context`, when non-null, attaches a cancellation token for the
   /// lifetime of the group (the group keeps its own handle copy).
   explicit TaskGroup(std::size_t max_workers = 0,
-                     const RunContext* context = nullptr,
-                     ThreadPool& pool = ThreadPool::Global());
+                     const RunContext* context = nullptr);
 
   /// Waits (without rethrowing) if Wait was never called.
   ~TaskGroup();
@@ -213,90 +93,40 @@ class TaskGroup {
   void Wait();
 
  private:
-  ThreadPool& pool_;
   std::shared_ptr<internal::TaskGroupImpl> impl_;
 };
 
-/// Runs body(i) for every i in [0, n), partitioned into at most
-/// `num_threads` contiguous chunks (chunk c covers [c*n/k, (c+1)*n/k)).
-/// The calling thread executes the first chunk itself and helps run the
-/// rest while waiting (work-stealing TaskGroup underneath). Blocks until
-/// every index completed.
-///
-/// Determinism: the chunk decomposition is a pure function of (n,
-/// num_threads), every index is executed by exactly one thread, and each
-/// chunk runs whole on one thread, so any per-index or per-chunk state is
-/// computed exactly as in the serial loop. The parallel counting kernels
-/// get bit-identical results by partitioning work so that no
-/// floating-point reduction crosses a chunk boundary.
-///
-/// num_threads == 0 means HardwareThreads(); num_threads <= 1 or n <= 1
-/// runs the plain serial loop. Nested calls (from inside pool tasks) are
-/// real parallel fork-joins, not serial fallbacks.
-///
-/// If one or more bodies throw, the remaining chunks still run to
-/// completion and the exception of the lowest-numbered failing chunk is
-/// rethrown in the caller.
-///
-/// When `context` is non-null, workers poll it between indices and stop
-/// starting new ones once it trips; the call then unwinds with
-/// `RunAbortedError` (after draining in-flight bodies), so a cancelled
-/// loop can never be mistaken for a completed one.
-void ParallelFor(std::size_t n, std::size_t num_threads,
-                 const std::function<void(std::size_t)>& body,
-                 const RunContext* context = nullptr);
-
-/// Number of chunks `ParallelForChunks` decomposes [0, n) into:
+/// Number of workers `ParallelFor` uses for a given (n, num_threads):
 /// min(num_threads, n), with num_threads == 0 meaning HardwareThreads().
-/// Callers size per-chunk scratch with this.
-std::size_t ParallelChunkCount(std::size_t n, std::size_t num_threads);
-
-/// Chunk-granular ParallelFor: partitions [0, n) into
-/// `ParallelChunkCount(n, num_threads)` contiguous chunks (chunk c
-/// covers [c*n/k, (c+1)*n/k), the same decomposition ParallelFor uses
-/// internally) and runs body(chunk, lo, hi) once per chunk — the shape
-/// for workers that carry per-chunk scratch across a contiguous range
-/// of items. This is the single home of the boundary math that the
-/// bit-identical-results arguments lean on; per-item results must not
-/// depend on the chunking.
-void ParallelForChunks(
-    std::size_t n, std::size_t num_threads,
-    const std::function<void(std::size_t chunk, std::size_t lo,
-                             std::size_t hi)>& body,
-    const RunContext* context = nullptr);
-
-/// Number of worker slots `ParallelForDynamic` uses for a given (n,
-/// num_threads): min(num_threads, n), with num_threads == 0 meaning
-/// HardwareThreads(). Callers size per-worker scratch with this.
+/// Callers size per-worker scratch with this.
 std::size_t ParallelWorkerCount(std::size_t n, std::size_t num_threads);
 
-/// Dynamically-scheduled counterpart of ParallelFor for *skewed*
-/// workloads: runs body(i, worker) for every i in [0, n), with indices
+/// Runs body(index, worker) for every index in [0, n). Indices are
 /// claimed one at a time from a shared atomic cursor by
-/// `ParallelWorkerCount(n, num_threads)` workers (the calling thread is
-/// worker 0). A worker that draws a heavy index no longer stalls a whole
-/// contiguous chunk behind it.
+/// `ParallelWorkerCount(n, num_threads)` workers; the calling thread is
+/// worker 0 and the others are tasks of a TaskGroup, so a worker that
+/// draws a heavy index never holds up the rest. Blocks until every
+/// claimed index has finished.
 ///
-/// Determinism: every index is executed exactly once, whole, by one
-/// worker. Which worker runs it (and in what real-time order) is
-/// scheduling-dependent, so bodies must confine writes to per-index
-/// slots and per-worker scratch (`worker` < ParallelWorkerCount(n,
-/// num_threads) identifies a private scratch slot); callers merge
-/// per-index results in a fixed order afterwards. Under that discipline
-/// results are bit-identical at every thread count, including the serial
-/// fallback.
+/// Determinism: every index runs exactly once, whole, on one worker.
+/// Which worker runs it, and when, depends on scheduling, so bodies must
+/// write only per-index slots and per-worker scratch (`worker` <
+/// ParallelWorkerCount(n, num_threads) names a private scratch slot);
+/// callers merge per-index results in a fixed order afterwards. Under
+/// that discipline results are bit-identical at every thread count.
 ///
-/// num_threads == 0 means HardwareThreads(); num_threads <= 1 or n <= 1
-/// runs the plain serial loop with worker == 0. Nested calls fork real
-/// nested groups, each with its own private worker-id space.
+/// num_threads == 0 means HardwareThreads(); with one worker the caller
+/// runs every index itself. Nested calls fork real nested groups, each
+/// with its own worker-id space.
 ///
 /// If bodies throw, every index is still attempted and the exception of
-/// the lowest-numbered failing index is rethrown in the caller.
+/// the lowest failing index is rethrown in the caller.
 ///
 /// When `context` is non-null, workers check it before claiming each
-/// index from the cursor and stop claiming once it trips; the call then
-/// unwinds with `RunAbortedError` after the in-flight bodies drain.
-void ParallelForDynamic(
+/// index and stop claiming once it trips; the call then unwinds with
+/// `RunAbortedError` after the in-flight bodies drain, so a cancelled
+/// loop can never be mistaken for a completed one.
+void ParallelFor(
     std::size_t n, std::size_t num_threads,
     const std::function<void(std::size_t index, std::size_t worker)>& body,
     const RunContext* context = nullptr);

@@ -35,25 +35,24 @@ void RecountExpectedCandidates(const FlatView& view,
 
   std::vector<std::pair<double, double>> moments(larger.size());
   std::vector<JoinScratch> scratches(
-      ParallelChunkCount(larger.size(), num_threads));
-  ParallelForChunks(larger.size(), num_threads, [&](std::size_t chunk,
-                                                    std::size_t lo,
-                                                    std::size_t hi) {
-    JoinScratch& scratch = scratches[chunk];
-    for (std::size_t c = lo; c < hi; ++c) {
-      PollRunContext(context);  // checkpoint: one per recounted candidate
-      KahanSum esup;
-      double sq_sum = 0.0;
-      view.JoinPostingsBatched(larger[c], scratch, [&](const JoinBatch& b) {
-        for (const double prod : b.prods) {
-          esup.Add(prod);
-          sq_sum += prod * prod;
-        }
-        return true;
-      });
-      moments[c] = {esup.value(), sq_sum};
-    }
-  }, context);
+      ParallelWorkerCount(larger.size(), num_threads));
+  ParallelFor(
+      larger.size(), num_threads,
+      [&](std::size_t c, std::size_t worker) {
+        PollRunContext(context);  // checkpoint: one per recounted candidate
+        KahanSum esup;
+        double sq_sum = 0.0;
+        view.JoinPostingsBatched(
+            larger[c], scratches[worker], [&](const JoinBatch& b) {
+              for (const double prod : b.prods) {
+                esup.Add(prod);
+                sq_sum += prod * prod;
+              }
+              return true;
+            });
+        moments[c] = {esup.value(), sq_sum};
+      },
+      context);
   for (std::size_t c = 0; c < larger.size(); ++c) {
     if (moments[c].first >= threshold) {
       FrequentItemset fi;
@@ -116,7 +115,7 @@ Result<MiningResult> ShardedMiner::Mine(const FlatView& view,
     }
     ParallelFor(
         shards, num_threads_,
-        [&](std::size_t s) {
+        [&](std::size_t s, std::size_t /*worker*/) {
           const FlatView shard =
               view.Slice(s * n_txn / shards, (s + 1) * n_txn / shards);
           local[s] = inner_->Mine(shard, task);

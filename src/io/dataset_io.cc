@@ -146,6 +146,9 @@ Status WriteDataset(const UncertainDatabase& db, const std::string& path) {
   };
   for (const Transaction& t : db) {
     AppendTransactionLine(t, block);
+    // An empty line is skipped on read; a lone space is an empty
+    // transaction.
+    if (t.empty()) block += ' ';
     block += '\n';
     if (block.size() >= kDatasetReadBlockBytes && !flush()) return write_failed;
   }

@@ -41,7 +41,9 @@ namespace ufim {
 /// carried across blocks.
 inline constexpr std::size_t kDatasetReadBlockBytes = std::size_t{64} << 10;
 
-/// Writes `db` to `path`. Overwrites an existing file.
+/// Writes `db` to `path`. Overwrites an existing file. An empty
+/// transaction is written as a line holding one space, so every
+/// transaction survives a round trip through `ReadDataset`.
 Status WriteDataset(const UncertainDatabase& db, const std::string& path);
 
 /// Reads a database from `path`. Malformed units produce InvalidArgument

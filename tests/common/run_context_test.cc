@@ -157,7 +157,7 @@ TEST(RunContextTest, ParallelForUnwindsAndThePoolStaysReusable) {
   RunContext ctx;
   ctx.Cancel();
   std::atomic<int> ran{0};
-  auto body = [&](std::size_t) { ran.fetch_add(1); };
+  auto body = [&](std::size_t, std::size_t) { ran.fetch_add(1); };
   EXPECT_THROW(ParallelFor(1000, 4, body, &ctx), RunAbortedError);
   EXPECT_EQ(ran.load(), 0);
   // Same objects, fresh token: the pool and the loop run normally — the

@@ -2,86 +2,23 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <future>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
+
+#include "common/run_context.h"
 
 namespace ufim {
 namespace {
 
 TEST(HardwareThreadsTest, AtLeastOne) { EXPECT_GE(HardwareThreads(), 1u); }
 
-TEST(ThreadPoolTest, SubmitRunsTasksAndFuturesObserveCompletion) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_threads(), 3u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.Submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, ZeroRequestedThreadsClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  auto f = pool.Submit([] {});
-  f.get();
-}
-
-TEST(ThreadPoolTest, SubmitExceptionSurfacesThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  // The worker survives the throwing task; the pool is still usable.
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; }).get();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPoolTest, NestedSubmitFromWorkerCompletes) {
-  ThreadPool pool(2);
-  std::atomic<int> inner_runs{0};
-  // A task that submits more tasks into its own pool: the queue accepts
-  // them and nothing in the pool waits on another task, so this cannot
-  // deadlock even with every worker busy.
-  std::vector<std::future<void>> inner;
-  std::mutex mu;
-  pool.Submit([&] {
-      for (int i = 0; i < 8; ++i) {
-        std::lock_guard<std::mutex> lock(mu);
-        inner.push_back(pool.Submit([&inner_runs] { ++inner_runs; }));
-      }
-    }).get();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    for (auto& f : inner) f.get();
-  }
-  EXPECT_EQ(inner_runs.load(), 8);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { ++counter; });
-    }
-  }  // ~ThreadPool must not abandon queued tasks
-  EXPECT_EQ(counter.load(), 20);
-}
-
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   for (std::size_t threads : {1u, 2u, 5u, 16u}) {
-    constexpr std::size_t kN = 997;  // prime: uneven chunk boundaries
+    constexpr std::size_t kN = 997;  // prime, larger than any worker count
     std::vector<std::atomic<int>> hits(kN);
-    ParallelFor(kN, threads, [&hits](std::size_t i) { ++hits[i]; });
+    ParallelFor(kN, threads, [&hits](std::size_t i, std::size_t) { ++hits[i]; });
     for (std::size_t i = 0; i < kN; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
     }
@@ -90,13 +27,13 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
 
 TEST(ParallelForTest, HandlesEdgeSizes) {
   int runs = 0;
-  ParallelFor(0, 4, [&runs](std::size_t) { ++runs; });
+  ParallelFor(0, 4, [&runs](std::size_t, std::size_t) { ++runs; });
   EXPECT_EQ(runs, 0);
-  ParallelFor(1, 4, [&runs](std::size_t) { ++runs; });
+  ParallelFor(1, 4, [&runs](std::size_t, std::size_t) { ++runs; });
   EXPECT_EQ(runs, 1);
   // num_threads = 0 means hardware concurrency.
   std::atomic<int> par_runs{0};
-  ParallelFor(10, 0, [&par_runs](std::size_t) { ++par_runs; });
+  ParallelFor(10, 0, [&par_runs](std::size_t, std::size_t) { ++par_runs; });
   EXPECT_EQ(par_runs.load(), 10);
 }
 
@@ -105,36 +42,48 @@ TEST(ParallelForTest, ReusableAcrossManyRounds) {
   // pool must neither leak tasks nor lose indices.
   for (int round = 0; round < 50; ++round) {
     std::atomic<std::size_t> sum{0};
-    ParallelFor(100, 4, [&sum](std::size_t i) { sum += i; });
+    ParallelFor(100, 4, [&sum](std::size_t i, std::size_t) { sum += i; });
     EXPECT_EQ(sum.load(), 4950u) << "round " << round;
   }
 }
 
+TEST(ParallelForTest, SkewedWorkloadsStillCoverEverything) {
+  // One index is ~100x heavier than the rest — the shape dynamic claims
+  // exist for. All indices must still run exactly once.
+  constexpr std::size_t kN = 64;
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<std::size_t> heavy_work{0};
+  ParallelFor(kN, 4, [&](std::size_t i, std::size_t) {
+    ++hits[i];
+    const std::size_t spins = i == 0 ? 100000 : 1000;
+    std::size_t acc = 0;
+    for (std::size_t s = 0; s < spins; ++s) acc += s;
+    heavy_work += acc > 0 ? 1 : 0;
+  });
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
 TEST(ParallelForTest, ExceptionPropagatesAfterAllChunksFinish) {
-  std::vector<std::atomic<int>> ran(100);
-  auto run = [&ran] {
-    ParallelFor(100, 4, [&ran](std::size_t i) {
-      ++ran[i];
-      if (i == 37) throw std::invalid_argument("bad index");
-    });
-  };
-  EXPECT_THROW(run(), std::invalid_argument);
-  // The throwing chunk stops at the bad index; every *other* chunk runs
-  // to completion (the caller blocks until all chunks finished, so no
-  // worker can touch the shared state after the rethrow). Chunk c of 4
-  // covers [c*100/4, (c+1)*100/4): index 37 lives in [25, 50).
-  for (std::size_t i = 0; i < 100; ++i) {
-    if (i < 25 || i >= 50) {
-      EXPECT_EQ(ran[i].load(), 1) << i;
-    } else if (i <= 37) {
-      EXPECT_EQ(ran[i].load(), 1) << i;
-    } else {
-      EXPECT_EQ(ran[i].load(), 0) << i;
+  // A throwing body does not stop the loop: every index is attempted at
+  // every thread count (the caller blocks until all claimed indices
+  // finished, so no worker can touch the shared state after the
+  // rethrow), and the exception surfaces in the caller.
+  for (std::size_t threads : {1u, 4u}) {
+    std::vector<std::atomic<int>> ran(100);
+    auto run = [&ran, threads] {
+      ParallelFor(100, threads, [&ran](std::size_t i, std::size_t) {
+        ++ran[i];
+        if (i == 37) throw std::invalid_argument("bad index");
+      });
+    };
+    EXPECT_THROW(run(), std::invalid_argument) << "threads " << threads;
+    for (std::size_t i = 0; i < 100; ++i) {
+      EXPECT_EQ(ran[i].load(), 1) << i << " threads " << threads;
     }
   }
   // The global pool survives for later calls.
   std::atomic<int> after{0};
-  ParallelFor(10, 4, [&after](std::size_t) { ++after; });
+  ParallelFor(10, 4, [&after](std::size_t, std::size_t) { ++after; });
   EXPECT_EQ(after.load(), 10);
 }
 
@@ -144,8 +93,8 @@ TEST(ParallelForTest, NestedParallelForRunsParallelAndCompletes) {
   // sleeps waiting on another task) instead of deadlocking on a
   // saturated pool or degrading to serial.
   std::vector<std::atomic<int>> hits(64);
-  ParallelFor(8, 4, [&hits](std::size_t outer) {
-    ParallelFor(8, 4, [&hits, outer](std::size_t inner) {
+  ParallelFor(8, 4, [&hits](std::size_t outer, std::size_t) {
+    ParallelFor(8, 4, [&hits, outer](std::size_t inner, std::size_t) {
       ++hits[outer * 8 + inner];
     });
   });
@@ -154,19 +103,21 @@ TEST(ParallelForTest, NestedParallelForRunsParallelAndCompletes) {
   }
 }
 
+// The ParallelForDynamicTest suite pins what the one-at-a-time claim
+// scheme promises beyond coverage: worker ids and which error wins.
+
 TEST(ParallelForDynamicTest, CoversEveryIndexExactlyOnceWithValidWorkerIds) {
-  for (std::size_t threads : {1u, 2u, 5u, 16u}) {
+  for (std::size_t threads : {0u, 1u, 2u, 4u, 8u}) {
     constexpr std::size_t kN = 509;  // prime, larger than any worker count
     const std::size_t workers = ParallelWorkerCount(kN, threads);
-    EXPECT_EQ(workers, std::min<std::size_t>(threads, kN));
+    EXPECT_EQ(workers, threads == 0 ? HardwareThreads() : threads);
     std::vector<std::atomic<int>> hits(kN);
     std::vector<std::atomic<int>> by_worker(workers);
-    ParallelForDynamic(kN, threads,
-                       [&](std::size_t i, std::size_t worker) {
-                         ASSERT_LT(worker, workers);
-                         ++hits[i];
-                         ++by_worker[worker];
-                       });
+    ParallelFor(kN, threads, [&](std::size_t i, std::size_t worker) {
+      ASSERT_LT(worker, workers);
+      ++hits[i];
+      ++by_worker[worker];
+    });
     int total = 0;
     for (std::size_t i = 0; i < kN; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
@@ -177,53 +128,33 @@ TEST(ParallelForDynamicTest, CoversEveryIndexExactlyOnceWithValidWorkerIds) {
 }
 
 TEST(ParallelForDynamicTest, HandlesEdgeSizes) {
+  EXPECT_EQ(ParallelWorkerCount(0, 4), 0u);
+  EXPECT_EQ(ParallelWorkerCount(3, 8), 3u);
   int runs = 0;
-  ParallelForDynamic(0, 4, [&runs](std::size_t, std::size_t) { ++runs; });
-  EXPECT_EQ(runs, 0);
-  ParallelForDynamic(1, 4, [&runs](std::size_t, std::size_t worker) {
-    EXPECT_EQ(worker, 0u);  // serial fallback
+  ParallelFor(1, 4, [&runs](std::size_t, std::size_t worker) {
+    EXPECT_EQ(worker, 0u);  // one index: the caller runs it
     ++runs;
   });
   EXPECT_EQ(runs, 1);
-  std::atomic<int> par_runs{0};
-  ParallelForDynamic(10, 0, [&par_runs](std::size_t, std::size_t) { ++par_runs; });
-  EXPECT_EQ(par_runs.load(), 10);
-}
-
-TEST(ParallelForDynamicTest, SkewedWorkloadsStillCoverEverything) {
-  // One index is ~100x heavier than the rest — the shape the dynamic
-  // scheduler exists for. All indices must still run exactly once.
-  constexpr std::size_t kN = 64;
-  std::vector<std::atomic<int>> hits(kN);
-  std::atomic<std::size_t> heavy_work{0};
-  ParallelForDynamic(kN, 4, [&](std::size_t i, std::size_t) {
-    ++hits[i];
-    const std::size_t spins = i == 0 ? 100000 : 1000;
-    std::size_t acc = 0;
-    for (std::size_t s = 0; s < spins; ++s) acc += s;
-    heavy_work += acc > 0 ? 1 : 0;
-  });
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ParallelForDynamicTest, LowestFailingIndexExceptionWinsAndAllRun) {
-  std::vector<std::atomic<int>> ran(100);
-  auto run = [&ran] {
-    ParallelForDynamic(100, 4, [&ran](std::size_t i, std::size_t) {
-      ++ran[i];
-      if (i == 37) throw std::invalid_argument("37 failed");
-      if (i == 73) throw std::out_of_range("73 failed");
-    });
-  };
-  // Unlike ParallelFor's chunked semantics, every index is attempted;
-  // the exception of the lowest failing index is the one rethrown.
-  EXPECT_THROW(run(), std::invalid_argument);
-  for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(ran[i].load(), 1) << i;
+  // Two indices throw different exceptions; whichever fails first, the
+  // exception of the lowest failing index is the one rethrown.
+  for (std::size_t threads : {1u, 4u, 16u}) {
+    std::vector<std::atomic<int>> ran(100);
+    auto run = [&ran, threads] {
+      ParallelFor(100, threads, [&ran](std::size_t i, std::size_t) {
+        ++ran[i];
+        if (i == 37) throw std::invalid_argument("37 failed");
+        if (i == 73) throw std::out_of_range("73 failed");
+      });
+    };
+    EXPECT_THROW(run(), std::invalid_argument) << "threads " << threads;
+    for (std::size_t i = 0; i < 100; ++i) {
+      EXPECT_EQ(ran[i].load(), 1) << i << " threads " << threads;
+    }
   }
-  std::atomic<int> after{0};
-  ParallelForDynamic(10, 4, [&after](std::size_t, std::size_t) { ++after; });
-  EXPECT_EQ(after.load(), 10);
 }
 
 TEST(ParallelForDynamicTest, NestedCallRunsParallelAndCompletes) {
@@ -232,15 +163,35 @@ TEST(ParallelForDynamicTest, NestedCallRunsParallelAndCompletes) {
   // which pool threads end up helping.
   const std::size_t nested_workers = ParallelWorkerCount(8, 4);
   std::vector<std::atomic<int>> hits(64);
-  ParallelForDynamic(8, 4, [&](std::size_t outer, std::size_t) {
-    ParallelForDynamic(8, 4, [&hits, nested_workers, outer](
-                                 std::size_t inner, std::size_t worker) {
+  ParallelFor(8, 4, [&](std::size_t outer, std::size_t) {
+    ParallelFor(8, 4, [&hits, nested_workers, outer](std::size_t inner,
+                                                     std::size_t worker) {
       EXPECT_LT(worker, nested_workers);
       ++hits[outer * 8 + inner];
     });
   });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << i;
+  }
+}
+
+TEST(ParallelForTest, ContextTrippedMidLoopUnwindsWithRunAbortedError) {
+  // A body trips the token part way through: workers stop claiming, the
+  // in-flight bodies drain, and the call unwinds instead of returning
+  // as if the loop had completed.
+  for (std::size_t threads : {1u, 4u}) {
+    RunContext ctx;
+    std::atomic<int> ran{0};
+    EXPECT_THROW(ParallelFor(
+                     1000, threads,
+                     [&](std::size_t i, std::size_t) {
+                       ran.fetch_add(1);
+                       if (i == 10) ctx.Cancel();
+                     },
+                     &ctx),
+                 RunAbortedError)
+        << "threads " << threads;
+    EXPECT_LT(ran.load(), 1000) << "threads " << threads;
   }
 }
 
@@ -373,22 +324,6 @@ TEST(TaskGroupTest, StressNestedSpawnAndSteal) {
     // other 24 spawn one same-group task (+1000 each).
     EXPECT_EQ(sum.load(), 496u + 8 * 4 + 24 * 1000) << "round " << round;
   }
-}
-
-TEST(ParallelForTest, ChunkingIsContiguous) {
-  // Each index is executed by exactly one thread and chunks are
-  // contiguous: record the executing thread per index and check that
-  // equal-thread runs form intervals.
-  constexpr std::size_t kN = 256;
-  std::vector<std::thread::id> owner(kN);
-  ParallelFor(kN, 4, [&owner](std::size_t i) {
-    owner[i] = std::this_thread::get_id();
-  });
-  std::size_t switches = 0;
-  for (std::size_t i = 1; i < kN; ++i) {
-    if (owner[i] != owner[i - 1]) ++switches;
-  }
-  EXPECT_LE(switches, 3u);  // at most num_chunks - 1 boundaries
 }
 
 }  // namespace

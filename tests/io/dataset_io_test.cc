@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/flat_view.h"
+#include "core/miner_registry.h"
 #include "gen/benchmark_datasets.h"
+#include "gen/probability.h"
 
 namespace ufim {
 namespace {
@@ -134,6 +137,75 @@ TEST_F(DatasetIoTest, WriteReadRoundTripPreservesDatabase) {
   ASSERT_EQ(loaded->size(), db.size());
   for (std::size_t i = 0; i < db.size(); ++i) {
     EXPECT_EQ((*loaded)[i], db[i]) << "transaction " << i;
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(DatasetIoTest, EveryGeneratorFamilyRoundTripsThroughAFile) {
+  // Zipf probabilities drop whole transactions to empty (rank 1 is
+  // probability 0); those must come back as empty transactions, not
+  // vanish, or the transaction count and every min_esup threshold move.
+  struct Family {
+    const char* name;
+    DeterministicDatabase det;
+    double min_esup;  ///< low enough that UApriori reports itemsets
+  };
+  auto quest = MakeQuestT25I15(300, 5);
+  ASSERT_TRUE(quest.ok());
+  const Family families[] = {
+      {"connect", MakeConnectLike(300, 5), 0.3},
+      {"accident", MakeAccidentLike(300, 5), 0.1},
+      {"kosarak", MakeKosarakLike(300, 5), 0.01},
+      {"gazelle", MakeGazelleLike(300, 5), 0.005},
+      {"quest", *quest, 0.02},
+  };
+  struct Model {
+    const char* name;
+    UncertainDatabase (*assign)(const DeterministicDatabase&);
+  };
+  const Model models[] = {
+      {"gaussian:0.9,0.1",
+       [](const DeterministicDatabase& det) {
+         return AssignGaussianProbabilities(det, 0.9, 0.1, 6);
+       }},
+      {"zipf:3",
+       [](const DeterministicDatabase& det) {
+         return AssignZipfProbabilities(det, 3.0, 6);
+       }},
+      {"zipf:0.1",
+       [](const DeterministicDatabase& det) {
+         return AssignZipfProbabilities(det, 0.1, 6);
+       }},
+  };
+  const std::string path = TempPath("family.udb");
+  for (const Family& family : families) {
+    for (const Model& model : models) {
+      SCOPED_TRACE(std::string(family.name) + " " + model.name);
+      const UncertainDatabase db = model.assign(family.det);
+      ASSERT_TRUE(WriteDataset(db, path).ok());
+      Result<UncertainDatabase> loaded = ReadDataset(path);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ASSERT_EQ(loaded->size(), db.size());
+      for (std::size_t t = 0; t < db.size(); ++t) {
+        ASSERT_EQ((*loaded)[t], db[t]) << "transaction " << t;
+      }
+
+      const ExpectedSupportParams params{family.min_esup};
+      auto miner = MinerRegistry::Global().Create("UApriori");
+      Result<MiningResult> want = miner->Mine(FlatView(db), params);
+      Result<MiningResult> got = miner->Mine(FlatView(*loaded), params);
+      ASSERT_TRUE(want.ok() && got.ok());
+      want->SortCanonical();
+      got->SortCanonical();
+      ASSERT_EQ(got->size(), want->size());
+      for (std::size_t i = 0; i < want->size(); ++i) {
+        const FrequentItemset& a = want->itemsets()[i];
+        const FrequentItemset& b = got->itemsets()[i];
+        EXPECT_EQ(b.itemset, a.itemset);
+        EXPECT_EQ(b.expected_support, a.expected_support);
+        EXPECT_EQ(b.variance, a.variance);
+      }
+    }
   }
   std::remove(path.c_str());
 }

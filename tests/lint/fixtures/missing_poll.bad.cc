@@ -6,5 +6,5 @@
 #include "common/thread_pool.h"
 
 void CountAll(std::size_t n) {
-  ufim::ParallelFor(n, 4, [](std::size_t) {});
+  ufim::ParallelFor(n, 4, [](std::size_t /*index*/, std::size_t /*worker*/) {});
 }

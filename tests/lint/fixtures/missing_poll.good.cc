@@ -7,5 +7,5 @@
 
 void CountAll(const ufim::RunContext* ctx, std::size_t n) {
   ufim::PollRunContext(ctx);
-  ufim::ParallelFor(n, 4, [](std::size_t) {});
+  ufim::ParallelFor(n, 4, [](std::size_t /*index*/, std::size_t /*worker*/) {});
 }

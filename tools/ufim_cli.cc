@@ -16,11 +16,13 @@
 // Argument handling lives in common/cli_args.h (unit-tested): numeric
 // flags are validated over their full token and unknown flags are
 // rejected per subcommand, both with a non-zero exit.
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/cli_args.h"
 #include "common/run_context.h"
@@ -156,6 +158,14 @@ RunContext MakeRunLimits(std::size_t deadline_ms,
   return run;
 }
 
+/// A finite double spelled by all of `token` in `from_chars` syntax: a
+/// '-' but no '+' sign, no trailing bytes, and no `nan` or `inf`.
+bool ParseFinite(std::string_view token, double* out) {
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end && std::isfinite(*out);
+}
+
 int Generate(const Args& args) {
   std::string err;
   if (!args.Validate({.value_flags = {"family", "n", "prob", "seed", "out"},
@@ -197,21 +207,24 @@ int Generate(const Args& args) {
   }
 
   // Probability model: "gaussian:mean,var" (default 0.9,0.1) or "zipf:skew".
-  std::string prob = args.Get("prob") != nullptr ? args.Get("prob") : "gaussian:0.9,0.1";
+  const std::string_view prob =
+      args.Get("prob") != nullptr ? args.Get("prob") : "gaussian:0.9,0.1";
   UncertainDatabase db;
-  if (prob.rfind("gaussian:", 0) == 0) {
-    double mean = 0.9, var = 0.1;
-    if (std::sscanf(prob.c_str() + 9, "%lf,%lf", &mean, &var) != 2) {
-      std::fprintf(stderr, "bad --prob '%s'\n", prob.c_str());
-      return Usage();
-    }
+  double mean = 0.0, var = 0.0, skew = 0.0;
+  const std::size_t comma = prob.find(',');
+  if (prob.starts_with("gaussian:") && comma != std::string_view::npos &&
+      ParseFinite(prob.substr(9, comma - 9), &mean) &&
+      ParseFinite(prob.substr(comma + 1), &var) && var >= 0.0) {
     db = AssignGaussianProbabilities(det, mean, var, seed + 1);
-  } else if (prob.rfind("zipf:", 0) == 0) {
-    const double skew = std::atof(prob.c_str() + 5);
+  } else if (prob.starts_with("zipf:") && ParseFinite(prob.substr(5), &skew)) {
     db = AssignZipfProbabilities(det, skew, seed + 1);
   } else {
-    std::fprintf(stderr, "bad --prob '%s'\n", prob.c_str());
-    return Usage();
+    std::fprintf(stderr,
+                 "bad --prob '%.*s': expected gaussian:<mean>,<var> with a "
+                 "finite mean and a finite var >= 0, or zipf:<skew> with a "
+                 "finite skew\n",
+                 static_cast<int>(prob.size()), prob.data());
+    return 2;
   }
 
   if (Status s = WriteDataset(db, out_path); !s.ok()) {
@@ -260,7 +273,9 @@ void PrintResult(const MiningResult& result, const ShowOptions& show,
   if (show.closed) shown = FilterClosed(shown);
   if (show.maximal) shown = FilterMaximal(shown);
   if (show.top.has_value()) shown = TopK(shown, *show.top);
-  std::printf("# %zu frequent itemsets (%.1f ms)\n", result.size(), millis);
+  // The wall time goes to stderr, so stdout is the same on every run.
+  std::printf("# %zu frequent itemsets\n", result.size());
+  std::fprintf(stderr, "# mined in %.1f ms\n", millis);
   std::printf("%s", shown.ToString().c_str());
   if (show.rules_min_conf.has_value()) {
     const double min_conf = *show.rules_min_conf;

@@ -180,8 +180,9 @@ void CheckUnorderedIteration(const PreparedFile& f,
   }
 }
 
-/// missing-poll: a src/algo file that fans out via ParallelFor* must
-/// have a RunContext poll site, or cancellation never reaches it.
+/// missing-poll: a src/algo file that fans out via ParallelFor (the one
+/// parallel loop, body(index, worker)) must have a RunContext poll site,
+/// or cancellation never reaches it.
 void CheckMissingPoll(const PreparedFile& f, std::vector<Diagnostic>* out) {
   if (!HasPrefix(f.source->path, "src/algo/")) return;
   static const std::regex kFanOut(R"(\bParallelFor\w*\s*\()");

@@ -30,9 +30,9 @@
 ///                        (or waive with a written order-independence
 ///                        argument).
 ///   missing-poll         Every src/algo file that fans work out through
-///                        ParallelFor* must poll its RunContext
-///                        somewhere, or cancellation/deadlines never
-///                        reach that miner.
+///                        ParallelFor(n, threads, body(index, worker))
+///                        must poll its RunContext somewhere, or
+///                        cancellation/deadlines never reach that miner.
 ///   no-iostream          No <iostream> in src/: library code reports
 ///                        through Status/Result, never by printing.
 ///   raw-mutex            No std::mutex/lock_guard/unique_lock outside
