@@ -2,10 +2,8 @@
 // vs 2/4/8-thread candidate counting, and sharded vs monolithic mining.
 //
 // Measured:
-//   * EvaluateCandidates over the level-2 candidate set at 1/2/4/8
-//     threads (both kernels inherit the thread count; the cost model's
-//     strategy pick is thread-independent, so the same kernel is timed
-//     at every count), and
+//   * EvaluateCandidates (one posting join per candidate) over the
+//     level-2 candidate set at 1/2/4/8 threads, and
 //   * a full UApriori run through ShardedMiner at 1/2/4/8 shards with
 //     matching thread counts, against the unsharded single-thread run.
 //

@@ -112,207 +112,6 @@ void JoinCandidate(const FlatView& view, const Itemset& candidate,
   }
 }
 
-/// Reusable scratch of one in-flight probe-sweep shard. Dense arrays are
-/// allocated once per wave slot and reset sparsely (via the touched
-/// list) after each merge, so per-shard cost scales with the shard's
-/// actual contributions, not with the candidate count.
-struct SweepSlot {
-  std::vector<KahanSum> esup;               ///< dense, n_cands
-  std::vector<double> sq_sum;               ///< dense, n_cands
-  std::vector<std::vector<double>> probs;   ///< dense when collecting
-  std::vector<char> seen;                   ///< dense touched marker
-  std::vector<std::uint32_t> touched;       ///< candidates hit, unsorted
-  std::vector<double> probe;                ///< dense, n_items
-
-  SweepSlot(std::size_t n_cands, std::size_t n_items, bool collect_probs)
-      : esup(n_cands), sq_sum(n_cands, 0.0), seen(n_cands, 0),
-        probe(n_items, 0.0) {
-    if (collect_probs) probs.resize(n_cands);
-  }
-};
-
-/// One probe-sweep shard: evaluates every still-active candidate over
-/// the view's transactions [lo, hi) (view-relative offsets) into
-/// `slot`, recording which candidates were touched. Identical inner
-/// loop to the row-scan baseline, but every read is sequential over
-/// FlatView storage.
-/// First-item candidate buckets in CSR layout: candidates whose first
-/// member is item i live in cands[offsets[i] .. offsets[i+1]). One flat
-/// array keeps the per-unit probe loop walking contiguous memory
-/// instead of chasing a vector-of-vectors indirection per transaction
-/// unit.
-struct CandidateBuckets {
-  std::vector<std::uint32_t> offsets;  ///< size n_items + 1
-  std::vector<std::uint32_t> cands;    ///< candidate ids, ascending per bucket
-
-  CandidateBuckets(const std::vector<Itemset>& candidates,
-                   std::size_t n_items) {
-    offsets.assign(n_items + 1, 0);
-    for (const Itemset& c : candidates) ++offsets[c.items().front() + 1];
-    for (std::size_t i = 0; i < n_items; ++i) offsets[i + 1] += offsets[i];
-    cands.resize(candidates.size());
-    std::vector<std::uint32_t> fill(offsets.begin(), offsets.end() - 1);
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-      cands[fill[candidates[c].items().front()]++] =
-          static_cast<std::uint32_t>(c);
-    }
-  }
-};
-
-void SweepShard(const FlatView& view, const std::vector<Itemset>& candidates,
-                const CandidateBuckets& buckets,
-                const std::vector<char>& active, bool collect_probs,
-                std::size_t lo, std::size_t hi, SweepSlot& slot) {
-  const TransactionId first = view.begin_tid();
-  for (std::size_t ti = lo; ti < hi; ++ti) {
-    const TransactionId tid = first + static_cast<TransactionId>(ti);
-    const std::span<const ProbItem> units = view.TransactionUnits(tid);
-    for (const ProbItem& u : units) slot.probe[u.item] = u.prob;
-    for (const ProbItem& u : units) {
-      const std::uint32_t bucket_end = buckets.offsets[u.item + 1];
-      for (std::uint32_t bi = buckets.offsets[u.item]; bi < bucket_end; ++bi) {
-        const std::uint32_t c = buckets.cands[bi];
-        if (!active[c]) continue;
-        double prod = u.prob;
-        const std::vector<ItemId>& members = candidates[c].items();
-        for (std::size_t k = 1; k < members.size(); ++k) {
-          const double p = slot.probe[members[k]];
-          if (p == 0.0) {
-            prod = 0.0;
-            break;
-          }
-          prod *= p;
-        }
-        if (prod > 0.0) {
-          if (!slot.seen[c]) {
-            slot.seen[c] = 1;
-            slot.touched.push_back(c);
-          }
-          slot.esup[c].Add(prod);
-          slot.sq_sum[c] += prod * prod;
-          if (collect_probs) slot.probs[c].push_back(prod);
-        }
-      }
-    }
-    for (const ProbItem& u : units) slot.probe[u.item] = 0.0;
-  }
-}
-
-/// Probe sweep over the view's flat horizontal arrays: candidates
-/// bucketed by first item and probed against a dense per-transaction
-/// probability array, one shard of transactions at a time. Wins over
-/// per-candidate joins when the candidate set is dense (level 2 of a
-/// low-threshold run).
-///
-/// The shard decomposition is a pure function of the view size — never
-/// of `num_threads` — and per-candidate shard partials are merged in
-/// ascending shard order, so the result is bit-identical at every
-/// thread count. Threads only decide how many shards of one wave are in
-/// flight at once (which also bounds the transient partial-stats
-/// buffers to one wave's worth).
-std::vector<CandidateStats> ProbeSweep(const FlatView& view,
-                                       const std::vector<Itemset>& candidates,
-                                       bool collect_probs,
-                                       double decremental_threshold,
-                                       std::size_t num_threads,
-                                       const RunContext* context) {
-  const std::size_t n_items = view.num_items();
-  const std::size_t n_cands = candidates.size();
-  std::vector<CandidateStats> stats(n_cands);
-
-  const CandidateBuckets buckets(candidates, n_items);
-
-  // Fixed-size transaction shards. Up to kMaxShards * kShardTxns
-  // transactions, shards hold ~kShardTxns transactions (the ceiling
-  // division spreads the remainder), so the single-thread wave checks
-  // decremental pruning at roughly the old sequential sweep's
-  // every-512-txn cadence; beyond that the kMaxShards clamp (which
-  // keeps the per-candidate merge fan-in bounded) grows the shards, and
-  // with them the interval between decremental checks — a work
-  // trade-off only, never a correctness one.
-  constexpr std::size_t kShardTxns = 512;
-  constexpr std::size_t kMaxShards = 256;
-  const std::size_t n_txn = view.num_transactions();
-  const std::size_t num_shards =
-      std::clamp<std::size_t>((n_txn + kShardTxns - 1) / kShardTxns, 1,
-                              kMaxShards);
-
-  std::vector<KahanSum> esup(n_cands);
-  std::vector<char> active(n_cands, 1);
-  const bool decremental = decremental_threshold >= 0.0;
-
-  const std::size_t wave =
-      std::max<std::size_t>(std::min(num_threads, num_shards), 1);
-  std::vector<SweepSlot> slots;
-  slots.reserve(wave);
-  for (std::size_t j = 0; j < wave; ++j) {
-    slots.emplace_back(n_cands, n_items, collect_probs);
-  }
-  for (std::size_t base = 0; base < num_shards; base += wave) {
-    const std::size_t batch = std::min(wave, num_shards - base);
-    ParallelFor(
-        batch, num_threads,
-        [&](std::size_t j, std::size_t /*worker*/) {
-          PollRunContext(context);  // checkpoint: one per sweep shard
-          const std::size_t s = base + j;
-          SweepShard(view, candidates, buckets, active, collect_probs,
-                     s * n_txn / num_shards, (s + 1) * n_txn / num_shards,
-                     slots[j]);
-        },
-        context);
-    // Ordered merge: shard s is always folded in before shard s+1, in
-    // ascending candidate order, and only candidates the shard actually
-    // touched are folded (a pure function of the data) — so the
-    // floating-point op sequence per candidate is shard-structured and
-    // thread-count-independent. A sparse shard merges via its sorted
-    // touched list; a dense one scans the flags directly (sorting a
-    // touched list that covers most candidates costs more than the
-    // scan). Either walk folds the same set in the same ascending
-    // order, and the density cutoff depends only on the data, so the
-    // choice never perturbs results. Resetting entries as they merge
-    // keeps slot reuse allocation-free.
-    for (std::size_t j = 0; j < batch; ++j) {
-      SweepSlot& slot = slots[j];
-      auto fold = [&](std::size_t c) {
-        esup[c].Add(slot.esup[c].value());
-        stats[c].sq_sum += slot.sq_sum[c];
-        slot.esup[c] = KahanSum();
-        slot.sq_sum[c] = 0.0;
-        slot.seen[c] = 0;
-        if (collect_probs) {
-          stats[c].probs.insert(stats[c].probs.end(), slot.probs[c].begin(),
-                                slot.probs[c].end());
-          slot.probs[c].clear();
-        }
-      };
-      if (slot.touched.size() * 8 < n_cands) {
-        std::sort(slot.touched.begin(), slot.touched.end());
-        for (std::uint32_t c : slot.touched) fold(c);
-      } else {
-        for (std::size_t c = 0; c < n_cands; ++c) {
-          if (slot.seen[c]) fold(c);
-        }
-      }
-      slot.touched.clear();
-    }
-    // Decremental deactivation between waves. The check granularity (and
-    // with it the partial sums of *abandoned* candidates) coarsens with
-    // the wave width; candidates that reach the threshold are never
-    // abandoned and accumulate over every shard identically.
-    if (decremental && base + batch < num_shards) {
-      const std::size_t done = (base + batch) * n_txn / num_shards;
-      const double remaining = static_cast<double>(n_txn - done);
-      for (std::size_t c = 0; c < n_cands; ++c) {
-        if (active[c] && esup[c].value() + remaining < decremental_threshold) {
-          active[c] = 0;
-        }
-      }
-    }
-  }
-  for (std::size_t c = 0; c < n_cands; ++c) stats[c].esup = esup[c].value();
-  return stats;
-}
-
 }  // namespace
 
 std::vector<CandidateStats> EvaluateCandidates(const FlatView& view,
@@ -324,48 +123,11 @@ std::vector<CandidateStats> EvaluateCandidates(const FlatView& view,
   if (candidates.empty()) return {};
   if (num_threads == 0) num_threads = HardwareThreads();
 
-  // Strategy selection by estimated work. A posting join touches the
-  // driver (shortest) posting list per candidate, with a binary-search
-  // constant on the other members; the probe sweep touches the first
-  // item's postings per candidate plus one pass over all units. Joins
-  // win for small or selective candidate sets (deep levels); the sweep
-  // wins for the dense pair level of a low-threshold run.
-  // The estimate is sampled (deterministic stride) so the strategy pick
-  // stays O(1)-ish even with hundreds of thousands of pair candidates.
-  constexpr double kSearchOverhead = 4.0;
-  constexpr std::size_t kCostSamples = 512;
-  const std::size_t stride = std::max<std::size_t>(candidates.size() / kCostSamples, 1);
-  double join_cost = 0.0;
-  double sweep_cost = 0.0;
-  std::size_t sampled = 0;
-  for (std::size_t c = 0; c < candidates.size(); c += stride, ++sampled) {
-    const std::vector<ItemId>& items = candidates[c].items();
-    // Logical posting counts (base + streaming delta), so the strategy
-    // pick — and with it the whole evaluation — is a pure function of
-    // the viewed data, never of its physical segmentation.
-    const std::size_t first_len = view.PostingCount(items[0]);
-    std::size_t shortest = first_len;
-    for (std::size_t k = 1; k < items.size(); ++k) {
-      shortest = std::min(shortest, view.PostingCount(items[k]));
-    }
-    join_cost += kSearchOverhead * static_cast<double>(shortest);
-    sweep_cost += static_cast<double>(first_len);
-  }
-  const double scale =
-      static_cast<double>(candidates.size()) / static_cast<double>(sampled);
-  join_cost *= scale;
-  sweep_cost = sweep_cost * scale + static_cast<double>(view.num_units());
-  if (join_cost >= sweep_cost) {
-    return ProbeSweep(view, candidates, collect_probs, decremental_threshold,
-                      num_threads, context);
-  }
-
-  // Posting-join path: partitioned by candidate — each candidate's join
-  // runs whole on one worker, so per-candidate accumulation (and the
-  // decremental abandonment schedule) is exactly the sequential one at
-  // every thread count. Each worker reuses one JoinScratch across the
-  // candidates it claims (the batch kernel allocates nothing after the
-  // first join).
+  // Partitioned by candidate: each candidate's join runs whole on one
+  // worker, so per-candidate accumulation (and the decremental
+  // abandonment schedule) is exactly the sequential one at every thread
+  // count. Each worker reuses one JoinScratch across the candidates it
+  // claims (the batch kernel allocates nothing after the first join).
   std::vector<CandidateStats> stats(candidates.size());
   std::vector<JoinScratch> scratches(
       ParallelWorkerCount(candidates.size(), num_threads));
@@ -377,75 +139,6 @@ std::vector<CandidateStats> EvaluateCandidates(const FlatView& view,
                       decremental_threshold, scratches[worker], stats[c]);
       },
       context);
-  return stats;
-}
-
-std::vector<CandidateStats> EvaluateCandidatesRowScan(
-    const UncertainDatabase& db, const std::vector<Itemset>& candidates,
-    bool collect_probs, double decremental_threshold) {
-  const std::size_t n_items = db.num_items();
-  const std::size_t n_cands = candidates.size();
-  std::vector<CandidateStats> stats(n_cands);
-  if (n_cands == 0) return stats;
-
-  // Bucket candidates by first item: a candidate is only probed against
-  // transactions containing that item.
-  std::vector<std::vector<std::uint32_t>> buckets(n_items);
-  for (std::size_t c = 0; c < n_cands; ++c) {
-    buckets[candidates[c].items().front()].push_back(
-        static_cast<std::uint32_t>(c));
-  }
-
-  std::vector<KahanSum> esup(n_cands);
-  std::vector<char> active(n_cands, 1);
-  const bool decremental = decremental_threshold >= 0.0;
-  constexpr std::size_t kSweepPeriod = 512;
-
-  // Dense per-transaction probability probe, reset via a touched list.
-  std::vector<double> probe(n_items, 0.0);
-  std::vector<ItemId> touched;
-  touched.reserve(256);
-
-  const std::size_t n_txn = db.size();
-  for (std::size_t ti = 0; ti < n_txn; ++ti) {
-    const Transaction& t = db[ti];
-    touched.clear();
-    for (const ProbItem& u : t) {
-      probe[u.item] = u.prob;
-      touched.push_back(u.item);
-    }
-    for (const ProbItem& u : t) {
-      for (std::uint32_t c : buckets[u.item]) {
-        if (!active[c]) continue;
-        double prod = u.prob;
-        const std::vector<ItemId>& items = candidates[c].items();
-        for (std::size_t k = 1; k < items.size(); ++k) {
-          const double p = probe[items[k]];
-          if (p == 0.0) {
-            prod = 0.0;
-            break;
-          }
-          prod *= p;
-        }
-        if (prod > 0.0) {
-          esup[c].Add(prod);
-          stats[c].sq_sum += prod * prod;
-          if (collect_probs) stats[c].probs.push_back(prod);
-        }
-      }
-    }
-    for (ItemId id : touched) probe[id] = 0.0;
-
-    if (decremental && (ti + 1) % kSweepPeriod == 0) {
-      const double remaining = static_cast<double>(n_txn - ti - 1);
-      for (std::size_t c = 0; c < n_cands; ++c) {
-        if (active[c] && esup[c].value() + remaining < decremental_threshold) {
-          active[c] = 0;
-        }
-      }
-    }
-  }
-  for (std::size_t c = 0; c < n_cands; ++c) stats[c].esup = esup[c].value();
   return stats;
 }
 

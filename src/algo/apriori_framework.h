@@ -9,7 +9,6 @@
 #include "core/flat_view.h"
 #include "core/miner.h"
 #include "core/mining_result.h"
-#include "core/uncertain_database.h"
 
 namespace ufim {
 
@@ -20,20 +19,17 @@ namespace ufim {
 /// generation and support counting is exactly the "common subroutines"
 /// uniformity the paper's experimental methodology demands (§4.1).
 ///
-/// Support counting runs over the columnar `FlatView`: each candidate's
-/// containment probabilities come from a merge-join of its members'
-/// posting arrays (ascending-tid index joins over contiguous memory),
-/// replacing the row-oriented probe-array scan. The row scan survives as
-/// `EvaluateCandidatesRowScan` — the reference the equivalence tests
-/// compare against.
+/// Support counting runs over the columnar `FlatView`, and only one way:
+/// each candidate's containment probabilities come from a merge-join of
+/// its members' posting arrays (ascending-tid index joins over contiguous
+/// memory). The SON recounts of `ShardedMiner` and `DeltaMiner` run the
+/// same join, so every path sums the same products in the same
+/// transaction-id order and reports the same bits for the same itemset.
 ///
 /// Counting is parallel when `num_threads > 1`, and deterministically so:
-/// the posting-join path partitions by candidate (each candidate's join
-/// runs whole on one thread), the probe sweep partitions transactions
-/// into *fixed* shards — a function of the view size, never of the
-/// thread count — whose per-candidate partials are merged in ascending
-/// shard order. Results are therefore bit-identical at every thread
-/// count, including the `num_threads = 1` sequential fallback.
+/// it partitions by candidate (each candidate's join runs whole on one
+/// thread), so results are bit-identical at every thread count,
+/// including the `num_threads = 1` sequential fallback.
 
 /// Accumulated statistics for one candidate after a database scan.
 struct CandidateStats {
@@ -61,46 +57,34 @@ std::vector<Itemset> GenerateCandidates(const std::vector<Itemset>& frequent_k,
                                         std::uint64_t* pruned);
 
 /// Evaluates all `candidates` (any mixture of sizes >= 2) over the
-/// columnar view, choosing per call between two strategies by estimated
-/// work: posting-list merge-joins (each candidate driven from its
-/// shortest member posting array, the other members' cursors advanced
-/// monotonically) for small or selective candidate sets, and a bucketed
-/// probe sweep over the view's contiguous horizontal arrays for dense
-/// candidate sets such as the pair level of a low-threshold run.
+/// columnar view by posting-list merge-joins: each candidate is driven
+/// from its shortest member posting array, the other members' cursors
+/// advanced monotonically, and its esup is one Kahan sum of the
+/// containment probabilities in ascending transaction order.
 ///
 /// `collect_probs` stores the nonzero per-transaction probabilities in
 /// ascending transaction order (needed by the exact probabilistic
 /// algorithms).
 ///
 /// `decremental_threshold`, when >= 0, enables UApriori's decremental
-/// pruning: periodically during the join (or between probe-sweep
-/// shards), a candidate whose optimistic bound esup_so_far + (transactions
-/// remaining) can no longer reach the threshold is abandoned. Abandoned
-/// candidates report whatever they accumulated; they are guaranteed
-/// infrequent. In the sweep, the deactivation schedule coarsens with the
-/// thread count, so only abandoned (infrequent) candidates may report
-/// thread-count-dependent partial sums — candidates that reach the
-/// threshold are never abandoned and stay bit-identical.
+/// pruning: after each join batch, a candidate whose optimistic bound
+/// esup_so_far + (driver postings remaining) can no longer reach the
+/// threshold is abandoned. Abandoned candidates report whatever they
+/// accumulated; they are guaranteed infrequent. The batch boundaries
+/// depend only on the driver length, so abandoned candidates report the
+/// same partial sums at every thread count and under every kernel.
 ///
 /// `num_threads`: 0 means all hardware threads, 1 (the default) the
 /// sequential baseline.
 ///
-/// `context`, when non-null, is polled once per candidate join (or per
-/// sweep shard); a trip unwinds with RunAbortedError.
+/// `context`, when non-null, is polled once per candidate join; a trip
+/// unwinds with RunAbortedError.
 std::vector<CandidateStats> EvaluateCandidates(const FlatView& view,
                                                const std::vector<Itemset>& candidates,
                                                bool collect_probs,
                                                double decremental_threshold = -1.0,
                                                std::size_t num_threads = 1,
                                                const RunContext* context = nullptr);
-
-/// The pre-columnar implementation: one pass over row-oriented
-/// transactions probing a dense per-transaction probability array.
-/// Kept as the reference for the equivalence tests; production miners
-/// use the view overload.
-std::vector<CandidateStats> EvaluateCandidatesRowScan(
-    const UncertainDatabase& db, const std::vector<Itemset>& candidates,
-    bool collect_probs, double decremental_threshold = -1.0);
 
 /// Hooks instantiating the framework for a concrete algorithm.
 struct AprioriCallbacks {

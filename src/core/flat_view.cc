@@ -13,20 +13,16 @@ void FlatView::BuildStorage(const UncertainDatabase& db, Storage& s) {
   s.full_size = db.size();
   s.base_size = db.size();
 
-  // Pass 1: sizes. Horizontal offsets directly; vertical postings counted
-  // per item so both CSR arrays are filled without reallocation.
+  // Pass 1: postings counted per item so the CSR arrays are filled
+  // without reallocation.
   Storage::BaseArrays b;
   std::size_t total_units = 0;
-  b.txn_offsets.reserve(db.size() + 1);
-  b.txn_offsets.push_back(0);
   std::vector<std::size_t> item_counts(s.num_items, 0);
   for (const Transaction& t : db) {
     total_units += t.size();
-    b.txn_offsets.push_back(total_units);
     for (const ProbItem& u : t) ++item_counts[u.item];
   }
 
-  b.units.reserve(total_units);
   b.item_offsets.assign(s.num_items + 1, 0);
   for (std::size_t i = 0; i < s.num_items; ++i) {
     b.item_offsets[i + 1] = b.item_offsets[i] + item_counts[i];
@@ -46,7 +42,6 @@ void FlatView::BuildStorage(const UncertainDatabase& db, Storage& s) {
                                 b.item_offsets.end() - 1);
   for (std::size_t ti = 0; ti < db.size(); ++ti) {
     for (const ProbItem& u : db[ti]) {
-      b.units.push_back(u);
       const std::size_t pos = fill[u.item]++;
       b.posting_tids[pos] = static_cast<TransactionId>(ti);
       b.posting_probs[pos] = u.prob;
@@ -58,9 +53,6 @@ void FlatView::BuildStorage(const UncertainDatabase& db, Storage& s) {
     s.item_esup[i] = s.item_esup_acc[i].value();
   }
   s.base = std::make_shared<const Storage::BaseArrays>(std::move(b));
-
-  // Empty delta region (appended to by StreamingFlatView only).
-  s.delta_txn_offsets.assign(1, 0);
 }
 
 FlatView::FlatView(const UncertainDatabase& db) {
@@ -72,24 +64,15 @@ FlatView::FlatView(const UncertainDatabase& db) {
   storage_ = std::move(s);
 }
 
-std::size_t FlatView::UnitsBefore(std::size_t t) const {
+std::size_t FlatView::num_units() const {
   CheckNotStale();
   const Storage& s = *storage_;
-  if (t <= s.base_size) return s.base->txn_offsets[t];
-  return s.base->units.size() + s.delta_txn_offsets[t - s.base_size];
-}
-
-std::size_t FlatView::num_units() const {
-  return UnitsBefore(end_) - UnitsBefore(begin_);
-}
-
-double FlatView::Probability(TransactionId t, ItemId item) const {
-  std::span<const ProbItem> units = TransactionUnits(t);
-  auto it = std::lower_bound(
-      units.begin(), units.end(), item,
-      [](const ProbItem& u, ItemId needle) { return u.item < needle; });
-  if (it == units.end() || it->item != item) return 0.0;
-  return it->prob;
+  if (IsFullView()) return s.base->posting_tids.size() + s.delta_units;
+  std::size_t units = 0;
+  for (std::size_t i = 0; i < s.num_items; ++i) {
+    units += PostingCount(static_cast<ItemId>(i));
+  }
+  return units;
 }
 
 SegmentedPostings FlatView::PostingSegments(ItemId item) const {

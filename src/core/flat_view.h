@@ -124,17 +124,14 @@ struct JoinBatch {
 /// Columnar index over an `UncertainDatabase`, built once and shared by
 /// every miner.
 ///
-/// Two layouts over the same data, both in contiguous arrays:
-///
-///  * **Vertical (CSR postings):** for each item, the ascending list of
-///    `(transaction, probability)` occurrences. Candidate support counting
-///    becomes a tight merge-join of posting arrays instead of re-walking
-///    `Transaction` objects — the locality argument of the paper's §4
-///    made structural.
-///  * **Horizontal (flat rows):** all transactions flattened into one
-///    item array + one probability array with a CSR offset table, for the
-///    tree/hyperlink builders (UFP-tree, UH-Struct) that consume
-///    transactions in row order.
+/// One layout, vertical, in contiguous arrays: for each item, the
+/// ascending CSR list of `(transaction, probability)` postings.
+/// Candidate support counting is a tight merge-join of posting arrays
+/// instead of a re-walk of `Transaction` objects — the locality argument
+/// of the paper's §4 made structural. The tree/hyperlink builders
+/// (UFP-tree, UH-Struct) that consume transactions row by row get their
+/// rows from `ProjectOntoRanks`, which transposes only the frequent
+/// items' postings into rank-labelled rows.
 ///
 /// Per-item expected supports and Σp² are cached at build time, so the
 /// level-1 pass of every miner is O(num_items) array reads.
@@ -142,15 +139,15 @@ struct JoinBatch {
 /// **Streaming delta.** A view built by `FlatView(db)` is fully
 /// contiguous. A view obtained from a `StreamingFlatView` may carry a
 /// *delta tail*: transactions appended after the last compaction live in
-/// per-item tail segments (and a separate horizontal CSR) instead of the
-/// base arrays. Appended tids are strictly greater than every base tid,
-/// so an item's logical posting list is the base segment followed by the
-/// delta segment — `PostingSegments` exposes exactly that, and every
-/// accessor and join kernel walks the segment list transparently, with
-/// the *same* logical batch boundaries and float evaluation order as a
-/// contiguous rebuild. Results are therefore bit-identical whether the
-/// data was appended or rebuilt from scratch (the streaming differential
-/// harness enforces this).
+/// per-item tail segments instead of the base arrays. Appended tids are
+/// strictly greater than every base tid, so an item's logical posting
+/// list is the base segment followed by the delta segment —
+/// `PostingSegments` exposes exactly that, and every accessor and join
+/// kernel walks the segment list transparently, with the *same* logical
+/// batch boundaries and float evaluation order as a contiguous rebuild.
+/// Results are therefore bit-identical whether the data was appended or
+/// rebuilt from scratch (the streaming differential harness enforces
+/// this).
 ///
 /// **Storage generations (stale-view detection).** Every storage
 /// carries a monotonically increasing generation counter; a mutation of
@@ -173,15 +170,14 @@ struct JoinBatch {
 /// accessors of a sliced view locate their cuts by binary search on the
 /// tid arrays. Slices may span the base/delta seam.
 ///
-/// Transaction ids are *global* throughout: `TransactionUnits` and
-/// `Probability` take ids of the source database, and posting arrays
-/// hold global ids, so ids agree across every slice of one database.
-/// Iterate a view's transactions as `[begin_tid(), end_tid())`.
+/// Transaction ids are *global* throughout: posting arrays hold ids of
+/// the source database, so ids agree across every slice of one database.
+/// A view's transactions are `[begin_tid(), end_tid())`.
 class FlatView {
  public:
   FlatView() : FlatView(UncertainDatabase()) {}
 
-  /// Builds both layouts in two passes over `db`. The view does not keep
+  /// Builds the postings in two passes over `db`. The view does not keep
   /// a reference to `db`; it owns its arrays.
   explicit FlatView(const UncertainDatabase& db);
 
@@ -194,34 +190,11 @@ class FlatView {
   /// One past the last transaction id in the view.
   TransactionId end_tid() const { return static_cast<TransactionId>(end_); }
 
-  /// Total probabilistic units in the viewed transactions.
+  /// Total probabilistic units (postings) in the viewed transactions.
+  /// O(1) on a full view; one `PostingCount` per item on a slice.
   std::size_t num_units() const;
 
-  // --- Horizontal layout -------------------------------------------------
-
-  /// Units of transaction `t`, ascending by item. Kept as interleaved
-  /// (item, prob) records because every horizontal consumer — the probe
-  /// sweep, the UFP-tree and UH-Struct builders — reads both fields of a
-  /// unit together; the vertical postings below are the split layout.
-  /// Transparently reads the delta region for appended transactions.
-  std::span<const ProbItem> TransactionUnits(TransactionId t) const {
-    CheckNotStale();
-    const Storage& s = *storage_;
-    if (t < s.base_size) {
-      const Storage::BaseArrays& b = *s.base;
-      return {b.units.data() + b.txn_offsets[t],
-              b.txn_offsets[t + 1] - b.txn_offsets[t]};
-    }
-    const std::size_t d = t - s.base_size;
-    return {s.delta_units.data() + s.delta_txn_offsets[d],
-            s.delta_txn_offsets[d + 1] - s.delta_txn_offsets[d]};
-  }
-
-  /// Existential probability of `item` in transaction `t`; 0 if absent.
-  /// Binary search over the transaction's item array.
-  double Probability(TransactionId t, ItemId item) const;
-
-  // --- Vertical layout ---------------------------------------------------
+  // --- Postings ----------------------------------------------------------
 
   /// `item`'s postings within this view as tid-partitioned segments
   /// (base region first, then the delta tail) — the general accessor
@@ -349,9 +322,8 @@ class FlatView {
   /// Projects the view onto `rank_to_item` (rank r ↦ rank_to_item[r]).
   /// Built vertically — a counting pass plus a fill pass over the kept
   /// items' posting segments in rank order — so it reads only the kept
-  /// units and each row comes out rank-sorted with no per-row sort; the
-  /// UFP-tree and UH-Struct builders consume this instead of filtering
-  /// the horizontal layout row by row.
+  /// units and each row comes out rank-sorted with no per-row sort. The
+  /// UFP-tree and UH-Struct builders read their rows from here.
   RankProjection ProjectOntoRanks(std::span<const ItemId> rank_to_item) const;
 
   // --- Slicing -----------------------------------------------------------
@@ -383,13 +355,9 @@ class FlatView {
     /// the delta + moment arrays while sharing this pointer — O(delta),
     /// bounded by the compaction policy, never O(total).
     struct BaseArrays {
-      // Horizontal CSR over the base transactions [0, base_size).
-      std::vector<std::size_t> txn_offsets;  ///< size base_size + 1
-      std::vector<ProbItem> units;
-
-      // Vertical CSR (base): postings of item i live in
-      // [item_offsets[i], item_offsets[i+1]) of the two arrays below,
-      // sorted by ascending tid. Covers the *base* item universe only —
+      // CSR over the base transactions [0, base_size): postings of
+      // item i live in [item_offsets[i], item_offsets[i+1]) of the two
+      // arrays below, sorted by ascending tid. Covers the *base* item universe only —
       // items first seen in the delta have no base postings.
       std::vector<std::size_t> item_offsets;
       std::vector<TransactionId> posting_tids;
@@ -413,10 +381,9 @@ class FlatView {
 
     // Streaming delta: transactions [base_size, full_size), appended by
     // StreamingFlatView and folded into a fresh base by Compact(). The
-    // horizontal CSR mirrors the base one; vertical postings are
-    // per-item tail vectors (append-friendly, tid-sorted by arrival).
-    std::vector<std::size_t> delta_txn_offsets;  ///< size full_size-base_size+1
-    std::vector<ProbItem> delta_units;
+    // postings are per-item tail vectors (append-friendly, tid-sorted by
+    // arrival); delta_units counts them across all items.
+    std::size_t delta_units = 0;
     std::vector<std::vector<TransactionId>> delta_tids;  ///< size num_items
     std::vector<std::vector<double>> delta_probs;        ///< parallel
 
@@ -475,9 +442,6 @@ class FlatView {
 
   /// Advances a side's segment cursor past postings with tid <= last_tid.
   static void AdvanceSide(JoinScratch::Side& m, TransactionId last_tid);
-
-  /// Units in transactions [0, t) of the storage (t <= full_size).
-  std::size_t UnitsBefore(std::size_t t) const;
 
   /// Sets up `scratch` for a batched join of `itemset` (driver
   /// selection, member segment cursors). False when the join is

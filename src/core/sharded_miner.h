@@ -52,11 +52,10 @@ void RecountExpectedCandidates(const FlatView& view,
 /// Determinism: shard boundaries depend only on (view size, num_shards),
 /// the candidate union is canonically sorted before recounting, and the
 /// recount is partitioned by candidate — so for a fixed shard count the
-/// result is bit-identical across thread counts and across runs. Against
-/// the unsharded run of the same miner, the recount's ascending-tid
-/// posting joins can differ from a probe-sweep accumulation in the final
-/// ulp; the reported itemset set matches unless an expected support sits
-/// exactly on the threshold at that last ulp.
+/// result is bit-identical across thread counts and across runs. The
+/// recount sums each candidate's posting-join products in ascending tid
+/// order, exactly as the apriori framework counts, so Sharded(UApriori)
+/// reports UApriori's moments bit for bit.
 ///
 /// Only expected-support tasks are supported: expected support is
 /// additive across shards, which is what makes the local-threshold

@@ -22,8 +22,7 @@ void StreamingFlatView::BeginAppend() {
   AppendTxn txn;
   txn.full_size = s.full_size;
   txn.num_items = s.num_items;
-  txn.delta_units = s.delta_units.size();
-  txn.delta_txn_offsets = s.delta_txn_offsets.size();
+  txn.delta_units = s.delta_units;
   txn_ = std::move(txn);
 }
 
@@ -76,8 +75,7 @@ void StreamingFlatView::RollbackAppend() {
     s.item_sq_sum.resize(txn.num_items);
     s.item_esup_acc.resize(txn.num_items);
   }
-  s.delta_units.resize(txn.delta_units);
-  s.delta_txn_offsets.resize(txn.delta_txn_offsets);
+  s.delta_units = txn.delta_units;
   s.full_size = txn.full_size;
   // A rollback is a mutation like any other: views handed out during
   // the transaction (or before it) must not keep reading, even though
@@ -102,7 +100,7 @@ bool StreamingFlatView::Append(std::span<const Transaction> batch) {
         s.item_esup_acc.resize(s.num_items, KahanSum());
       }
       if (txn_.has_value()) SnapshotForTxn(u.item);
-      s.delta_units.push_back(u);
+      ++s.delta_units;
       s.delta_tids[u.item].push_back(tid);
       s.delta_probs[u.item].push_back(u.prob);
       // Per-item unit order is tid-major here exactly as in a
@@ -112,7 +110,6 @@ bool StreamingFlatView::Append(std::span<const Transaction> batch) {
       s.item_esup[u.item] = s.item_esup_acc[u.item].value();
       s.item_sq_sum[u.item] += u.prob * u.prob;
     }
-    s.delta_txn_offsets.push_back(s.delta_units.size());
     ++s.full_size;
   }
   // Mark the mutation before the policy check so a triggered compaction
@@ -130,7 +127,7 @@ bool StreamingFlatView::Append(std::span<const Transaction> batch) {
 
 bool StreamingFlatView::MaybeCompact() {
   const FlatView::Storage& s = *storage_;
-  if (!policy_.ShouldCompact(s.base->units.size(), s.delta_units.size(),
+  if (!policy_.ShouldCompact(s.base->posting_tids.size(), s.delta_units,
                              delta_transactions())) {
     return false;
   }
@@ -150,21 +147,7 @@ void StreamingFlatView::Compact() {
   const FlatView::Storage::BaseArrays& ob = *s.base;
   FlatView::Storage::BaseArrays merged;
 
-  // Horizontal: the delta rows append directly (they already follow the
-  // base rows in tid order).
-  const std::size_t base_units = ob.units.size();
-  merged.units.reserve(base_units + s.delta_units.size());
-  merged.units.insert(merged.units.end(), ob.units.begin(), ob.units.end());
-  merged.units.insert(merged.units.end(), s.delta_units.begin(),
-                      s.delta_units.end());
-  merged.txn_offsets.reserve(s.full_size + 1);
-  merged.txn_offsets.insert(merged.txn_offsets.end(), ob.txn_offsets.begin(),
-                            ob.txn_offsets.end());
-  for (std::size_t d = 1; d < s.delta_txn_offsets.size(); ++d) {
-    merged.txn_offsets.push_back(base_units + s.delta_txn_offsets[d]);
-  }
-
-  // Vertical: per item, the merged posting list is base postings then
+  // Per item, the merged posting list is base postings then
   // delta postings — already globally tid-sorted, so the merge is a
   // counting pass plus contiguous copies (same layout a from-scratch
   // build would produce).
@@ -205,7 +188,6 @@ void StreamingFlatView::Compact() {
       std::make_shared<const FlatView::Storage::BaseArrays>(std::move(merged));
   fresh->generation.store(s.generation.load(std::memory_order_relaxed) + 1,
                           std::memory_order_relaxed);
-  fresh->delta_txn_offsets.assign(1, 0);
   fresh->delta_tids.resize(s.num_items);
   fresh->delta_probs.resize(s.num_items);
   fresh->item_esup = s.item_esup;
@@ -233,7 +215,6 @@ StreamingSnapshot StreamingFlatView::Snapshot() const {
   frozen->base = s.base;
   const std::uint64_t gen = s.generation.load(std::memory_order_relaxed);
   frozen->generation.store(gen, std::memory_order_relaxed);
-  frozen->delta_txn_offsets = s.delta_txn_offsets;
   frozen->delta_units = s.delta_units;
   frozen->delta_tids = s.delta_tids;
   frozen->delta_probs = s.delta_probs;

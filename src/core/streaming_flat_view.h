@@ -91,8 +91,8 @@ class StreamingSnapshot {
 /// of building a `FlatView` per batch.
 ///
 /// `Append(transactions)` assigns the next transaction ids and writes
-/// the new postings into a per-item *delta* region (horizontal CSR tail
-/// plus per-item posting tail vectors) in O(batch units) — no O(total
+/// the new postings into a per-item *delta* region (per-item posting
+/// tail vectors) in O(batch units) — no O(total
 /// units) rebuild. Because appended tids are strictly greater than every
 /// existing tid, each item's logical posting list is its base segment
 /// followed by its delta segment, and every `FlatView` accessor and join
@@ -149,14 +149,14 @@ class StreamingFlatView {
   std::size_t num_transactions() const { return storage_->full_size; }
   std::size_t num_items() const { return storage_->num_items; }
   std::size_t num_units() const {
-    return storage_->base->units.size() + storage_->delta_units.size();
+    return storage_->base->posting_tids.size() + storage_->delta_units;
   }
 
   /// Transactions currently in the delta region.
   std::size_t delta_transactions() const {
     return storage_->full_size - storage_->base_size;
   }
-  std::size_t delta_units() const { return storage_->delta_units.size(); }
+  std::size_t delta_units() const { return storage_->delta_units; }
   bool has_delta() const { return delta_transactions() > 0; }
 
   /// Compactions run so far (automatic + explicit).
@@ -194,7 +194,7 @@ class StreamingFlatView {
   /// compaction (a compaction would fold the uncommitted rows into the
   /// base, where they could no longer be cheaply removed).
   /// `RollbackAppend()` restores the exact pre-BeginAppend state —
-  /// posting tails, CSR tails, item universe and the persistent Kahan
+  /// posting tails, the delta unit count, item universe and the persistent Kahan
   /// moment accumulators are all bit-identical to before, so the
   /// equivalence contract above keeps holding after a rollback.
   /// `CommitAppend()` drops the undo log and runs the deferred
@@ -244,7 +244,6 @@ class StreamingFlatView {
     std::size_t full_size = 0;
     std::size_t num_items = 0;
     std::size_t delta_units = 0;
-    std::size_t delta_txn_offsets = 0;
     struct ItemSnapshot {
       ItemId item = 0;
       std::size_t delta_len = 0;

@@ -71,6 +71,44 @@ TEST(DeltaMinerTest, MatchesPlainMinerForEveryExpectedSupportAlgorithm) {
   }
 }
 
+TEST(DeltaMinerTest, UAprioriMomentsBitIdenticalToPlain) {
+  // UApriori counts with the same posting join as the DeltaMiner
+  // recount, so once the stream holds more than 512 transactions the
+  // incremental moments are the plain miner's bit for bit.
+  ExpectedSupportParams params;
+  params.min_esup = 0.02;
+  Rng rng(44);
+  StreamBatchSpec spec;
+  spec.num_items = 12;
+  spec.item_skew = 0.6;
+  Result<std::unique_ptr<DeltaMiner>> delta = MakeDeltaMiner("UApriori", params);
+  ASSERT_TRUE(delta.ok());
+  std::unique_ptr<Miner> plain = MinerRegistry::Global().Create("UApriori");
+  ASSERT_NE(plain, nullptr);
+
+  UncertainDatabase accumulated;
+  for (int b = 0; b < 3; ++b) {
+    const std::vector<Transaction> batch = MakeStreamBatch(rng, spec, 400);
+    Result<MiningResult> incremental = delta.value()->MineNext(batch);
+    ASSERT_TRUE(incremental.ok());
+    accumulated.Append(batch);
+    Result<MiningResult> reference =
+        plain->Mine(FlatView(accumulated), MiningTask(params));
+    ASSERT_TRUE(reference.ok());
+    MiningResult expect = std::move(reference).value();
+    expect.SortCanonical();
+    ASSERT_EQ(incremental.value().size(), expect.size()) << "batch " << b;
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_EQ(incremental.value()[i].itemset, expect[i].itemset);
+      EXPECT_EQ(incremental.value()[i].expected_support,
+                expect[i].expected_support)
+          << "batch " << b << " " << expect[i].itemset.ToString();
+      EXPECT_EQ(incremental.value()[i].variance, expect[i].variance)
+          << "batch " << b << " " << expect[i].itemset.ToString();
+    }
+  }
+}
+
 TEST(DeltaMinerTest, PoolRetainsDilutedCandidatesAcrossBatches) {
   // {0,1} is frequent after batch 1, diluted below the global threshold
   // by batch 2's noise — it must leave the *results* but stay in the

@@ -79,17 +79,29 @@ TEST(FlatViewSliceTest, SliceMatchesScanBasedGroundTruth) {
   }
 }
 
-TEST(FlatViewSliceTest, TransactionUnitsKeepGlobalIds) {
+TEST(FlatViewSliceTest, PostingsKeepGlobalIds) {
   UncertainDatabase db = MakeRandomDatabase({.seed = 32});
   FlatView full(db);
   FlatView slice = full.Slice(3, 9);
+  // Every unit of the sliced transactions appears as a posting under its
+  // global tid, and nothing else does.
+  std::size_t units = 0;
   for (TransactionId t = slice.begin_tid(); t < slice.end_tid(); ++t) {
-    auto units = slice.TransactionUnits(t);
-    ASSERT_EQ(units.size(), db[t].size());
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      EXPECT_EQ(units[u], db[t][u]);
+    units += db[t].size();
+  }
+  std::size_t postings = 0;
+  for (ItemId item = 0; item < db.num_items(); ++item) {
+    auto tids = slice.PostingTids(item);
+    auto probs = slice.PostingProbs(item);
+    ASSERT_EQ(tids.size(), probs.size());
+    postings += tids.size();
+    for (std::size_t i = 0; i < tids.size(); ++i) {
+      ASSERT_GE(tids[i], slice.begin_tid());
+      ASSERT_LT(tids[i], slice.end_tid());
+      EXPECT_EQ(probs[i], db[tids[i]].ProbabilityOf(item));
     }
   }
+  EXPECT_EQ(postings, units);
 }
 
 TEST(FlatViewSliceTest, ShardUnionInvariants) {
@@ -179,7 +191,19 @@ TEST(FlatViewSliceTest, FullViewDetection) {
   // A mid-slice shares storage with the full view.
   FlatView mid = full.Slice(2, 6);
   ASSERT_GT(mid.num_transactions(), 0u);
-  EXPECT_EQ(mid.TransactionUnits(2).data(), full.TransactionUnits(2).data());
+  std::size_t checked = 0;
+  for (ItemId item = 0; item < db.num_items(); ++item) {
+    const SegmentedPostings a = mid.PostingSegments(item);
+    const SegmentedPostings b = full.PostingSegments(item);
+    if (a.count == 0) continue;
+    ++checked;
+    // The slice's segment is a window into the full view's arrays.
+    ASSERT_EQ(b.count, 1u);
+    EXPECT_GE(a.seg[0].tids, b.seg[0].tids);
+    EXPECT_LE(a.seg[0].tids + a.seg[0].len, b.seg[0].tids + b.seg[0].len);
+    EXPECT_EQ(a.seg[0].probs - b.seg[0].probs, a.seg[0].tids - b.seg[0].tids);
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(FlatViewSliceTest, PaperTable1MiddleSlice) {

@@ -110,6 +110,34 @@ TEST(ShardedMinerTest, MatchesUnshardedForEveryExpectedMiner) {
   }
 }
 
+/// UApriori counts with the same posting join as the SON recount, so
+/// on a view of more than 512 transactions the sharded moments are the
+/// unsharded ones bit for bit (the tree miners above stay at 1e-9: they
+/// accumulate in a different order).
+TEST(ShardedMinerTest, UAprioriMomentsBitIdenticalToUnsharded) {
+  UncertainDatabase db = MakeRandomDatabase(
+      {.seed = 43, .num_transactions = 1500, .num_items = 10});
+  FlatView view(db);
+  ExpectedSupportParams params;
+  params.min_esup = 0.05;
+  auto plain = MakeInner("UApriori")->Mine(view, MiningTask(params));
+  ASSERT_TRUE(plain.ok());
+  ASSERT_GT(plain->size(), db.num_items());
+  for (std::size_t shards : {2u, 5u}) {
+    ShardedMiner sharded(MakeInner("UApriori"), shards);
+    auto merged = sharded.Mine(view, MiningTask(params));
+    ASSERT_TRUE(merged.ok()) << shards << " shards";
+    ASSERT_EQ(merged->size(), plain->size()) << shards << " shards";
+    for (std::size_t i = 0; i < plain->size(); ++i) {
+      EXPECT_EQ((*merged)[i].itemset, (*plain)[i].itemset);
+      EXPECT_EQ((*merged)[i].expected_support, (*plain)[i].expected_support)
+          << shards << " shards " << (*plain)[i].itemset.ToString();
+      EXPECT_EQ((*merged)[i].variance, (*plain)[i].variance)
+          << shards << " shards " << (*plain)[i].itemset.ToString();
+    }
+  }
+}
+
 TEST(ShardedMinerTest, BitIdenticalAcrossThreadCounts) {
   UncertainDatabase db = MakeRandomDatabase(
       {.seed = 42, .num_transactions = 70, .num_items = 9});

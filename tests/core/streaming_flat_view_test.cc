@@ -40,16 +40,6 @@ void ExpectMatchesRebuild(const FlatView& view,
   EXPECT_EQ(view.num_items(), rebuilt.num_items()) << label;
   EXPECT_EQ(view.num_units(), rebuilt.num_units()) << label;
 
-  for (TransactionId t = view.begin_tid(); t < view.end_tid(); ++t) {
-    const auto a = view.TransactionUnits(t);
-    const auto b = rebuilt.TransactionUnits(t);
-    ASSERT_EQ(a.size(), b.size()) << label << " tid=" << t;
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      EXPECT_EQ(a[i].item, b[i].item) << label << " tid=" << t;
-      EXPECT_EQ(a[i].prob, b[i].prob) << label << " tid=" << t;
-    }
-  }
-
   std::vector<TransactionId> at, bt;
   std::vector<double> ap, bp;
   for (std::size_t i = 0; i < view.num_items(); ++i) {
@@ -413,10 +403,10 @@ TEST(StreamingFlatViewDeathTest, StaleViewAfterCompactAborts) {
   const FlatView stale = sv.View();
   const FlatView stale_slice = stale.Slice(0, 1);
   sv.Compact();
-  EXPECT_DEATH(stale.TransactionUnits(0), "stale view");
+  EXPECT_DEATH(stale.PostingSegments(0), "stale view");
   // Slices inherit the birth generation: a pre-mutation slice is just
   // as stale as its parent.
-  EXPECT_DEATH(stale_slice.TransactionUnits(0), "stale view");
+  EXPECT_DEATH(stale_slice.PostingSegments(0), "stale view");
 }
 
 TEST(StreamingFlatViewDeathTest, SnapshotViewNeverTrips) {

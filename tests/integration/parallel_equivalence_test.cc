@@ -3,10 +3,11 @@
 // num_threads = 1 run at any thread count AND under any forced
 // intersection kernel — not approximately equal. The parallel kernels
 // promise deterministic partitioning (posting joins split by candidate,
-// probe sweeps merged in fixed shard order, tail evaluations judged per
-// candidate), and the batch join kernel promises a float evaluation
-// order independent of how the set intersection was computed (scalar,
-// galloping, or SIMD), so these tests compare doubles with EXPECT_EQ.
+// tail evaluations judged per candidate), and the batch join kernel
+// promises a float evaluation order independent of how the set
+// intersection was computed (scalar, galloping, or SIMD) and of which
+// other candidates share the call, so these tests compare doubles with
+// EXPECT_EQ.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -16,6 +17,7 @@
 
 #include "algo/apriori_framework.h"
 #include "algo/uh_struct.h"
+#include "common/rng.h"
 #include "core/flat_view.h"
 #include "core/miner_registry.h"
 #include "core/simd_intersect.h"
@@ -359,9 +361,10 @@ TEST(ParallelEquivalenceTest, UHStructEngineScratchIsolationUnderConcurrency) {
 }
 
 TEST(ParallelEquivalenceTest, EvaluateCandidatesExactAcrossThreadCounts) {
-  // Kernel-level check, both strategies: many candidates (the cost model
-  // may sweep) and few (it joins). Decremental pruning off — with it on,
-  // only abandoned infrequent candidates may legally differ.
+  // Kernel-level check over many candidates and few, on a view of more
+  // than 512 transactions. Each candidate's moments must not depend on
+  // the batch it is evaluated in: a pair evaluated alone equals its
+  // entry in the full pair batch, bit for bit.
   UncertainDatabase db = MakeRandomDatabase(
       {.seed = 54, .num_transactions = 600, .num_items = 12});
   FlatView view(db);
@@ -398,13 +401,24 @@ TEST(ParallelEquivalenceTest, EvaluateCandidatesExactAcrossThreadCounts) {
       }
     }
   }
+
+  const std::vector<CandidateStats> batch =
+      EvaluateCandidates(view, pairs, /*collect_probs=*/false);
+  for (std::size_t c = 0; c < pairs.size(); ++c) {
+    const std::vector<CandidateStats> alone =
+        EvaluateCandidates(view, {pairs[c]}, /*collect_probs=*/false);
+    ASSERT_EQ(alone.size(), 1u);
+    EXPECT_EQ(alone[0].esup, batch[c].esup) << pairs[c].ToString();
+    EXPECT_EQ(alone[0].sq_sum, batch[c].sq_sum) << pairs[c].ToString();
+  }
 }
 
 TEST(ParallelEquivalenceTest, JoinKernelsMatchRowScanBaseline) {
-  // End-to-end parity of the batch join path against the retained
-  // row-oriented baseline, under every forced kernel: same candidates,
-  // near-equal moments (the two paths multiply members in different
-  // orders, so equality is to rounding), identical match sets.
+  // End-to-end parity of the batch join path against a row-by-row scan
+  // of the database (UncertainDatabase::ContainmentProbabilities), under
+  // every forced kernel: same candidates, near-equal moments (the two
+  // paths multiply members in different orders, so equality is to
+  // rounding), identical match sets.
   UncertainDatabase db = MakeRandomDatabase(
       {.seed = 56, .num_transactions = 400, .num_items = 10});
   FlatView view(db);
@@ -415,8 +429,14 @@ TEST(ParallelEquivalenceTest, JoinKernelsMatchRowScanBaseline) {
   std::vector<Itemset> cands = pairs;
   cands.insert(cands.end(), triples.begin(), triples.end());
 
-  const auto rows =
-      EvaluateCandidatesRowScan(db, cands, /*collect_probs=*/true);
+  std::vector<CandidateStats> rows(cands.size());
+  for (std::size_t c = 0; c < cands.size(); ++c) {
+    rows[c].probs = db.ContainmentProbabilities(cands[c]);
+    for (double p : rows[c].probs) {
+      rows[c].esup += p;
+      rows[c].sq_sum += p * p;
+    }
+  }
   for (const IntersectKernel kernel : kKernels) {
     ScopedKernel forced(kernel);
     for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
@@ -442,18 +462,42 @@ TEST(ParallelEquivalenceTest, JoinKernelsMatchRowScanBaseline) {
 
 TEST(ParallelEquivalenceTest, DecrementalPruningKeepsFrequentOnesExact) {
   // With decremental pruning on, candidates that reach the threshold
-  // must still be exact at every thread count (abandoned ones are
-  // guaranteed infrequent and may carry partial sums).
-  UncertainDatabase db = MakeRandomDatabase(
-      {.seed = 55, .num_transactions = 800, .num_items = 10});
-  FlatView view(db);
+  // must still be exact, and every candidate — abandoned (infrequent)
+  // ones and their partial sums included — must be bit-identical at
+  // every thread count and under every kernel. Items 0-3 are dense, the
+  // rest sparse, so dense pairs are frequent and pairs with a sparse
+  // member are abandoned late in the scan.
+  Rng rng(55);
+  std::vector<Transaction> txns;
+  for (std::size_t t = 0; t < 5200; ++t) {
+    std::vector<ProbItem> units;
+    for (ItemId i = 0; i < 10; ++i) {
+      if (rng.Bernoulli(i < 4 ? 0.9 : 0.2)) {
+        units.push_back(ProbItem{i, rng.Uniform(0.05, 1.0)});
+      }
+    }
+    txns.emplace_back(std::move(units));
+  }
+  FlatView view{UncertainDatabase(std::move(txns))};
   std::vector<Itemset> frequent;
   for (ItemId i = 0; i < 10; ++i) frequent.push_back(Itemset{i});
   std::vector<Itemset> pairs = GenerateCandidates(frequent, nullptr);
 
-  const double threshold = 0.2 * static_cast<double>(view.num_transactions());
+  const double threshold = 0.15 * static_cast<double>(view.num_transactions());
   auto full = EvaluateCandidates(view, pairs, /*collect_probs=*/false,
                                  /*decremental_threshold=*/-1.0, 1);
+  std::vector<CandidateStats> baseline;
+  {
+    ScopedKernel forced(IntersectKernel::kScalar);
+    baseline = EvaluateCandidates(view, pairs, /*collect_probs=*/false,
+                                  threshold, 1);
+  }
+  std::size_t frequent_pairs = 0;
+  for (std::size_t c = 0; c < full.size(); ++c) {
+    frequent_pairs += full[c].esup >= threshold;
+  }
+  EXPECT_GT(frequent_pairs, 0u);
+  EXPECT_LT(frequent_pairs, full.size());
   for (const IntersectKernel kernel : kKernels) {
     ScopedKernel forced(kernel);
     for (std::size_t threads : {1u, 2u, 8u}) {
@@ -461,12 +505,15 @@ TEST(ParallelEquivalenceTest, DecrementalPruningKeepsFrequentOnesExact) {
                                        threshold, threads);
       ASSERT_EQ(pruned.size(), full.size());
       for (std::size_t c = 0; c < full.size(); ++c) {
+        const std::string label = pairs[c].ToString() + " @" +
+                                  std::to_string(threads) + "/" +
+                                  IntersectKernelName(kernel);
+        EXPECT_EQ(pruned[c].esup, baseline[c].esup) << label;
+        EXPECT_EQ(pruned[c].sq_sum, baseline[c].sq_sum) << label;
         if (full[c].esup >= threshold) {
-          EXPECT_EQ(pruned[c].esup, full[c].esup)
-              << pairs[c].ToString() << " @" << threads << "/"
-              << IntersectKernelName(kernel);
+          EXPECT_EQ(pruned[c].esup, full[c].esup) << label;
         } else {
-          EXPECT_LE(pruned[c].esup, full[c].esup + 1e-9);
+          EXPECT_LE(pruned[c].esup, full[c].esup + 1e-9) << label;
         }
       }
     }

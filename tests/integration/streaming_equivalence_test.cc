@@ -81,8 +81,8 @@ TEST_P(StreamingEquivalenceTest, RandomSchedulesMatchRebuildBitForBit) {
 
 // The pattern-growth shard miners run the same differential on a
 // smaller seed set: their projection/tree paths consume the streaming
-// view through different accessors (rank projection, horizontal rows)
-// than the apriori join path.
+// view through a different accessor (the rank projection) than the
+// apriori join path.
 TEST_P(StreamingEquivalenceTest, PatternGrowthShardMiners) {
   ScopedKernel forced(GetParam());
   for (const char* algorithm : {"UFP-growth", "UH-Mine"}) {

@@ -50,8 +50,8 @@ struct StreamScheduleSpec {
 ///  2. **Semantic exactness:** the streaming result against the plain
 ///     (non-incremental) registry miner run on the accumulated database
 ///     built from scratch. Itemset sets must match exactly; moments are
-///     compared to 1e-9 (the plain miner may legally accumulate in a
-///     different — e.g. probe-sweep — order).
+///     compared to 1e-9 (a pattern-growth plain miner accumulates in
+///     a different order).
 ///  3. **Snapshot immutability (bit-identical):** schedule steps take
 ///     `Snapshot()` handles mid-stream and record a baseline mined over
 ///     each at capture time; after the whole schedule — every later
