@@ -2,7 +2,9 @@
 // through the modern FlatView + MinerRegistry harness (the same
 // RunRegisteredExperiment path the CLI takes, so every knob here is a
 // production configuration):
-//  (1) UApriori's decremental pruning [17, 18] on/off across densities;
+//  (1) UApriori's decremental pruning [17, 18] on/off across densities
+//      (it acts on the candidate joins of levels k >= 3; level 2 is one
+//      triangular pass that counts every pair whole either way);
 //  (2) DC's FFT threshold — where does switching the conquer step from
 //      schoolbook to FFT convolution pay off at mining granularity?
 //  (3) the bound-cascade prefilter (--prefilter off/bounds) across

@@ -2,8 +2,11 @@
 // vs 2/4/8-thread candidate counting, and sharded vs monolithic mining.
 //
 // Measured:
-//   * EvaluateCandidates (one posting join per candidate) over the
-//     level-2 candidate set at 1/2/4/8 threads, and
+//   * EvaluateCandidates (one posting join per candidate) over all pairs
+//     of frequent items at 1/2/4/8 threads — the join that levels k >= 3
+//     and the SON recounts run (UApriori itself counts pairs in one
+//     triangular pass, timed whole by BM_UAprioriThreads),
+//   * a full UApriori run at 1/2/4/8 threads, and
 //   * a full UApriori run through ShardedMiner at 1/2/4/8 shards with
 //     matching thread counts, against the unsharded single-thread run.
 //
@@ -26,7 +29,9 @@ namespace {
 
 constexpr double kMinEsupRatio = 0.005;
 
-/// Frequent-item pairs: the level-2 candidate set UApriori would scan.
+/// All pairs of frequent items: the pair candidates `GenerateCandidates`
+/// emits for level 2, joined here one by one (UApriori's own level 2
+/// counts them in one triangular pass instead).
 std::vector<Itemset> Level2Candidates(const FlatView& view) {
   const double threshold =
       kMinEsupRatio * static_cast<double>(view.num_transactions());
@@ -54,6 +59,25 @@ void BM_EvaluateCandidatesThreads(benchmark::State& state) {
 BENCHMARK(BM_EvaluateCandidatesThreads)
     ->Unit(benchmark::kMillisecond)
     ->ArgsProduct({{5000, 10000}, {1, 2, 4, 8}});
+
+void BM_UAprioriThreads(benchmark::State& state) {
+  const UncertainDatabase db = QuestDb(static_cast<std::size_t>(state.range(0)));
+  const FlatView view(db);
+  const std::size_t threads = static_cast<std::size_t>(state.range(1));
+  MinerOptions options;
+  options.num_threads = threads;
+  ExpectedSupportParams params;
+  params.min_esup = kMinEsupRatio;
+  auto miner = MinerRegistry::Global().Create("UApriori", options);
+  for (auto _ : state) {
+    auto result = miner->Mine(view, MiningTask(params));
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["threads"] = static_cast<double>(threads);
+}
+BENCHMARK(BM_UAprioriThreads)
+    ->Unit(benchmark::kMillisecond)
+    ->ArgsProduct({{10000}, {1, 2, 4, 8}});
 
 void BM_ShardedUApriori(benchmark::State& state) {
   const UncertainDatabase db = QuestDb(static_cast<std::size_t>(state.range(0)));

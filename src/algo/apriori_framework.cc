@@ -147,7 +147,8 @@ namespace {
 /// Verdict of the per-candidate frequency judge, with the counter deltas
 /// it incurred. Counters are carried out-of-band (instead of mutated
 /// inside the judge) so judging can run in parallel and still aggregate
-/// deterministically in candidate order.
+/// deterministically in candidate order. The judge leaves `fi->itemset`
+/// empty; the loop fills it, so pairs get an `Itemset` only when frequent.
 struct JudgeOutcome {
   std::optional<FrequentItemset> fi;
   bool bound_rejected = false;
@@ -155,38 +156,139 @@ struct JudgeOutcome {
   bool exact_evaluated = false;
 };
 
-/// The third argument is the candidate's stable ordinal in generation
+/// The second argument is the candidate's stable ordinal in generation
 /// order across the whole run (see TailFn in the header).
-using JudgeFn = std::function<JudgeOutcome(const Itemset&, CandidateStats&,
-                                           std::size_t ordinal)>;
+using JudgeFn = std::function<JudgeOutcome(CandidateStats&, std::size_t ordinal)>;
 
-/// Applies `judge` to every candidate; candidate c carries the stable
-/// ordinal `ordinal_base + c`. With `judge_threads > 1` the calls run
-/// via ParallelFor — each candidate judged whole on one thread and
+/// Applies `judge` to every candidate's stats; candidate c carries the
+/// stable ordinal `ordinal_base + c`. With `judge_threads > 1` the calls
+/// run via ParallelFor — each candidate judged whole on one thread and
 /// written to its own slot, so the outcome vector is identical to the
 /// serial pass for any thread-safe judge.
-std::vector<JudgeOutcome> JudgeAll(const std::vector<Itemset>& candidates,
-                                   std::vector<CandidateStats>& stats,
+std::vector<JudgeOutcome> JudgeAll(std::vector<CandidateStats>& stats,
                                    const JudgeFn& judge,
                                    std::size_t judge_threads,
                                    std::size_t ordinal_base,
                                    const RunContext* context) {
-  std::vector<JudgeOutcome> outcomes(candidates.size());
+  std::vector<JudgeOutcome> outcomes(stats.size());
   ParallelFor(
-      candidates.size(), judge_threads,
+      stats.size(), judge_threads,
       [&](std::size_t c, std::size_t /*worker*/) {
         PollRunContext(context);  // checkpoint: one per judged candidate
-        outcomes[c] = judge(candidates[c], stats[c], ordinal_base + c);
+        outcomes[c] = judge(stats[c], ordinal_base + c);
       },
       context);
   return outcomes;
+}
+
+/// Adds one judged candidate's counter deltas; true when it is frequent.
+bool Tally(const JudgeOutcome& outcome, MiningCounters* counters) {
+  if (counters != nullptr) {
+    counters->candidates_rejected_bound += outcome.bound_rejected;
+    counters->candidates_accepted_bound += outcome.bound_accepted;
+    counters->exact_tail_evals += outcome.exact_evaluated;
+  }
+  return outcome.fi.has_value();
+}
+
+/// Records a frequent candidate: names its result, then appends it to
+/// `results` and to the next level's `frequent`.
+void Keep(JudgeOutcome& outcome, Itemset itemset,
+          std::vector<FrequentItemset>& results,
+          std::vector<Itemset>& frequent) {
+  outcome.fi->itemset = itemset;
+  frequent.push_back(std::move(itemset));
+  results.push_back(std::move(*outcome.fi));
+}
+
+/// Moments of one cell of the level-2 triangle.
+struct PairMoments {
+  double esup = 0.0;
+  double sq_sum = 0.0;
+};
+
+/// Offset of row a in the upper-triangular array over `f` ranks: row a
+/// holds pairs (a, a+1) .. (a, f-1), rows in ascending a — the order
+/// `GenerateCandidates` emits pairs of ascending singletons.
+std::size_t TriangleRow(std::size_t a, std::size_t f) {
+  return a * (2 * f - a - 1) / 2;
+}
+
+/// Counts every pair of `rank_to_item` (ascending item ids, at least
+/// two) in one pass over the view's rank-projected rows, the
+/// triangular array of Borgelt (FIMI'03). Rank a owns row a: for each
+/// transaction holding a (walked through a's postings, ascending tid),
+/// every later unit b of that row adds p_a·p_b to cell (a, b). Each cell
+/// thus sums exactly the products the pair's posting join would, in the
+/// same ascending-tid order, into one Kahan sum and one plain Σp² — the
+/// moments are bit-identical to `EvaluateCandidates` on the pair. First
+/// ranks are claimed dynamically; each is accumulated whole in its
+/// worker's private row (separate rows keep small adjacent rows from
+/// sharing cache lines) and copied out to its own triangle row, so the
+/// result is the same at every thread count.
+std::vector<PairMoments> CountPairs(const FlatView& view,
+                                    const std::vector<ItemId>& rank_to_item,
+                                    std::size_t num_threads,
+                                    const RunContext* context) {
+  const std::size_t f = rank_to_item.size();
+  const FlatView::RankProjection projection =
+      view.ProjectOntoRanks(rank_to_item);
+  std::vector<PairMoments> triangle(f * (f - 1) / 2);
+  struct Cell {
+    KahanSum esup;
+    double sq_sum = 0.0;
+  };
+  std::vector<std::vector<Cell>> rows(ParallelWorkerCount(f, num_threads),
+                                      std::vector<Cell>(f));
+  PollRunContext(context);  // checkpoint: projection and cells allocated
+
+  const TransactionId first = view.begin_tid();
+  const FlatView::RankUnit* const units = projection.units.data();
+  ParallelFor(
+      f, num_threads,
+      [&](std::size_t a, std::size_t worker) {
+        PollRunContext(context);  // checkpoint: one per first rank
+        std::vector<Cell>& row = rows[worker];
+        std::fill(row.begin() + a + 1, row.end(), Cell{});
+        const SegmentedPostings postings = view.PostingSegments(rank_to_item[a]);
+        for (std::size_t si = 0; si < postings.count; ++si) {
+          const PostingSegment& seg = postings.seg[si];
+          for (std::size_t k = 0; k < seg.len; ++k) {
+            const std::size_t t = seg.tids[k] - first;
+            const FlatView::RankUnit* const end =
+                units + projection.txn_offsets[t + 1];
+            // Rows ascend by rank, and the row holds a.
+            const FlatView::RankUnit* unit = std::lower_bound(
+                units + projection.txn_offsets[t], end, a,
+                [](const FlatView::RankUnit& u, std::size_t rank) {
+                  return u.rank < rank;
+                });
+            const double pa = unit->prob;
+            for (++unit; unit < end; ++unit) {
+              const double prod = pa * unit->prob;
+              Cell& cell = row[unit->rank];
+              cell.esup.Add(prod);
+              cell.sq_sum += prod * prod;
+            }
+          }
+        }
+        PairMoments* const out = triangle.data() + TriangleRow(a, f);
+        for (std::size_t b = a + 1; b < f; ++b) {
+          out[b - a - 1] = PairMoments{row[b].esup.value(), row[b].sq_sum};
+        }
+      },
+      context);
+  return triangle;
 }
 
 /// Shared level-wise loop. `judge` decides frequency and produces the
 /// result annotation for one candidate given its scan statistics; an
 /// empty outcome marks the candidate infrequent. `num_threads`
 /// parallelizes support counting, `judge_threads` the judging (> 1 only
-/// for thread-safe judges).
+/// for thread-safe judges). Without `collect_probs`, level 2 is one
+/// `CountPairs` pass judged on the calling thread; with it (the
+/// probabilistic loop, whose tails need each pair's probability list),
+/// every level k >= 2 generates its candidates and joins each one.
 std::vector<FrequentItemset> LevelWiseLoop(
     const FlatView& view, const JudgeFn& judge, bool collect_probs,
     double decremental_threshold, MiningCounters* counters,
@@ -204,12 +306,9 @@ std::vector<FrequentItemset> LevelWiseLoop(
   }
   std::vector<Itemset> level;
   {
-    std::vector<Itemset> singles;
     std::vector<CandidateStats> stats;
-    singles.reserve(item_stats.size());
     stats.reserve(item_stats.size());
     for (const ItemStats& is : item_stats) {
-      singles.push_back(Itemset{is.item});
       CandidateStats cs;
       cs.esup = is.esup;
       cs.sq_sum = is.sq_sum;
@@ -221,16 +320,10 @@ std::vector<FrequentItemset> LevelWiseLoop(
       stats.push_back(std::move(cs));
     }
     std::vector<JudgeOutcome> outcomes = JudgeAll(
-        singles, stats, judge, judge_threads, /*ordinal_base=*/0, context);
-    for (std::size_t c = 0; c < singles.size(); ++c) {
-      if (counters != nullptr) {
-        counters->candidates_rejected_bound += outcomes[c].bound_rejected;
-        counters->candidates_accepted_bound += outcomes[c].bound_accepted;
-        counters->exact_tail_evals += outcomes[c].exact_evaluated;
-      }
-      if (outcomes[c].fi.has_value()) {
-        level.push_back(singles[c]);
-        results.push_back(std::move(*outcomes[c].fi));
+        stats, judge, judge_threads, /*ordinal_base=*/0, context);
+    for (std::size_t c = 0; c < item_stats.size(); ++c) {
+      if (Tally(outcomes[c], counters)) {
+        Keep(outcomes[c], Itemset{item_stats[c].item}, results, level);
       }
     }
   }
@@ -243,7 +336,41 @@ std::vector<FrequentItemset> LevelWiseLoop(
   // deterministic.
   std::size_t ordinal_base = item_stats.size();
 
-  // Levels k >= 2.
+  // Level 2 by the triangular pass: pairs are counted whole (decremental
+  // pruning acts from level 3) and judged in (a, b) order, the order and
+  // ordinals GenerateCandidates would have given them.
+  if (!collect_probs && level.size() >= 2) {
+    PollRunContext(context);  // checkpoint: one per level
+    std::vector<ItemId> rank_to_item;
+    rank_to_item.reserve(level.size());
+    for (const Itemset& single : level) rank_to_item.push_back(single.items()[0]);
+    const std::size_t f = rank_to_item.size();
+    if (counters != nullptr) {
+      ++counters->database_scans;
+      counters->candidates_generated += f * (f - 1) / 2;
+    }
+    const std::vector<PairMoments> triangle =
+        CountPairs(view, rank_to_item, num_threads, context);
+    std::vector<Itemset> pairs;
+    CandidateStats cs;
+    std::size_t c = 0;
+    for (std::size_t a = 0; a < f; ++a) {
+      for (std::size_t b = a + 1; b < f; ++b, ++c) {
+        PollRunContext(context);  // checkpoint: one per judged candidate
+        cs.esup = triangle[c].esup;
+        cs.sq_sum = triangle[c].sq_sum;
+        JudgeOutcome outcome = judge(cs, ordinal_base + c);
+        if (Tally(outcome, counters)) {
+          Keep(outcome, Itemset{rank_to_item[a], rank_to_item[b]}, results,
+               pairs);
+        }
+      }
+    }
+    ordinal_base += triangle.size();
+    level = std::move(pairs);
+  }
+
+  // Levels k >= 2 (k >= 3 after the triangular pass).
   while (!level.empty()) {
     PollRunContext(context);  // checkpoint: one per level
     std::uint64_t pruned = 0;
@@ -259,19 +386,13 @@ std::vector<FrequentItemset> LevelWiseLoop(
     std::vector<CandidateStats> stats =
         EvaluateCandidates(view, candidates, collect_probs,
                            decremental_threshold, num_threads, context);
-    std::vector<JudgeOutcome> outcomes = JudgeAll(
-        candidates, stats, judge, judge_threads, ordinal_base, context);
+    std::vector<JudgeOutcome> outcomes =
+        JudgeAll(stats, judge, judge_threads, ordinal_base, context);
     ordinal_base += candidates.size();
     std::vector<Itemset> next;
     for (std::size_t c = 0; c < candidates.size(); ++c) {
-      if (counters != nullptr) {
-        counters->candidates_rejected_bound += outcomes[c].bound_rejected;
-        counters->candidates_accepted_bound += outcomes[c].bound_accepted;
-        counters->exact_tail_evals += outcomes[c].exact_evaluated;
-      }
-      if (outcomes[c].fi.has_value()) {
-        next.push_back(candidates[c]);
-        results.push_back(std::move(*outcomes[c].fi));
+      if (Tally(outcomes[c], counters)) {
+        Keep(outcomes[c], std::move(candidates[c]), results, next);
       }
     }
     std::sort(next.begin(), next.end());
@@ -288,12 +409,11 @@ std::vector<FrequentItemset> MineAprioriGeneric(const FlatView& view,
                                                 MiningCounters* counters,
                                                 std::size_t num_threads,
                                                 const RunContext* context) {
-  auto judge = [&callbacks](const Itemset& itemset, CandidateStats& cs,
+  auto judge = [&callbacks](CandidateStats& cs,
                             std::size_t /*ordinal*/) -> JudgeOutcome {
     JudgeOutcome out;
     if (!callbacks.is_frequent(cs.esup, cs.sq_sum)) return out;
     FrequentItemset fi;
-    fi.itemset = itemset;
     fi.expected_support = cs.esup;
     fi.variance = cs.esup - cs.sq_sum;
     if (callbacks.frequent_probability) {
@@ -313,8 +433,7 @@ std::vector<FrequentItemset> MineProbabilisticApriori(
     const ProbabilisticLoopOptions& options, MiningCounters* counters) {
   const bool cascade = options.prefilter == PrefilterMode::kBounds &&
                        options.certified_tail;
-  auto judge = [&](const Itemset& itemset, CandidateStats& cs,
-                   std::size_t ordinal) -> JudgeOutcome {
+  auto judge = [&](CandidateStats& cs, std::size_t ordinal) -> JudgeOutcome {
     JudgeOutcome out;
     if (options.use_chernoff && ChernoffCertifiesInfrequent(cs.esup, msc, pft)) {
       out.bound_rejected = true;
@@ -346,7 +465,6 @@ std::vector<FrequentItemset> MineProbabilisticApriori(
     const double tail = tail_fn(cs.probs, msc, ordinal);
     if (!(tail > pft)) return out;
     FrequentItemset fi;
-    fi.itemset = itemset;
     fi.expected_support = cs.esup;
     fi.variance = cs.esup - cs.sq_sum;
     fi.frequent_probability = tail;

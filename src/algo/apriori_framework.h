@@ -19,17 +19,22 @@ namespace ufim {
 /// generation and support counting is exactly the "common subroutines"
 /// uniformity the paper's experimental methodology demands (§4.1).
 ///
-/// Support counting runs over the columnar `FlatView`, and only one way:
-/// each candidate's containment probabilities come from a merge-join of
-/// its members' posting arrays (ascending-tid index joins over contiguous
-/// memory). The SON recounts of `ShardedMiner` and `DeltaMiner` run the
-/// same join, so every path sums the same products in the same
-/// transaction-id order and reports the same bits for the same itemset.
+/// Support counting runs over the columnar `FlatView`. Level 2 of
+/// `MineAprioriGeneric` (UApriori, PDUApriori, NDUApriori) counts every
+/// pair of frequent items in one triangular pass over the view's
+/// rank-projected rows (Borgelt, FIMI'03), without generating pair
+/// candidates. Every other level, the probabilistic loop's levels, and
+/// the SON recounts of `ShardedMiner` and `DeltaMiner` count each
+/// candidate by a merge-join of its members' posting arrays
+/// (`EvaluateCandidates`). Both ways sum the same products in the same
+/// transaction-id order, so every path reports the same bits for the
+/// same itemset.
 ///
 /// Counting is parallel when `num_threads > 1`, and deterministically so:
-/// it partitions by candidate (each candidate's join runs whole on one
-/// thread), so results are bit-identical at every thread count,
-/// including the `num_threads = 1` sequential fallback.
+/// the triangle partitions by first item and the join by candidate, each
+/// unit counted whole on one thread, so results are bit-identical at
+/// every thread count, including the `num_threads = 1` sequential
+/// fallback.
 
 /// Accumulated statistics for one candidate after a database scan.
 struct CandidateStats {
@@ -60,7 +65,10 @@ std::vector<Itemset> GenerateCandidates(const std::vector<Itemset>& frequent_k,
 /// columnar view by posting-list merge-joins: each candidate is driven
 /// from its shortest member posting array, the other members' cursors
 /// advanced monotonically, and its esup is one Kahan sum of the
-/// containment probabilities in ascending transaction order.
+/// containment probabilities in ascending transaction order. Callers:
+/// the level-wise loop at levels k >= 3 (and at every level of the
+/// probabilistic loop), and the exact recounts of `ShardedMiner` and
+/// `DeltaMiner`.
 ///
 /// `collect_probs` stores the nonzero per-transaction probabilities in
 /// ascending transaction order (needed by the exact probabilistic
@@ -100,12 +108,17 @@ struct AprioriCallbacks {
 
 /// Runs the level-wise mining loop with the given hooks. Results carry
 /// esup/variance (+ optional frequent probability) and are canonically
-/// sorted by the caller if needed. `decremental_threshold` as above
-/// (only meaningful when the predicate is an esup threshold).
-/// `num_threads` parallelizes candidate counting; the callbacks are
+/// sorted by the caller if needed. Level 2 is one triangular pass over
+/// all pairs of frequent items, counted whole; `decremental_threshold`
+/// (as above, only meaningful when the predicate is an esup threshold)
+/// acts on the joins of levels k >= 3. The pass holds F(F-1)/2 × 16 B of
+/// pair moments plus one rank projection of the view, allocated through
+/// the tracked heap so a `RunContext` memory budget sees them.
+/// `num_threads` parallelizes support counting; the callbacks are
 /// always invoked from the calling thread, so they need not be
-/// thread-safe. `context`, when non-null, is polled per level, per
-/// candidate evaluation and per judged candidate; a trip unwinds with
+/// thread-safe. `context`, when non-null, is polled per level, once
+/// the pair pass has allocated, per pair-pass first item, per candidate
+/// evaluation and per judged candidate; a trip unwinds with
 /// RunAbortedError (the Miner facade converts it to a Status).
 std::vector<FrequentItemset> MineAprioriGeneric(const FlatView& view,
                                                 const AprioriCallbacks& callbacks,

@@ -9,7 +9,8 @@ namespace ufim {
 /// extension of Apriori. Breadth-first generate-and-test with downward-
 /// closure pruning; optionally the decremental pruning of [17, 18]
 /// (mid-scan deactivation of candidates whose optimistic expected-support
-/// bound falls below the threshold).
+/// bound falls below the threshold) on levels k >= 3. Level 2 counts
+/// every pair of frequent items whole in one triangular pass.
 ///
 /// The paper's finding: despite Apriori being outclassed in deterministic
 /// mining, UApriori is usually the fastest expected-support miner on
@@ -17,7 +18,8 @@ namespace ufim {
 class UApriori final : public ExpectedSupportMiner {
  public:
   /// `decremental_pruning` mirrors the optimized implementation used in
-  /// the paper's study; disable it for ablation. `num_threads`
+  /// the paper's study (it acts on levels k >= 3); disable it for
+  /// ablation. `num_threads`
   /// parallelizes candidate counting (see MinerOptions::num_threads);
   /// results are bit-identical at every setting.
   explicit UApriori(bool decremental_pruning = true,

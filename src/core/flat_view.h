@@ -128,10 +128,10 @@ struct JoinBatch {
 /// ascending CSR list of `(transaction, probability)` postings.
 /// Candidate support counting is a tight merge-join of posting arrays
 /// instead of a re-walk of `Transaction` objects — the locality argument
-/// of the paper's §4 made structural. The tree/hyperlink builders
-/// (UFP-tree, UH-Struct) that consume transactions row by row get their
-/// rows from `ProjectOntoRanks`, which transposes only the frequent
-/// items' postings into rank-labelled rows.
+/// of the paper's §4 made structural. The consumers that read
+/// transactions row by row (the UFP-tree and UH-Struct builders, the
+/// Apriori pair pass) get their rows from `ProjectOntoRanks`, which
+/// transposes only the frequent items' postings into rank-labelled rows.
 ///
 /// Per-item expected supports and Σp² are cached at build time, so the
 /// level-1 pass of every miner is O(num_items) array reads.
@@ -323,7 +323,8 @@ class FlatView {
   /// Built vertically — a counting pass plus a fill pass over the kept
   /// items' posting segments in rank order — so it reads only the kept
   /// units and each row comes out rank-sorted with no per-row sort. The
-  /// UFP-tree and UH-Struct builders read their rows from here.
+  /// UFP-tree and UH-Struct builders and the Apriori pair pass read
+  /// their rows from here.
   RankProjection ProjectOntoRanks(std::span<const ItemId> rank_to_item) const;
 
   // --- Slicing -----------------------------------------------------------

@@ -97,7 +97,10 @@ struct MinerOptions {
   /// work is >= 1/split_budget of the whole database's). Results are
   /// bit-identical at every setting.
   std::size_t split_budget = 0;
-  /// UApriori/PDUApriori: enable mid-scan decremental pruning [17, 18].
+  /// UApriori: enable mid-scan decremental pruning [17, 18] on the
+  /// candidate joins of levels k >= 3 (level 2 is one triangular pass
+  /// that counts every pair whole). PDUApriori ignores it and always
+  /// prunes at its threshold λ*.
   bool decremental_pruning = true;
   /// DC: operand size above which the conquer step uses FFT convolution.
   std::size_t dc_fft_threshold = 64;

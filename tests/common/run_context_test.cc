@@ -15,8 +15,13 @@
 #include <memory>
 #include <vector>
 
+#include "algo/apriori_framework.h"
 #include "common/thread_pool.h"
+#include "core/flat_view.h"
+#include "core/miner_registry.h"
 #include "eval/memory_tracker.h"
+#include "gen/benchmark_datasets.h"
+#include "gen/probability.h"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
@@ -166,6 +171,53 @@ TEST(RunContextTest, ParallelForUnwindsAndThePoolStaysReusable) {
   ctx.Reset();
   ParallelFor(1000, 4, body, &ctx);
   EXPECT_EQ(ran.load(), 1000);
+}
+
+TEST(RunContextTest, UAprioriPairPassTripsMemoryBudget) {
+  ASSERT_TRUE(memory_tracker::HooksInstalled());
+  // QUEST T25I15 at a low threshold keeps F >= 900 items frequent, so
+  // UApriori's level-2 triangle alone holds F(F-1)/2 × 16 B >= 6 MB — far
+  // past a 1 MiB budget, which must surface as a clean Status, not a
+  // crash or a partial result.
+  auto det = MakeQuestT25I15(3000, 29);
+  ASSERT_TRUE(det.ok()) << det.status().ToString();
+  const FlatView view(AssignGaussianProbabilities(*det, 0.9, 0.1, 31));
+  ExpectedSupportParams params;
+  params.min_esup = 0.005;
+  const double threshold =
+      params.min_esup * static_cast<double>(view.num_transactions());
+  std::size_t frequent_items = 0;
+  for (const ItemStats& is : CollectItemStats(view)) {
+    frequent_items += is.esup >= threshold;
+  }
+  ASSERT_GE(frequent_items, 900u);
+
+  Result<MiningResult> unbudgeted =
+      MinerRegistry::Global().Create("UApriori")->Mine(view, params);
+  ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().ToString();
+
+  MinerOptions options;
+  options.run_context.SetMemoryBudgetBytes(std::size_t{1} << 20);
+  std::unique_ptr<Miner> miner =
+      MinerRegistry::Global().Create("UApriori", options);
+  Result<MiningResult> tripped = miner->Mine(view, params);
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+
+  // Same miner, reset token: the aborted run left nothing behind.
+  options.run_context.AssertQuiescent();  // single-threaded: between runs
+  options.run_context.Reset();
+  Result<MiningResult> rerun = miner->Mine(view, params);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  ASSERT_EQ(rerun->size(), unbudgeted->size());
+  for (std::size_t i = 0; i < rerun->size(); ++i) {
+    EXPECT_EQ((*rerun)[i].itemset, (*unbudgeted)[i].itemset);
+    EXPECT_EQ((*rerun)[i].expected_support, (*unbudgeted)[i].expected_support);
+    EXPECT_EQ((*rerun)[i].variance, (*unbudgeted)[i].variance);
+  }
+  EXPECT_EQ(rerun->counters().candidates_generated,
+            unbudgeted->counters().candidates_generated);
+  EXPECT_EQ(rerun->counters().database_scans,
+            unbudgeted->counters().database_scans);
 }
 
 TEST(RunContextTest, CheckPointFastPathStaysCheap) {

@@ -3,7 +3,8 @@
 // num_threads = 1 run at any thread count AND under any forced
 // intersection kernel — not approximately equal. The parallel kernels
 // promise deterministic partitioning (posting joins split by candidate,
-// tail evaluations judged per candidate), and the batch join kernel
+// the pair triangle by first item, tail evaluations judged per
+// candidate), and the batch join kernel
 // promises a float evaluation order independent of how the set
 // intersection was computed (scalar, galloping, or SIMD) and of which
 // other candidates share the call, so these tests compare doubles with
@@ -21,6 +22,7 @@
 #include "core/flat_view.h"
 #include "core/miner_registry.h"
 #include "core/simd_intersect.h"
+#include "core/streaming_flat_view.h"
 #include "testing/random_db.h"
 
 namespace ufim {
@@ -410,6 +412,97 @@ TEST(ParallelEquivalenceTest, EvaluateCandidatesExactAcrossThreadCounts) {
     ASSERT_EQ(alone.size(), 1u);
     EXPECT_EQ(alone[0].esup, batch[c].esup) << pairs[c].ToString();
     EXPECT_EQ(alone[0].sq_sum, batch[c].sq_sum) << pairs[c].ToString();
+  }
+}
+
+TEST(ParallelEquivalenceTest, PairLevelMatchesPostingJoin) {
+  // The Apriori family counts level 2 in one triangular pass over
+  // rank-projected rows, not by joining each pair. Every reported pair
+  // must carry exactly the moments its posting join gives on the same
+  // view — a full view, a slice that starts past tid 0, and a streaming
+  // view with a live delta tail — and results and counters must not
+  // depend on the thread count.
+  const UncertainDatabase db = MakeRandomDatabase({.seed = 57,
+                                                   .num_transactions = 1500,
+                                                   .num_items = 14,
+                                                   .item_presence = 0.45});
+  const FlatView full(db);
+  const std::vector<Transaction>& txns = db.transactions();
+  const std::vector<Transaction> head(txns.begin(), txns.begin() + 1100);
+  const std::vector<Transaction> tail(txns.begin() + 1100, txns.end());
+  CompactionPolicy policy;
+  policy.max_delta_ratio = 1.0;  // keep the appended tail as a delta
+  StreamingFlatView stream(UncertainDatabase(head), policy);
+  stream.AssertSoleWriter();  // single-threaded setup
+  stream.Append(tail);
+  ASSERT_TRUE(stream.has_delta());
+  const StreamingSnapshot snapshot = stream.Snapshot();
+
+  struct NamedView {
+    const char* name;
+    FlatView view;
+  };
+  const NamedView views[] = {{"full", full},
+                             {"slice", full.Slice(200, 1300)},
+                             {"delta", snapshot.view()}};
+
+  ExpectedSupportParams esup;
+  esup.min_esup = 0.05;
+  ProbabilisticParams prob;
+  prob.min_sup = 0.05;
+  prob.pft = 0.7;
+  struct Config {
+    const char* algorithm;
+    bool decremental;
+    MiningTask task;
+  };
+  const Config configs[] = {{"UApriori", true, esup},
+                            {"UApriori", false, esup},
+                            {"PDUApriori", true, prob},
+                            {"NDUApriori", true, prob}};
+
+  for (const NamedView& nv : views) {
+    for (const Config& config : configs) {
+      Result<MiningResult> baseline = Status::Internal("not run");
+      for (std::size_t threads : {std::size_t{1}, kThreadCounts[0],
+                                  kThreadCounts[1]}) {
+        MinerOptions options;
+        options.num_threads = threads;
+        options.decremental_pruning = config.decremental;
+        Result<MiningResult> run = MinerRegistry::Global()
+                                       .Create(config.algorithm, options)
+                                       ->Mine(nv.view, config.task);
+        const std::string label =
+            std::string(nv.name) + "/" + config.algorithm +
+            (config.decremental ? "" : "/no-decremental") + "@" +
+            std::to_string(threads);
+        ASSERT_TRUE(run.ok()) << label << ": " << run.status().ToString();
+        std::size_t pairs = 0;
+        for (std::size_t i = 0; i < run->size(); ++i) {
+          const FrequentItemset& fi = (*run)[i];
+          if (fi.itemset.size() != 2) continue;
+          ++pairs;
+          const CandidateStats join = EvaluateCandidates(
+              nv.view, {fi.itemset}, /*collect_probs=*/false)[0];
+          EXPECT_EQ(fi.expected_support, join.esup)
+              << label << " " << fi.itemset.ToString();
+          EXPECT_EQ(fi.variance, join.esup - join.sq_sum)
+              << label << " " << fi.itemset.ToString();
+        }
+        EXPECT_GT(pairs, 0u) << label;
+        if (threads == 1) {
+          baseline = std::move(run);
+          continue;
+        }
+        ExpectIdentical(run.value(), baseline.value(), label);
+        const MiningCounters& got = run->counters();
+        const MiningCounters& want = baseline->counters();
+        EXPECT_EQ(got.candidates_generated, want.candidates_generated) << label;
+        EXPECT_EQ(got.candidates_pruned_apriori, want.candidates_pruned_apriori)
+            << label;
+        EXPECT_EQ(got.database_scans, want.database_scans) << label;
+      }
+    }
   }
 }
 
