@@ -4,9 +4,9 @@
 //
 // The miners farm out the top-level header ranks of their global
 // structure (UFP-tree / UH-Struct) as dynamically-scheduled tasks, and
-// since PR 7 recursively split dominant conditional subtrees into
-// nested TaskGroup children on the work-stealing pool whenever a
-// subtree's estimated work crosses the split-budget threshold
+// recursively split dominant conditional subtrees into nested
+// TaskGroup children on the work-stealing pool whenever a subtree's
+// estimated work crosses the split-budget threshold
 // (MinerOptions.split_budget: 0 = automatic, 1 = never split, larger =
 // more aggressive). Outputs merge in fixed task-index order, so every
 // configuration returns bit-identical results (enforced by
@@ -14,10 +14,9 @@
 //
 // Benchmark args are {threads, split_budget}. Each row records the
 // thread count, split budget, the host's hardware_concurrency and the
-// active intersection kernel so that JSON captured in a 1-CPU container
-// (see BENCH_pattern_growth.json) is self-describing: with
-// hardware_concurrency == 1 every multi-thread row measures scheduling
-// overhead only, not speedup.
+// active intersection kernel, so a record is self-describing: rows with
+// more threads than hardware_concurrency oversubscribe the host (see
+// BENCH_pattern_growth.json for the 4-CPU record).
 //
 // Measured on Kosarak-like sparse data (UH-Mine's favorable regime,
 // where pattern growth is competitive with the apriori family), on the

@@ -68,7 +68,13 @@ const std::vector<const char*> kApproximateAndDCB = {
 
 // Expected shapes (paper §4.2-4.4):
 // - fig4: UApriori fastest on dense data at high min_esup, UH-Mine on
-//   sparse data and low thresholds, UFP-growth slowest and hungriest.
+//   sparse data and low thresholds. UFP-growth is the hungriest on
+//   every row that finds pairs, and the slowest on the Quest
+//   scalability rows and most Kosarak/Gazelle thresholds. With its
+//   flat node store it runs level with UH-Mine on dense Connect,
+//   Accident and Zipf data at low min_esup (the paper has it slowest
+//   there too), and at the lowest Kosarak/Gazelle thresholds UApriori
+//   is the slowest.
 // - fig5: DCB fastest, DPNB slowest, Chernoff-pruned variants beat their
 //   twins, DP uses less memory than DC; pft barely matters. Thresholds
 //   sit below the top items' expected supports, where exact tails

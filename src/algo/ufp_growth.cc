@@ -124,7 +124,7 @@ void MineRank(const UFPTree& tree, std::uint32_t rank,
     }
   }
   if (any_frequent) {
-    UFPTree cond(tree.num_ranks());
+    UFPTree cond(tree.num_ranks(), base_units.size());
     std::vector<UFPTree::PathUnit> filtered;
     for (const BaseEntry& entry : base) {
       filtered.clear();
@@ -226,11 +226,13 @@ Result<MiningResult> UFPGrowth::MineExpected(
   // Pass 2: build the global UFP-tree over the frequent items from the
   // view's vertical rank projection — reads only the kept items'
   // posting arrays, and rows arrive rank-sorted, so insertion needs no
-  // per-transaction filter or sort.
+  // per-transaction filter or sort. Each unit adds at most one node, so
+  // the unit count sizes the tree once (as the base's does for every
+  // conditional tree below).
   ++result.counters().database_scans;
   const FlatView::RankProjection projection =
       view.ProjectOntoRanks(rank_to_item);
-  UFPTree tree(rank_to_item.size());
+  UFPTree tree(rank_to_item.size(), projection.units.size());
   std::vector<UFPTree::PathUnit> path;
   for (std::size_t t = 0; t + 1 < projection.txn_offsets.size(); ++t) {
     const std::uint32_t end = projection.txn_offsets[t + 1];

@@ -10,11 +10,15 @@ namespace ufim {
 /// recursively projects conditional subtrees per extension item.
 ///
 /// Because nodes are shared only on (item, probability) equality, the
-/// compression of the FP-tree largely evaporates under uncertainty; the
-/// paper consistently measures UFP-growth as the slowest and most
-/// memory-hungry of the three expected-support miners, and this
-/// implementation reproduces that regime faithfully (exact mining over
-/// the weighted tree, no candidate-verification rescan needed).
+/// compression of the FP-tree largely evaporates under uncertainty: on
+/// Gaussian-probability data the global tree has one node per projected
+/// unit. The paper measures UFP-growth as the slowest and most
+/// memory-hungry of the three expected-support miners. This
+/// implementation keeps that sharing rule and node count exactly (exact
+/// mining over the weighted tree, no candidate-verification rescan), but
+/// stores each tree in two flat arrays sized once from the projection —
+/// 32 B per node plus 8–16 B of child index — with no heap allocation
+/// per node (see `UFPTree`).
 ///
 /// Mining is task-parallel over the top-level header ranks of the global
 /// tree (each rank's conditional projection chain is an independent

@@ -173,6 +173,24 @@ TEST(RunContextTest, ParallelForUnwindsAndThePoolStaysReusable) {
   EXPECT_EQ(ran.load(), 1000);
 }
 
+/// Same itemsets, same moments bit for bit, same counters.
+void ExpectBitIdentical(const MiningResult& got, const MiningResult& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].itemset, want[i].itemset);
+    EXPECT_EQ(got[i].expected_support, want[i].expected_support);
+    EXPECT_EQ(got[i].variance, want[i].variance);
+  }
+  const MiningCounters& a = got.counters();
+  const MiningCounters& b = want.counters();
+  EXPECT_EQ(a.candidates_generated, b.candidates_generated);
+  EXPECT_EQ(a.candidates_pruned_apriori, b.candidates_pruned_apriori);
+  EXPECT_EQ(a.candidates_rejected_bound, b.candidates_rejected_bound);
+  EXPECT_EQ(a.candidates_accepted_bound, b.candidates_accepted_bound);
+  EXPECT_EQ(a.exact_tail_evals, b.exact_tail_evals);
+  EXPECT_EQ(a.database_scans, b.database_scans);
+}
+
 TEST(RunContextTest, UAprioriPairPassTripsMemoryBudget) {
   ASSERT_TRUE(memory_tracker::HooksInstalled());
   // QUEST T25I15 at a low threshold keeps F >= 900 items frequent, so
@@ -208,16 +226,39 @@ TEST(RunContextTest, UAprioriPairPassTripsMemoryBudget) {
   options.run_context.Reset();
   Result<MiningResult> rerun = miner->Mine(view, params);
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-  ASSERT_EQ(rerun->size(), unbudgeted->size());
-  for (std::size_t i = 0; i < rerun->size(); ++i) {
-    EXPECT_EQ((*rerun)[i].itemset, (*unbudgeted)[i].itemset);
-    EXPECT_EQ((*rerun)[i].expected_support, (*unbudgeted)[i].expected_support);
-    EXPECT_EQ((*rerun)[i].variance, (*unbudgeted)[i].variance);
-  }
-  EXPECT_EQ(rerun->counters().candidates_generated,
-            unbudgeted->counters().candidates_generated);
-  EXPECT_EQ(rerun->counters().database_scans,
-            unbudgeted->counters().database_scans);
+  ExpectBitIdentical(*rerun, *unbudgeted);
+}
+
+TEST(RunContextTest, UFPGrowthTreeTripsMemoryBudget) {
+  ASSERT_TRUE(memory_tracker::HooksInstalled());
+  // QUEST T25I15 at a low threshold shares almost no UFP-tree node, so
+  // the global tree alone holds ~25 nodes per transaction at 32 B each
+  // plus its child index — sized up front, and still far past a 1 MiB
+  // budget, which must surface as a clean Status.
+  auto det = MakeQuestT25I15(3000, 29);
+  ASSERT_TRUE(det.ok()) << det.status().ToString();
+  const FlatView view(AssignGaussianProbabilities(*det, 0.9, 0.1, 31));
+  ExpectedSupportParams params;
+  params.min_esup = 0.005;
+
+  Result<MiningResult> unbudgeted =
+      MinerRegistry::Global().Create("UFP-growth")->Mine(view, params);
+  ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().ToString();
+  ASSERT_GT(unbudgeted->size(), 0u);
+
+  MinerOptions options;
+  options.run_context.SetMemoryBudgetBytes(std::size_t{1} << 20);
+  std::unique_ptr<Miner> miner =
+      MinerRegistry::Global().Create("UFP-growth", options);
+  Result<MiningResult> tripped = miner->Mine(view, params);
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+
+  // Same miner, reset token: the aborted run left nothing behind.
+  options.run_context.AssertQuiescent();  // single-threaded: between runs
+  options.run_context.Reset();
+  Result<MiningResult> rerun = miner->Mine(view, params);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  ExpectBitIdentical(*rerun, *unbudgeted);
 }
 
 TEST(RunContextTest, CheckPointFastPathStaysCheap) {
