@@ -67,14 +67,15 @@ const std::vector<const char*> kApproximateAndDCB = {
     "DCB", "PDUApriori", "NDUApriori", "NDUH-Mine"};
 
 // Expected shapes (paper §4.2-4.4):
-// - fig4: UApriori fastest on dense data at high min_esup, UH-Mine on
-//   sparse data and low thresholds. UFP-growth is the hungriest on
-//   every row that finds pairs, and the slowest on the Quest
-//   scalability rows and most Kosarak/Gazelle thresholds. With its
-//   flat node store it runs level with UH-Mine on dense Connect,
-//   Accident and Zipf data at low min_esup (the paper has it slowest
-//   there too), and at the lowest Kosarak/Gazelle thresholds UApriori
-//   is the slowest.
+// - fig4: the paper has UApriori fastest on dense data at high
+//   min_esup, UH-Mine on sparse data and low thresholds, and UFP-growth
+//   slowest and hungriest. Here UFP-growth is the hungriest on every
+//   row that finds an itemset but the two lowest Gazelle thresholds
+//   (UApriori there). With its flat node store it is the slowest only
+//   on the Quest scalability rows from n=8000 up and, level with
+//   UH-Mine, on dense Connect below min_esup 0.8. On Accident,
+//   Kosarak, Gazelle and Zipf UH-Mine is slower, and UApriori at the
+//   lowest Kosarak and Gazelle thresholds.
 // - fig5: DCB fastest, DPNB slowest, Chernoff-pruned variants beat their
 //   twins, DP uses less memory than DC; pft barely matters. Thresholds
 //   sit below the top items' expected supports, where exact tails

@@ -124,7 +124,12 @@ void MineRank(const UFPTree& tree, std::uint32_t rank,
     }
   }
   if (any_frequent) {
-    UFPTree cond(tree.num_ranks(), base_units.size());
+    // Each kept unit adds at most one node; on unshared data, exactly one.
+    std::size_t kept_units = 0;
+    for (const UFPTree::PathUnit& u : base_units) {
+      kept_units += cond_esup[u.rank] >= ctx.threshold ? 1 : 0;
+    }
+    UFPTree cond(tree.num_ranks(), kept_units);
     std::vector<UFPTree::PathUnit> filtered;
     for (const BaseEntry& entry : base) {
       filtered.clear();
@@ -226,13 +231,19 @@ Result<MiningResult> UFPGrowth::MineExpected(
   // Pass 2: build the global UFP-tree over the frequent items from the
   // view's vertical rank projection — reads only the kept items'
   // posting arrays, and rows arrive rank-sorted, so insertion needs no
-  // per-transaction filter or sort. Each unit adds at most one node, so
-  // the unit count sizes the tree once (as the base's does for every
-  // conditional tree below).
+  // per-transaction filter or sort.
+  //
+  // Sizing: each unit adds at most one node, but a shared tree has far
+  // fewer nodes than units, so the tree is sized from its first eighth
+  // instead. The node/unit ratio there, scaled to every unit, reserves
+  // one node per unit when nothing is shared (continuous probabilities)
+  // and little when almost everything is.
   ++result.counters().database_scans;
   const FlatView::RankProjection projection =
       view.ProjectOntoRanks(rank_to_item);
-  UFPTree tree(rank_to_item.size(), projection.units.size());
+  const std::size_t num_units = projection.units.size();
+  UFPTree tree(rank_to_item.size());
+  bool sized = false;
   std::vector<UFPTree::PathUnit> path;
   for (std::size_t t = 0; t + 1 < projection.txn_offsets.size(); ++t) {
     const std::uint32_t end = projection.txn_offsets[t + 1];
@@ -244,6 +255,10 @@ Result<MiningResult> UFPGrowth::MineExpected(
           UFPTree::PathUnit{projection.units[u].rank, projection.units[u].prob});
     }
     tree.InsertPath(path, 1.0, 1.0);
+    if (!sized && 8 * std::size_t{end} >= num_units) {
+      sized = true;
+      tree.Reserve(tree.num_nodes() * num_units / end);
+    }
   }
 
   // Recursive projection, task-parallel over the top-level header ranks

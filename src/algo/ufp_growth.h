@@ -16,9 +16,12 @@ namespace ufim {
 /// memory-hungry of the three expected-support miners. This
 /// implementation keeps that sharing rule and node count exactly (exact
 /// mining over the weighted tree, no candidate-verification rescan), but
-/// stores each tree in two flat arrays sized once from the projection —
-/// 32 B per node plus 8–16 B of child index — with no heap allocation
-/// per node (see `UFPTree`).
+/// stores each tree in two flat arrays — 32 B per node plus 8–16 B of
+/// child index — with no heap allocation per node (see `UFPTree`). The
+/// arrays are sized from the node count to expect: the global tree from
+/// the node/unit ratio of its first eighth, each conditional tree from
+/// its base's locally frequent units. Neither is sized from the raw
+/// unit count, which overshoots a shared tree many times.
 ///
 /// Mining is task-parallel over the top-level header ranks of the global
 /// tree (each rank's conditional projection chain is an independent

@@ -29,9 +29,15 @@ std::size_t ChildHash(std::uint32_t parent, std::uint32_t rank,
 }  // namespace
 
 UFPTree::UFPTree(std::size_t num_ranks, std::size_t capacity_hint)
-    : index_(IndexSlotsFor(capacity_hint), 0), headers_(num_ranks) {
-  nodes_.reserve(capacity_hint + 1);
-  nodes_.push_back(Node{});  // root sentinel at index 0
+    : nodes_(1), index_(kMinIndexSlots, 0), headers_(num_ranks) {
+  // nodes_[0] is the root sentinel.
+  Reserve(capacity_hint);
+}
+
+void UFPTree::Reserve(std::size_t nodes) {
+  nodes_.reserve(nodes + 1);
+  const std::size_t slots = IndexSlotsFor(nodes);
+  if (slots > index_.size()) ResizeIndex(slots);
 }
 
 std::size_t UFPTree::FindSlot(std::uint32_t parent, std::uint32_t rank,
@@ -50,11 +56,16 @@ std::size_t UFPTree::FindSlot(std::uint32_t parent, std::uint32_t rank,
   }
 }
 
-void UFPTree::GrowIndex() {
-  index_.assign(index_.size() * 2, 0);
+void UFPTree::ResizeIndex(std::size_t slots) {
+  index_.assign(slots, 0);
+  const std::size_t mask = slots - 1;
   for (std::uint32_t id = 1; id < nodes_.size(); ++id) {
     const Node& n = nodes_[id];
-    index_[FindSlot(n.parent, n.rank, n.prob)] = id;
+    std::size_t s =
+        ChildHash(n.parent, n.rank, std::bit_cast<std::uint64_t>(n.prob)) &
+        mask;
+    while (index_[s] != 0) s = (s + 1) & mask;  // keys are distinct
+    index_[s] = id;
   }
 }
 
@@ -68,7 +79,7 @@ void UFPTree::InsertPath(const std::vector<PathUnit>& path, double w, double w2)
       nodes_.push_back(Node{unit.rank, cur, unit.prob, 0.0, 0.0});
       headers_[unit.rank].push_back(next);
       index_[slot] = next;
-      if (2 * num_nodes() > index_.size()) GrowIndex();
+      if (2 * num_nodes() > index_.size()) ResizeIndex(2 * index_.size());
     }
     nodes_[next].w_sum += w;
     nodes_[next].w2_sum += w2;

@@ -24,10 +24,12 @@ namespace ufim {
 ///     node ids, probed linearly and kept at most half full, so 8–16 B
 ///     per node. Its key (parent, rank, probability bits) is read back
 ///     from `nodes_`, never stored twice.
-/// The constructor's `capacity_hint` (an upper bound on the node count,
-/// e.g. the number of units that will be inserted) sizes both arrays
-/// once; a hint that is too small only costs regrowth, never a
-/// different tree.
+/// The constructor's `capacity_hint` and `Reserve` size both arrays for
+/// an expected node count. Too small a count only costs regrowth, too
+/// large a one only memory; neither changes the tree. The inserted unit
+/// count bounds the node count, but under heavy sharing it overshoots
+/// it many times (a chain database of 74,250 units builds 161 nodes),
+/// so a caller should pass what it knows to be close.
 ///
 /// Nodes carry aggregated path weights rather than raw counts so that
 /// conditional trees stay *exact* (no upper-bound candidates + rescan):
@@ -65,6 +67,11 @@ class UFPTree {
   /// `capacity_hint` nodes before any array grows.
   explicit UFPTree(std::size_t num_ranks, std::size_t capacity_hint = 0);
 
+  /// Makes room for `nodes` nodes in all (root excluded), so neither
+  /// array grows before the tree holds that many. May be called during
+  /// a build; it never changes the tree.
+  void Reserve(std::size_t nodes);
+
   /// Inserts `path` (sorted by ascending rank) carrying aggregate weight
   /// `w` and squared weight `w2`. Every node along the path accumulates
   /// both. Empty paths are ignored.
@@ -94,9 +101,9 @@ class UFPTree {
   /// `parent`, or the empty slot where it belongs.
   std::size_t FindSlot(std::uint32_t parent, std::uint32_t rank,
                        double prob) const;
-  /// Doubles the child index and re-files every node into it (keys are
-  /// distinct, so each lookup ends on an empty slot).
-  void GrowIndex();
+  /// Replaces the child index by one of `slots` slots (a power of two)
+  /// and re-files every node into it.
+  void ResizeIndex(std::size_t slots);
 
   std::vector<Node> nodes_;
   /// Child index: node ids, 0 = empty (the root is nobody's child).

@@ -174,20 +174,30 @@ TEST(UFPTreeTest, CapacityHintDoesNotChangeTheTree) {
     units += path.size();
     paths.push_back(std::move(path));
   }
-  auto build = [&paths](std::size_t hint) {
+  // `reserve` != 0: Reserve(reserve) once half the paths are in.
+  auto build = [&paths](std::size_t hint, std::size_t reserve) {
     UFPTree tree(12, hint);
     double w = 1.0;
-    for (const auto& path : paths) {
-      tree.InsertPath(path, w, w * w);
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      if (reserve != 0 && i == paths.size() / 2) tree.Reserve(reserve);
+      tree.InsertPath(paths[i], w, w * w);
       w *= 0.999;
     }
     return tree;
   };
-  const UFPTree unsized = build(0);
+  const UFPTree unsized = build(0, 0);
   ASSERT_LT(unsized.num_nodes(), units);  // some sharing happened
-  for (std::size_t hint : {std::size_t{3}, unsized.num_nodes()}) {
-    const UFPTree tree = build(hint);
-    ASSERT_EQ(tree.num_nodes(), unsized.num_nodes()) << "hint " << hint;
+  struct Sizing {
+    std::size_t hint;
+    std::size_t reserve;
+  };
+  for (const Sizing sizing :
+       {Sizing{3, 0}, Sizing{unsized.num_nodes(), 0}, Sizing{0, 5},
+        Sizing{0, unsized.num_nodes()}, Sizing{3, 4 * units}}) {
+    const std::size_t hint = sizing.hint;
+    const UFPTree tree = build(hint, sizing.reserve);
+    ASSERT_EQ(tree.num_nodes(), unsized.num_nodes())
+        << "hint " << hint << ", reserve " << sizing.reserve;
     for (std::uint32_t id = 1; id < tree.nodes().size(); ++id) {
       const UFPTree::Node& a = tree.nodes()[id];
       const UFPTree::Node& b = unsized.nodes()[id];
@@ -199,7 +209,8 @@ TEST(UFPTreeTest, CapacityHintDoesNotChangeTheTree) {
       EXPECT_EQ(a.w2_sum, b.w2_sum);
     }
     for (std::uint32_t r = 0; r < 12; ++r) {
-      EXPECT_EQ(tree.header(r), unsized.header(r)) << "hint " << hint;
+      EXPECT_EQ(tree.header(r), unsized.header(r))
+          << "hint " << hint << ", reserve " << sizing.reserve;
     }
   }
 }

@@ -19,6 +19,8 @@
 #include "common/thread_pool.h"
 #include "core/flat_view.h"
 #include "core/miner_registry.h"
+#include "core/transaction.h"
+#include "core/uncertain_database.h"
 #include "eval/memory_tracker.h"
 #include "gen/benchmark_datasets.h"
 #include "gen/probability.h"
@@ -233,8 +235,8 @@ TEST(RunContextTest, UFPGrowthTreeTripsMemoryBudget) {
   ASSERT_TRUE(memory_tracker::HooksInstalled());
   // QUEST T25I15 at a low threshold shares almost no UFP-tree node, so
   // the global tree alone holds ~25 nodes per transaction at 32 B each
-  // plus its child index — sized up front, and still far past a 1 MiB
-  // budget, which must surface as a clean Status.
+  // plus its child index — far past a 1 MiB budget, which must surface
+  // as a clean Status.
   auto det = MakeQuestT25I15(3000, 29);
   ASSERT_TRUE(det.ok()) << det.status().ToString();
   const FlatView view(AssignGaussianProbabilities(*det, 0.9, 0.1, 31));
@@ -259,6 +261,44 @@ TEST(RunContextTest, UFPGrowthTreeTripsMemoryBudget) {
   Result<MiningResult> rerun = miner->Mine(view, params);
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
   ExpectBitIdentical(*rerun, *unbudgeted);
+}
+
+TEST(RunContextTest, UFPGrowthSharedTreeStaysWithinMemoryBudget) {
+  ASSERT_TRUE(memory_tracker::HooksInstalled());
+  // Every transaction is a prefix of one item chain, and the chain's
+  // probabilities repeat every 8 transactions, so ~42,000 projected
+  // units share fewer than 200 UFP-tree nodes. A tree sized by its unit
+  // count would reserve ~1.3 MB of nodes and a 512 KiB child index; one
+  // sized by its nodes stays far below a 1 MiB budget (the projection
+  // itself is ~0.7 MB).
+  std::vector<Transaction> txns;
+  for (std::size_t t = 0; t < 6000; ++t) {
+    std::vector<ProbItem> units;
+    for (std::size_t i = 0; i <= t % 24; ++i) {
+      units.push_back(ProbItem{static_cast<ItemId>(i),
+                               0.55 + 0.05 * static_cast<double>((t + 3 * i) % 8)});
+    }
+    txns.push_back(Transaction(std::move(units)));
+  }
+  const FlatView view(UncertainDatabase(std::move(txns)));
+  ExpectedSupportParams params;
+  params.min_esup = 0.5;
+
+  Result<MiningResult> unbudgeted =
+      MinerRegistry::Global().Create("UFP-growth")->Mine(view, params);
+  ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().ToString();
+  ASSERT_GT(unbudgeted->size(), 0u);
+
+  for (std::size_t threads : {1, 4}) {
+    MinerOptions options;
+    options.num_threads = threads;
+    options.run_context.SetMemoryBudgetBytes(std::size_t{1} << 20);
+    Result<MiningResult> budgeted =
+        MinerRegistry::Global().Create("UFP-growth", options)->Mine(view, params);
+    ASSERT_TRUE(budgeted.ok()) << "threads " << threads << ": "
+                               << budgeted.status().ToString();
+    ExpectBitIdentical(*budgeted, *unbudgeted);
+  }
 }
 
 TEST(RunContextTest, CheckPointFastPathStaysCheap) {
