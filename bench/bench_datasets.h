@@ -40,7 +40,8 @@ UncertainDatabase ZipfDenseDb(double skew, std::size_t n = 1500);
 /// items 0..(t mod chain_len), so the least-frequent chain items carry
 /// the deepest conditional subtrees — under per-top-level-rank
 /// parallelism one task mines nearly everything while the rest idle,
-/// the straggler shape the recursive split budget (PR 7) decomposes.
+/// the straggler shape the pattern-growth miners' nested split
+/// decomposes.
 /// Probabilities cycle a small value set deterministically.
 const UncertainDatabase& DominantChainDb(std::size_t n = 6000,
                                          std::size_t chain_len = 24);

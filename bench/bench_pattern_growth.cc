@@ -1,28 +1,25 @@
 // Parallel pattern growth: UFP-growth, UH-Mine and NDUH-Mine across
-// worker-thread counts and recursive split budgets over prebuilt
-// FlatViews.
+// worker-thread counts over prebuilt FlatViews.
 //
-// The miners farm out the top-level header ranks of their global
-// structure (UFP-tree / UH-Struct) as dynamically-scheduled tasks, and
-// recursively split dominant conditional subtrees into nested
-// TaskGroup children on the work-stealing pool whenever a subtree's
-// estimated work crosses the split-budget threshold
-// (MinerOptions.split_budget: 0 = automatic, 1 = never split, larger =
-// more aggressive). Outputs merge in fixed task-index order, so every
-// configuration returns bit-identical results (enforced by
+// The miners run the top-level header ranks of their global structure
+// (UFP-tree / UH-Struct) as one dynamically-claimed ParallelFor, and
+// with more than one thread a dominant conditional subtree splits into a
+// nested ParallelFor under one fixed size rule (see UFPGrowth and
+// UHStructEngine). Outputs merge in fixed rank order, so every thread
+// count returns bit-identical results (enforced by
 // integration_parallel_equivalence_test; this bench only times it).
 //
-// Benchmark args are {threads, split_budget}. Each row records the
-// thread count, split budget, the host's hardware_concurrency and the
-// active intersection kernel, so a record is self-describing: rows with
-// more threads than hardware_concurrency oversubscribe the host (see
+// The benchmark arg is {threads}. Each row records the thread count,
+// the host's hardware_concurrency and the active intersection kernel, so
+// a record is self-describing: rows with more threads than
+// hardware_concurrency oversubscribe the host (see
 // BENCH_pattern_growth.json for the 4-CPU record).
 //
 // Measured on Kosarak-like sparse data (UH-Mine's favorable regime,
 // where pattern growth is competitive with the apriori family), on the
 // Quest T25I15 family, and on a skewed one-dominant-rank chain dataset
-// where a single top-level task owns nearly all the work — the
-// straggler shape the recursive split exists to decompose.
+// where a single top-level rank owns nearly all the work — the
+// straggler shape the split exists to decompose.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -44,10 +41,8 @@ namespace {
 void RunMiner(benchmark::State& state, const char* algorithm,
               const FlatView& view, const MiningTask& task) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  const std::size_t split_budget = static_cast<std::size_t>(state.range(1));
   MinerOptions options;
   options.num_threads = threads;
-  options.split_budget = split_budget;
   const RunContext ctx = options.run_context;  // shared-state handle
   std::unique_ptr<Miner> miner =
       MinerRegistry::Global().Create(algorithm, options);
@@ -79,23 +74,16 @@ void RunMiner(benchmark::State& state, const char* algorithm,
   }
   ctx.Reset();
   state.counters["threads"] = static_cast<double>(threads);
-  state.counters["split_budget"] = static_cast<double>(split_budget);
   state.counters["hardware_concurrency"] =
       static_cast<double>(std::thread::hardware_concurrency());
   state.counters["itemsets"] = static_cast<double>(found);
   state.SetLabel(IntersectKernelName(ForcedIntersectKernel()));
 }
 
-// {threads, split_budget} sweep: serial baseline, then each thread
-// count with splitting off (1), automatic (0), and aggressive (64).
-void ThreadBudgetSweep(benchmark::internal::Benchmark* b) {
+// {threads} sweep: the serial baseline, then 2, 4 and 8 workers.
+void ThreadSweep(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMillisecond);
-  b->Args({1, 1});
-  for (long threads : {2L, 4L, 8L}) {
-    for (long budget : {1L, 0L, 64L}) {
-      b->Args({threads, budget});
-    }
-  }
+  for (long threads : {1L, 2L, 4L, 8L}) b->Args({threads});
 }
 
 const FlatView& KosarakView() {
@@ -129,42 +117,42 @@ MiningTask ProbTask(double min_sup, double pft) {
 void BM_UFPGrowthKosarak(benchmark::State& state) {
   RunMiner(state, "UFP-growth", KosarakView(), EsupTask(0.0025));
 }
-BENCHMARK(BM_UFPGrowthKosarak)->Apply(ThreadBudgetSweep);
+BENCHMARK(BM_UFPGrowthKosarak)->Apply(ThreadSweep);
 
 void BM_UHMineKosarak(benchmark::State& state) {
   RunMiner(state, "UH-Mine", KosarakView(), EsupTask(0.0025));
 }
-BENCHMARK(BM_UHMineKosarak)->Apply(ThreadBudgetSweep);
+BENCHMARK(BM_UHMineKosarak)->Apply(ThreadSweep);
 
 void BM_NDUHMineKosarak(benchmark::State& state) {
   RunMiner(state, "NDUH-Mine", KosarakView(), ProbTask(0.005, 0.5));
 }
-BENCHMARK(BM_NDUHMineKosarak)->Apply(ThreadBudgetSweep);
+BENCHMARK(BM_NDUHMineKosarak)->Apply(ThreadSweep);
 
 void BM_UFPGrowthQuest(benchmark::State& state) {
   RunMiner(state, "UFP-growth", QuestView(), EsupTask(0.01));
 }
-BENCHMARK(BM_UFPGrowthQuest)->Apply(ThreadBudgetSweep);
+BENCHMARK(BM_UFPGrowthQuest)->Apply(ThreadSweep);
 
 void BM_UHMineQuest(benchmark::State& state) {
   RunMiner(state, "UH-Mine", QuestView(), EsupTask(0.01));
 }
-BENCHMARK(BM_UHMineQuest)->Apply(ThreadBudgetSweep);
+BENCHMARK(BM_UHMineQuest)->Apply(ThreadSweep);
 
 void BM_UFPGrowthDominantChain(benchmark::State& state) {
   RunMiner(state, "UFP-growth", DominantChainView(), EsupTask(0.05));
 }
-BENCHMARK(BM_UFPGrowthDominantChain)->Apply(ThreadBudgetSweep);
+BENCHMARK(BM_UFPGrowthDominantChain)->Apply(ThreadSweep);
 
 void BM_UHMineDominantChain(benchmark::State& state) {
   RunMiner(state, "UH-Mine", DominantChainView(), EsupTask(0.05));
 }
-BENCHMARK(BM_UHMineDominantChain)->Apply(ThreadBudgetSweep);
+BENCHMARK(BM_UHMineDominantChain)->Apply(ThreadSweep);
 
 void BM_NDUHMineDominantChain(benchmark::State& state) {
   RunMiner(state, "NDUH-Mine", DominantChainView(), ProbTask(0.08, 0.5));
 }
-BENCHMARK(BM_NDUHMineDominantChain)->Apply(ThreadBudgetSweep);
+BENCHMARK(BM_NDUHMineDominantChain)->Apply(ThreadSweep);
 
 }  // namespace
 }  // namespace ufim::bench

@@ -24,8 +24,7 @@ Result<MiningResult> NDUHMine::MineProbabilistic(
   UHStructEngine engine(view, std::move(hooks));
   MiningResult result;
   std::vector<FrequentItemset> found =
-      engine.Mine(&result.counters(), num_threads_, split_budget_,
-                  &run_context());
+      engine.Mine(&result.counters(), num_threads_, &run_context());
   for (FrequentItemset& fi : found) result.Add(std::move(fi));
   result.SortCanonical();
   return result;
@@ -34,8 +33,7 @@ Result<MiningResult> NDUHMine::MineProbabilistic(
 UFIM_REGISTER_MINER("NDUH-Mine", TaskFamily::kProbabilistic,
                     /*production=*/true,
                     [](const MinerOptions& options) {
-                      return std::make_unique<NDUHMine>(options.num_threads,
-                                                        options.split_budget);
+                      return std::make_unique<NDUHMine>(options.num_threads);
                     })
 
 }  // namespace ufim

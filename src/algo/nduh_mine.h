@@ -16,11 +16,9 @@ class NDUHMine final : public ProbabilisticMiner {
  public:
   /// `num_threads`: workers for the per-rank mining tasks of the shared
   /// UHStructEngine; 1 (default) is the sequential baseline, 0 means all
-  /// hardware threads. `split_budget`: recursive-splitting budget
-  /// forwarded to UHStructEngine::Mine (0 = auto, 1 = off). Results are
-  /// bit-identical at every setting.
-  explicit NDUHMine(std::size_t num_threads = 1, std::size_t split_budget = 0)
-      : num_threads_(num_threads), split_budget_(split_budget) {}
+  /// hardware threads. Dominant prefix subtrees split under the
+  /// engine's fixed rule; results are bit-identical at every setting.
+  explicit NDUHMine(std::size_t num_threads = 1) : num_threads_(num_threads) {}
 
   std::string_view name() const override { return "NDUH-Mine"; }
   bool is_exact() const override { return false; }
@@ -32,7 +30,6 @@ class NDUHMine final : public ProbabilisticMiner {
 
  private:
   std::size_t num_threads_;
-  std::size_t split_budget_;
 };
 
 }  // namespace ufim

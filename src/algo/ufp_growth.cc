@@ -1,6 +1,7 @@
 #include "algo/ufp_growth.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 
 #include "algo/apriori_framework.h"
@@ -12,29 +13,28 @@ namespace ufim {
 
 namespace {
 
-/// Split policy for recursive task decomposition, shared (read-only)
-/// across all mining tasks of one MineExpected call. Null policy (or
-/// `min_split_nodes` past any real tree) means "never split".
-struct SplitPolicy {
-  /// Participation cap for each nested TaskGroup (resolved, >= 2).
-  std::size_t max_workers = 0;
-  /// A conditional tree this many nodes or larger is mined by spawning
-  /// one child task per extension rank instead of the serial loop. The
-  /// node count is the natural work proxy here: projection cost is
-  /// linear in it, and it is already computed when the decision is made.
-  std::size_t min_split_nodes = 0;
-};
+/// A conditional tree this many nodes or larger, in a run with more
+/// than one thread, is mined by a nested ParallelFor over its extension
+/// ranks instead of the serial loop: at least kMinSplitNodes, and at
+/// least 1/kSplitDivisor of the global tree. The node count is the
+/// natural work proxy here: projection cost is linear in it, and it is
+/// already computed when the decision is made. The floor keeps trivial
+/// trees from paying the fork and prefix-copy overhead.
+constexpr std::size_t kMinSplitNodes = 128;
+constexpr std::size_t kSplitDivisor = 32;
 
-/// Recursive mining context shared down the projection chain. In the
-/// parallel driver each top-level rank task owns its own context
-/// (private `out` and `counters` slots); only the immutable
-/// `rank_to_item` table and the split policy are shared.
+/// Recursive mining context shared down the projection chain. Each rank
+/// mined by MineTreeParallel gets its own copy with private `out` and
+/// `counters` slots; only the immutable `rank_to_item` table and the
+/// split settings are shared.
 struct MineContext {
   double threshold = 0.0;
   const std::vector<ItemId>* rank_to_item = nullptr;
   std::vector<FrequentItemset>* out = nullptr;
   MiningCounters* counters = nullptr;
-  const SplitPolicy* split = nullptr;
+  std::size_t num_threads = 1;
+  /// Conditional trees at least this large split; SIZE_MAX never does.
+  std::size_t min_split_nodes = static_cast<std::size_t>(-1);
   const RunContext* run = nullptr;
 };
 
@@ -59,8 +59,8 @@ void MineTreeParallel(const UFPTree& tree,
 
 /// Mines one extension rank of `tree`: emits the grown pattern if
 /// frequent, builds the conditional pattern base and tree, and recurses.
-/// Self-contained per (tree, rank) — the unit of parallelism at the top
-/// level, where `tree` is the shared read-only global tree.
+/// Self-contained per (tree, rank) — the unit of parallelism of
+/// MineTreeParallel.
 void MineRank(const UFPTree& tree, std::uint32_t rank,
               std::vector<std::uint32_t>& prefix_ranks,
               const MineContext& ctx) {
@@ -70,7 +70,7 @@ void MineRank(const UFPTree& tree, std::uint32_t rank,
   PollRunContext(ctx.run);
   const std::vector<std::uint32_t>& header = tree.header(rank);
   if (header.empty()) return;
-  if (ctx.counters != nullptr) ++ctx.counters->candidates_generated;
+  ++ctx.counters->candidates_generated;
 
   double esup = 0.0, sq_sum = 0.0;
   for (std::uint32_t n : header) {
@@ -139,9 +139,9 @@ void MineRank(const UFPTree& tree, std::uint32_t rank,
       }
       if (!filtered.empty()) cond.InsertPath(filtered, entry.w, entry.w2);
     }
-    // Work-budget heuristic: a dominant conditional tree is worth the
-    // task-spawn overhead; small ones are mined inline.
-    if (ctx.split != nullptr && cond.num_nodes() >= ctx.split->min_split_nodes) {
+    // A dominant conditional tree is worth the fork overhead; small ones
+    // are mined inline.
+    if (cond.num_nodes() >= ctx.min_split_nodes) {
       MineTreeParallel(cond, prefix_ranks, ctx);
     } else {
       MineTree(cond, prefix_ranks, ctx);
@@ -162,40 +162,34 @@ void MineTree(const UFPTree& tree, std::vector<std::uint32_t>& prefix_ranks,
   }
 }
 
-/// Parallel MineTree: one child task per extension rank of `tree`,
-/// spawned into a nested TaskGroup (children may split again). Each
-/// child works against the parent's conditional tree read-only — the
-/// parent blocks in Wait, so no copy is needed — with its own prefix
-/// copy and pre-indexed output/counter slots; the parent then merges in
-/// the serial descending-rank order. Per-rank floating-point work is
-/// exactly the serial MineRank's, so results and counters stay
-/// bit-identical to MineTree at every thread count and split budget.
+/// Parallel MineTree: one ParallelFor index per extension rank of
+/// `tree` (a rank's conditional tree may split again). Each rank works
+/// against `tree` read-only — the caller blocks in ParallelFor, so no
+/// copy is needed — with its own prefix copy and output/counter slots,
+/// which are then merged in the serial descending-rank order. Per-rank
+/// floating-point work is exactly the serial MineRank's, so results and
+/// counters stay bit-identical to MineTree at every thread count.
 void MineTreeParallel(const UFPTree& tree,
                       const std::vector<std::uint32_t>& prefix_ranks,
                       const MineContext& ctx) {
   const std::size_t n_ranks = tree.num_ranks();
-  std::vector<std::vector<FrequentItemset>> child_out(n_ranks);
-  std::vector<MiningCounters> child_counters(n_ranks);
-  TaskGroup group(ctx.split->max_workers, ctx.run);
-  for (std::uint32_t rank = static_cast<std::uint32_t>(n_ranks); rank-- > 0;) {
-    group.Spawn([&tree, &prefix_ranks, &ctx, &child_out, &child_counters,
-                 rank] {
-      std::vector<std::uint32_t> prefix = prefix_ranks;
-      MineContext child = ctx;
-      child.out = &child_out[rank];
-      child.counters = &child_counters[rank];
-      MineRank(tree, rank, prefix, child);
-    });
-  }
-  group.Wait();
-  // Wait's error rethrow covers tasks that started; the poll covers
-  // tasks the tripped token made the group skip entirely.
-  PollRunContext(ctx.run);
-  for (std::uint32_t rank = static_cast<std::uint32_t>(n_ranks); rank-- > 0;) {
-    if (ctx.counters != nullptr) *ctx.counters += child_counters[rank];
+  std::vector<std::vector<FrequentItemset>> rank_out(n_ranks);
+  std::vector<MiningCounters> rank_counters(n_ranks);
+  ParallelFor(
+      n_ranks, ctx.num_threads,
+      [&](std::size_t rank, std::size_t /*worker*/) {
+        std::vector<std::uint32_t> prefix = prefix_ranks;
+        MineContext child = ctx;
+        child.out = &rank_out[rank];
+        child.counters = &rank_counters[rank];
+        MineRank(tree, static_cast<std::uint32_t>(rank), prefix, child);
+      },
+      ctx.run);
+  for (std::size_t rank = n_ranks; rank-- > 0;) {
+    *ctx.counters += rank_counters[rank];
     ctx.out->insert(ctx.out->end(),
-                    std::make_move_iterator(child_out[rank].begin()),
-                    std::make_move_iterator(child_out[rank].end()));
+                    std::make_move_iterator(rank_out[rank].begin()),
+                    std::make_move_iterator(rank_out[rank].end()));
   }
 }
 
@@ -264,54 +258,25 @@ Result<MiningResult> UFPGrowth::MineExpected(
   // Recursive projection, task-parallel over the top-level header ranks
   // of the (now frozen, read-only) global tree. Each rank's conditional
   // subproblem is independent; per-rank subtree costs are wildly skewed,
-  // so tasks are claimed dynamically — and a dominant rank's conditional
-  // tree splits recursively into child tasks under the split-budget
-  // heuristic, so one whale subtree no longer serializes on one worker.
-  // Every task writes only its own output/counter slots, and the
-  // per-rank arithmetic is exactly the serial MineTree iteration's, so
-  // results and counters are bit-identical at every thread count and
-  // split budget.
+  // so ranks are claimed dynamically — and a dominant rank's conditional
+  // tree splits into a nested loop over its own ranks, so one whale
+  // subtree does not serialize on one worker.
   const std::size_t threads =
       num_threads_ == 0 ? HardwareThreads() : num_threads_;
-  SplitPolicy policy;
-  SplitPolicy* split = nullptr;
-  if (threads > 1 && split_budget_ != 1) {
-    // Budget semantics: 0 = auto (divisor 32, floored so trivial trees
-    // never pay the spawn + prefix-copy overhead), 1 = off, B > 1 =
-    // split exactly when a conditional tree holds >= global_nodes / B
-    // nodes (an explicit budget is a request for that aggressiveness,
-    // so no floor).
-    constexpr std::size_t kMinSplitNodesFloor = 128;
-    policy.max_workers = threads;
-    policy.min_split_nodes =
-        split_budget_ == 0
-            ? std::max(kMinSplitNodesFloor, tree.num_nodes() / 32)
-            : std::max<std::size_t>(1, tree.num_nodes() / split_budget_);
-    split = &policy;
+  std::vector<FrequentItemset> found;
+  MineContext ctx;
+  ctx.threshold = threshold;
+  ctx.rank_to_item = &rank_to_item;
+  ctx.out = &found;
+  ctx.counters = &result.counters();
+  ctx.num_threads = threads;
+  if (threads > 1) {
+    ctx.min_split_nodes =
+        std::max(kMinSplitNodes, tree.num_nodes() / kSplitDivisor);
   }
-  const std::size_t n_ranks = rank_to_item.size();
-  std::vector<std::vector<FrequentItemset>> per_rank(n_ranks);
-  std::vector<MiningCounters> per_rank_counters(n_ranks);
-  ParallelFor(
-      n_ranks, num_threads_,
-      [&](std::size_t rank, std::size_t /*worker*/) {
-        std::vector<std::uint32_t> prefix;
-        MineContext ctx;
-        ctx.threshold = threshold;
-        ctx.rank_to_item = &rank_to_item;
-        ctx.out = &per_rank[rank];
-        ctx.counters = &per_rank_counters[rank];
-        ctx.split = split;
-        ctx.run = &run_context();
-        MineRank(tree, static_cast<std::uint32_t>(rank), prefix, ctx);
-      },
-      &run_context());
-  // Merge in fixed descending-rank order — the serial MineTree order —
-  // regardless of which worker mined which rank.
-  for (std::uint32_t rank = static_cast<std::uint32_t>(n_ranks); rank-- > 0;) {
-    result.counters() += per_rank_counters[rank];
-    for (FrequentItemset& fi : per_rank[rank]) result.Add(std::move(fi));
-  }
+  ctx.run = &run_context();
+  MineTreeParallel(tree, {}, ctx);
+  for (FrequentItemset& fi : found) result.Add(std::move(fi));
   result.SortCanonical();
   return result;
 }
@@ -319,8 +284,7 @@ Result<MiningResult> UFPGrowth::MineExpected(
 UFIM_REGISTER_MINER("UFP-growth", TaskFamily::kExpectedSupport,
                     /*production=*/true,
                     [](const MinerOptions& options) {
-                      return std::make_unique<UFPGrowth>(options.num_threads,
-                                                         options.split_budget);
+                      return std::make_unique<UFPGrowth>(options.num_threads);
                     })
 
 }  // namespace ufim

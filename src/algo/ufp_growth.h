@@ -23,22 +23,19 @@ namespace ufim {
 /// its base's locally frequent units. Neither is sized from the raw
 /// unit count, which overshoots a shared tree many times.
 ///
-/// Mining is task-parallel over the top-level header ranks of the global
-/// tree (each rank's conditional projection chain is an independent
-/// subproblem), and a dominant rank's conditional tree is recursively
-/// split into per-extension child tasks under a work-budget heuristic;
-/// outputs and counters are merged in fixed rank order at every level,
-/// so results are bit-identical at every `num_threads` / `split_budget`.
+/// Mining is a ParallelFor over the top-level header ranks of the
+/// global tree (each rank's conditional projection chain is an
+/// independent subproblem). When more than one thread runs, a
+/// conditional tree of at least max(128, global_nodes / 32) nodes is
+/// mined by a nested ParallelFor over its own ranks. Outputs and
+/// counters are merged in fixed rank order at every level, so results
+/// are bit-identical at every `num_threads`.
 class UFPGrowth final : public ExpectedSupportMiner {
  public:
   /// `num_threads`: workers for the per-rank mining tasks; 1 (default)
   /// is the sequential baseline, 0 means all hardware threads.
-  /// `split_budget` tunes recursive splitting of dominant conditional
-  /// trees: 0 (default) picks an automatic threshold, 1 disables
-  /// splitting, larger values split more aggressively (a tree splits
-  /// when it holds >= global_nodes / split_budget nodes).
-  explicit UFPGrowth(std::size_t num_threads = 1, std::size_t split_budget = 0)
-      : num_threads_(num_threads), split_budget_(split_budget) {}
+  explicit UFPGrowth(std::size_t num_threads = 1)
+      : num_threads_(num_threads) {}
 
   std::string_view name() const override { return "UFP-growth"; }
 
@@ -49,7 +46,6 @@ class UFPGrowth final : public ExpectedSupportMiner {
 
  private:
   std::size_t num_threads_;
-  std::size_t split_budget_;
 };
 
 }  // namespace ufim

@@ -19,8 +19,7 @@ Result<MiningResult> UHMine::MineExpected(
   UHStructEngine engine(view, std::move(hooks));
   MiningResult result;
   std::vector<FrequentItemset> found =
-      engine.Mine(&result.counters(), num_threads_, split_budget_,
-                  &run_context());
+      engine.Mine(&result.counters(), num_threads_, &run_context());
   for (FrequentItemset& fi : found) result.Add(std::move(fi));
   result.SortCanonical();
   return result;
@@ -29,8 +28,7 @@ Result<MiningResult> UHMine::MineExpected(
 UFIM_REGISTER_MINER("UH-Mine", TaskFamily::kExpectedSupport,
                     /*production=*/true,
                     [](const MinerOptions& options) {
-                      return std::make_unique<UHMine>(options.num_threads,
-                                                      options.split_budget);
+                      return std::make_unique<UHMine>(options.num_threads);
                     })
 
 }  // namespace ufim

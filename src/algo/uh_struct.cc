@@ -12,19 +12,32 @@
 
 namespace ufim {
 
-/// Shared (per Mine call) state for recursive task splitting: the split
-/// policy plus a pool of Scratch instances for split-off child tasks.
-/// Scratch is expensive relative to a small subtree (three rank-sized
-/// arrays), so children lease a clean instance from the pool and return
-/// it instead of allocating their own; Recurse restores clean state
-/// before returning, which is exactly the invariant the pool needs.
+namespace {
+
+/// A prefix whose head table holds this many occurrence entries, in a
+/// run with more than one thread, mines its sibling extensions through a
+/// nested ParallelFor: at least kMinSplitUnits, and at least
+/// 1/kSplitDivisor of the projected units. The floor keeps shallow
+/// subtrees from paying the fork and prefix-copy overhead.
+constexpr std::size_t kMinSplitUnits = 256;
+constexpr std::size_t kSplitDivisor = 32;
+
+}  // namespace
+
+/// Shared (per Mine call) state for splitting: the split threshold plus
+/// a pool of Scratch instances for split-off extensions. Scratch is
+/// expensive relative to a small subtree (three rank-sized arrays), so
+/// each split-off extension leases a clean instance from the pool and
+/// returns it instead of allocating its own; Recurse restores clean
+/// state before returning, which is exactly the invariant the pool
+/// needs.
 struct UHStructEngine::MineState {
-  std::size_t max_workers = 0;      ///< participation cap per nested group
+  std::size_t num_threads = 0;      ///< workers per nested ParallelFor
   std::size_t min_split_units = 0;  ///< head-table units to justify a split
   std::size_t num_ranks = 0;
 
-  /// Guards the scratch free list — the only state split-off child
-  /// tasks share (each leased Scratch is thread-private while out).
+  /// Guards the scratch free list — the only state split-off extensions
+  /// share (each leased Scratch is thread-private while out).
   Mutex mu;
   std::vector<std::unique_ptr<Scratch>> pool UFIM_GUARDED_BY(mu);
 
@@ -75,9 +88,6 @@ UHStructEngine::UHStructEngine(const FlatView& view, Hooks hooks)
   units_ = std::move(projection.units);
 }
 
-UHStructEngine::UHStructEngine(const UncertainDatabase& db, Hooks hooks)
-    : UHStructEngine(FlatView(db), std::move(hooks)) {}
-
 FrequentItemset UHStructEngine::MakeResult(
     const std::vector<std::uint32_t>& prefix_ranks, double esup,
     double sq_sum) const {
@@ -96,7 +106,7 @@ FrequentItemset UHStructEngine::MakeResult(
 
 std::vector<FrequentItemset> UHStructEngine::Mine(
     MiningCounters* counters, std::size_t num_threads,
-    std::size_t split_budget, const RunContext* context) const {
+    const RunContext* context) const {
   std::vector<FrequentItemset> out;
   if (counters != nullptr) ++counters->database_scans;
 
@@ -153,22 +163,14 @@ std::vector<FrequentItemset> UHStructEngine::Mine(
   std::vector<Scratch> scratch(workers, Scratch(n_ranks));
   std::vector<std::vector<FrequentItemset>> per_rank(n_ranks);
   std::vector<MiningCounters> per_rank_counters(n_ranks);
-  // Split policy: 0 = auto (divisor 32, floored so shallow subtrees
-  // never pay the spawn + prefix-copy overhead), 1 = off, B > 1 = split
-  // exactly when a prefix's head table holds >= units / B occurrence
-  // entries (an explicit budget is a request for that aggressiveness,
-  // so no floor).
   const std::size_t threads =
       num_threads == 0 ? HardwareThreads() : num_threads;
   MineState state;
   MineState* split = nullptr;
-  if (threads > 1 && split_budget != 1) {
-    constexpr std::size_t kMinSplitUnitsFloor = 256;
-    state.max_workers = threads;
+  if (threads > 1) {
+    state.num_threads = threads;
     state.min_split_units =
-        split_budget == 0
-            ? std::max(kMinSplitUnitsFloor, units_.size() / 32)
-            : std::max<std::size_t>(1, units_.size() / split_budget);
+        std::max(kMinSplitUnits, units_.size() / kSplitDivisor);
     state.num_ranks = n_ranks;
     split = &state;
   }
@@ -264,46 +266,40 @@ void UHStructEngine::Recurse(std::vector<std::uint32_t>& prefix_ranks,
   }
   for (const Extension& ext : frequent) scratch.slot_of[ext.rank] = UINT32_MAX;
 
-  // Work-budget heuristic: a dominant head table (measured by its total
-  // occurrence-list size, the cost driver of everything below) is worth
-  // splitting its sibling extensions into child tasks; small ones stay
-  // on the serial path. Each child emits into a pre-indexed slot with
-  // its own prefix copy, leased scratch and private counters, and the
-  // merge walks ascending extension order — exactly the serial sibling
-  // loop's emission order — so results and counters are bit-identical
-  // to the serial run at every thread count and budget.
+  // A dominant head table (measured by its total occurrence-list size,
+  // the cost driver of everything below) mines its sibling extensions
+  // through a nested ParallelFor; small ones stay on the serial path.
+  // Each extension emits into its own slot with its own prefix copy,
+  // leased scratch and private counters, and the merge walks ascending
+  // extension order — exactly the serial sibling loop's emission order
+  // — so results and counters are bit-identical to the serial run at
+  // every thread count.
   std::size_t head_units = 0;
   for (const Extension& ext : frequent) head_units += ext.occurrences.size();
   if (state != nullptr && frequent.size() > 1 &&
       head_units >= state->min_split_units) {
     const std::size_t n_ext = frequent.size();
-    std::vector<std::vector<FrequentItemset>> child_out(n_ext);
-    std::vector<MiningCounters> child_counters(n_ext);
-    TaskGroup group(state->max_workers, context);
+    std::vector<std::vector<FrequentItemset>> ext_out(n_ext);
+    std::vector<MiningCounters> ext_counters(n_ext);
+    ParallelFor(
+        n_ext, state->num_threads,
+        [&](std::size_t e, std::size_t /*worker*/) {
+          Extension& ext = frequent[e];
+          std::vector<std::uint32_t> prefix = prefix_ranks;
+          prefix.push_back(ext.rank);
+          ext_out[e].push_back(MakeResult(prefix, ext.esup, ext.sq_sum));
+          std::unique_ptr<Scratch> leased = state->AcquireScratch();
+          Recurse(prefix, ext.occurrences, *leased, ext_out[e],
+                  &ext_counters[e], state, context);
+          state->ReleaseScratch(std::move(leased));
+          ext.occurrences.clear();
+          ext.occurrences.shrink_to_fit();
+        },
+        context);
     for (std::size_t e = 0; e < n_ext; ++e) {
-      group.Spawn([this, &frequent, &prefix_ranks, &child_out, &child_counters,
-                   state, context, e] {
-        Extension& ext = frequent[e];
-        std::vector<std::uint32_t> prefix = prefix_ranks;
-        prefix.push_back(ext.rank);
-        std::vector<FrequentItemset>& ext_out = child_out[e];
-        ext_out.push_back(MakeResult(prefix, ext.esup, ext.sq_sum));
-        std::unique_ptr<Scratch> leased = state->AcquireScratch();
-        Recurse(prefix, ext.occurrences, *leased, ext_out, &child_counters[e],
-                state, context);
-        state->ReleaseScratch(std::move(leased));
-        ext.occurrences.clear();
-        ext.occurrences.shrink_to_fit();
-      });
-    }
-    group.Wait();
-    // Wait rethrows from tasks that ran; the poll covers siblings the
-    // tripped token made the group skip outright.
-    PollRunContext(context);
-    for (std::size_t e = 0; e < n_ext; ++e) {
-      if (counters != nullptr) *counters += child_counters[e];
-      out.insert(out.end(), std::make_move_iterator(child_out[e].begin()),
-                 std::make_move_iterator(child_out[e].end()));
+      if (counters != nullptr) *counters += ext_counters[e];
+      out.insert(out.end(), std::make_move_iterator(ext_out[e].begin()),
+                 std::make_move_iterator(ext_out[e].end()));
     }
     return;
   }

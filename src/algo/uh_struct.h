@@ -9,7 +9,6 @@
 #include "common/run_context.h"
 #include "core/flat_view.h"
 #include "core/mining_result.h"
-#include "core/uncertain_database.h"
 
 namespace ufim {
 
@@ -29,14 +28,15 @@ namespace ufim {
 /// path yields expected supports (UH-Mine) and Normal-approximation
 /// moments (NDUH-Mine) — the paper's "win-win" combination.
 ///
-/// Mining is task-parallel over the top-level ranks: each rank's prefix
-/// subtree is explored by one dynamically-scheduled task carrying its own
-/// scratch (accumulators + slot map), and a dominant subtree recursively
-/// splits its sibling extensions into child tasks under a work-budget
-/// heuristic, with outputs and counters merged in ascending rank order at
-/// every level — results are bit-identical at every thread count and
-/// split budget. After construction the engine is immutable; `Mine` is
-/// const and safe to call concurrently.
+/// Mining is a ParallelFor over the top-level ranks: each rank's prefix
+/// subtree is explored by one dynamically-claimed index on a worker with
+/// its own scratch (accumulators + slot map). When more than one thread
+/// runs, a prefix whose head table holds at least max(256, units / 32)
+/// occurrences mines its sibling extensions through a nested
+/// ParallelFor. Outputs and counters are merged in ascending rank order
+/// at every level, so results are bit-identical at every thread count.
+/// After construction the engine is immutable; `Mine` is const and safe
+/// to call concurrently.
 class UHStructEngine {
  public:
   /// Decides whether a prefix with the given moments is frequent and, if
@@ -53,27 +53,22 @@ class UHStructEngine {
   /// off the view's cached per-item arrays).
   UHStructEngine(const FlatView& view, Hooks hooks);
 
-  /// Convenience overload that builds a FlatView first.
-  UHStructEngine(const UncertainDatabase& db, Hooks hooks);
-
   /// Runs the depth-first mining and returns all frequent itemsets
   /// (unsorted; caller normalizes). `counters` may be null. The
   /// top-level ranks are mined by up to `num_threads` workers (1 =
   /// sequential baseline, 0 = all hardware threads), and a dominant
-  /// prefix subtree recursively splits its sibling extensions into
-  /// child tasks under the split-budget heuristic (`split_budget`: 0 =
-  /// auto threshold, 1 = off, larger = more aggressive); results and
-  /// counters are identical at every setting. The hooks must be safe to
-  /// call concurrently when `num_threads` != 1 (the stateless predicate
-  /// closures every caller in this repo uses qualify).
+  /// prefix subtree splits its sibling extensions (see the class
+  /// comment); results and counters are identical at every setting. The
+  /// hooks must be safe to call concurrently when `num_threads` != 1
+  /// (the stateless predicate closures every caller in this repo uses
+  /// qualify).
   ///
   /// `context` (optional) is polled at every `Recurse` entry — a
   /// scratch-clean point, so a tripped token unwinds with RunAbortedError
-  /// without corrupting pooled scratch — and propagated into the nested
-  /// split task groups so cancelled subtrees stop claiming work.
+  /// without corrupting pooled scratch — and passed to every nested
+  /// ParallelFor so cancelled subtrees stop claiming work.
   std::vector<FrequentItemset> Mine(MiningCounters* counters,
                                     std::size_t num_threads = 1,
-                                    std::size_t split_budget = 0,
                                     const RunContext* context = nullptr) const;
 
   /// Number of items retained in the head table (for tests).
@@ -109,9 +104,9 @@ class UHStructEngine {
           slot_of(num_ranks, UINT32_MAX) {}
   };
 
-  /// Per-Mine-call parallel state: the split policy plus a pool of
-  /// clean Scratch instances leased by split-off child tasks (defined in
-  /// the .cc). Null means "never split" (serial runs, budget 1).
+  /// Per-Mine-call parallel state: the split threshold plus a pool of
+  /// clean Scratch instances leased by split-off extensions (defined in
+  /// the .cc). Null means "never split" (serial runs).
   struct MineState;
 
   void Recurse(std::vector<std::uint32_t>& prefix_ranks,

@@ -4,9 +4,9 @@
 /// Clang Thread Safety Analysis attribute macros.
 ///
 /// These wrap the `capability`-based attributes so the concurrency
-/// contracts that PRs 2-8 state in comments — who may touch the
-/// injection queue, which thread owns a Chase-Lev deque's bottom end,
-/// who is allowed to mutate a `StreamingFlatView` — become
+/// contracts otherwise stated only in comments — who may touch the
+/// thread pool's token queue, who may reconfigure a `RunContext`, who
+/// is allowed to mutate a `StreamingFlatView` — become
 /// machine-checked at compile time. The dedicated CI leg builds the
 /// tree with `clang++ -Wthread-safety -Werror=thread-safety`; on GCC
 /// (and on Clang without the flag) every macro expands to nothing, so
@@ -21,10 +21,10 @@
 ///
 ///  * **Roles**: lock-free or externally-synchronized protocols where
 ///    "holding the capability" means "being the one thread the
-///    protocol designates" — the deque owner, the streaming writer,
-///    the quiescent RunContext controller. Roles have no runtime
-///    representation; a caller claims one through an
-///    `ASSERT_CAPABILITY` helper (e.g. `AssertOwner()`), which is the
+///    protocol designates" — the streaming writer, the quiescent
+///    RunContext controller. Roles have no runtime representation; a
+///    caller claims one through an `ASSERT_CAPABILITY` helper (e.g.
+///    `AssertQuiescent()`), which is the
 ///    annotated equivalent of the prose "caller must be X" contract:
 ///    the claim point is explicit and greppable, and any call path
 ///    that reaches a `REQUIRES(role)` method without one fails the
@@ -86,8 +86,8 @@
 namespace ufim {
 
 /// A zero-size pure-role capability (see the header comment): a
-/// protocol-designated privilege like "deque owner" or "streaming
-/// writer". Declare a member of this type, name the contract in the
+/// protocol-designated privilege like "quiescent controller" or
+/// "streaming writer". Declare a member of this type, name the contract in the
 /// template-argument-free way via UFIM_CAPABILITY on the member's
 /// wrapper class, and gate privileged methods with
 /// UFIM_REQUIRES(role_member_).

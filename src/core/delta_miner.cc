@@ -39,8 +39,8 @@ DeltaMiner::DeltaMiner(std::unique_ptr<Miner> inner,
     : inner_(std::move(inner)),
       params_(params),
       name_("Delta(" + std::string(inner_->name()) + ")"),
-      view_(policy),
-      num_threads_(num_threads == 0 ? HardwareThreads() : num_threads) {}
+      num_threads_(num_threads == 0 ? HardwareThreads() : num_threads),
+      view_(policy) {}
 
 void DeltaMiner::set_run_context(RunContext context) {
   // Same propagation contract as ShardedMiner::set_run_context: the

@@ -85,18 +85,12 @@ struct MinerOptions {
   /// the sequential baseline, 0 means all hardware threads. The apriori
   /// family parallelizes candidate counting (and tail evaluations), the
   /// pattern-growth miners (UFP-growth, UH-Mine, NDUH-Mine) their
-  /// top-level header ranks; results are bit-identical at every setting
-  /// (deterministic partitioning, per-task state, fixed merge orders).
-  /// TopK and the brute-force oracles still ignore the knob and run
-  /// sequentially.
+  /// top-level header ranks, and with more than one thread they split a
+  /// dominant subtree into a nested loop under a fixed size rule;
+  /// results are bit-identical at every setting (deterministic
+  /// partitioning, per-index state, fixed merge orders). TopK and the
+  /// brute-force oracles still ignore the knob and run sequentially.
   std::size_t num_threads = 1;
-  /// Pattern-growth miners: recursive task-splitting budget for dominant
-  /// conditional subtrees. 0 (default) = automatic threshold, 1 = never
-  /// split (top-level rank tasks only, PR 4's granularity), larger
-  /// values split more aggressively (a subtree splits when its estimated
-  /// work is >= 1/split_budget of the whole database's). Results are
-  /// bit-identical at every setting.
-  std::size_t split_budget = 0;
   /// UApriori: enable mid-scan decremental pruning [17, 18] on the
   /// candidate joins of levels k >= 3 (level 2 is one triangular pass
   /// that counts every pair whole). PDUApriori ignores it and always

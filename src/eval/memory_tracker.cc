@@ -10,7 +10,6 @@ namespace {
 // the style rules for objects with static storage duration).
 std::atomic<std::size_t> g_current{0};
 std::atomic<std::size_t> g_peak{0};
-std::atomic<std::uint64_t> g_alloc_count{0};
 std::atomic<bool> g_hooks{false};
 }  // namespace
 
@@ -20,21 +19,17 @@ std::size_t CurrentBytes() { return g_current.load(std::memory_order_relaxed); }
 
 std::size_t PeakBytes() { return g_peak.load(std::memory_order_relaxed); }
 
-std::uint64_t AllocationCount() {
-  return g_alloc_count.load(std::memory_order_relaxed);
-}
-
 void ResetPeak() {
   g_peak.store(g_current.load(std::memory_order_relaxed),
                std::memory_order_relaxed);
 }
 
 void RecordAlloc(std::size_t bytes) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   const std::size_t now =
       g_current.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  // Racy max update is fine: benches are single-threaded and the error
-  // bound under races is one allocation.
+  // Every increase of g_current returns its new value here, and the CAS
+  // loop only ever raises g_peak, so concurrent allocating threads still
+  // record the counter's exact high-water mark.
   std::size_t peak = g_peak.load(std::memory_order_relaxed);
   while (now > peak &&
          !g_peak.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {

@@ -2,7 +2,6 @@
 #define UFIM_EVAL_MEMORY_TRACKER_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace ufim {
 
@@ -24,9 +23,6 @@ std::size_t CurrentBytes();
 
 /// High-water mark since the last ResetPeak().
 std::size_t PeakBytes();
-
-/// Total number of tracked allocations since process start.
-std::uint64_t AllocationCount();
 
 /// Sets the peak to the current usage, so a subsequent PeakBytes()
 /// reports the high-water mark of the region of interest only.

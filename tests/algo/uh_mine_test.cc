@@ -61,7 +61,7 @@ TEST(UHStructEngineTest, KeepsOnlyPredicateAcceptedItems) {
   UncertainDatabase db = MakePaperTable1();
   UHStructEngine::Hooks hooks;
   hooks.is_frequent = [](double esup, double) { return esup >= 2.0; };
-  UHStructEngine engine(db, std::move(hooks));
+  UHStructEngine engine(FlatView(db), std::move(hooks));
   EXPECT_EQ(engine.num_frequent_items(), 2u);  // A (2.1) and C (2.6)
 }
 
@@ -69,7 +69,7 @@ TEST(UHStructEngineTest, EmptyWhenNothingQualifies) {
   UncertainDatabase db = MakePaperTable1();
   UHStructEngine::Hooks hooks;
   hooks.is_frequent = [](double esup, double) { return esup >= 100.0; };
-  UHStructEngine engine(db, std::move(hooks));
+  UHStructEngine engine(FlatView(db), std::move(hooks));
   EXPECT_EQ(engine.num_frequent_items(), 0u);
   EXPECT_TRUE(engine.Mine(nullptr).empty());
 }

@@ -1,8 +1,8 @@
 // RunContext unit coverage: the cancellation token, soft deadline and
 // memory budget (this binary links the alloc hooks), the deterministic
 // checkpoint-fault trigger, Reset-based retry, and the execution-layer
-// contract (TaskGroup / ParallelFor observe a tripped token and the pool
-// stays reusable afterwards). The cross-miner cancellation sweeps live
+// contract (ParallelFor observes a tripped token and the pool stays
+// reusable afterwards). The cross-miner cancellation sweeps live
 // in tests/integration/fault_injection_test.cc.
 #include "common/run_context.h"
 
@@ -147,17 +147,17 @@ TEST(RunContextTest, PollOrThrowCarriesTheStatus) {
   PollRunContext(nullptr);  // nullptr form is a no-op, never throws
 }
 
-TEST(RunContextTest, TaskGroupSkipsTasksOnceTripped) {
+TEST(RunContextTest, ParallelForSkipsBodiesOnceTripped) {
   RunContext ctx;
   ctx.Cancel();
   std::atomic<int> ran{0};
-  TaskGroup group(2, &ctx);
-  for (int i = 0; i < 8; ++i) group.Spawn([&] { ran.fetch_add(1); });
-  group.Wait();
-  // Skipped work must not be mistaken for completed work: callers poll
-  // after Wait and unwind.
+  // Skipped work must not be mistaken for completed work: a loop whose
+  // token tripped before it started runs no body and unwinds.
+  EXPECT_THROW(ParallelFor(
+                   8, 2, [&](std::size_t, std::size_t) { ran.fetch_add(1); },
+                   &ctx),
+               RunAbortedError);
   EXPECT_EQ(ran.load(), 0);
-  EXPECT_THROW(PollRunContext(&ctx), RunAbortedError);
 }
 
 TEST(RunContextTest, ParallelForUnwindsAndThePoolStaysReusable) {

@@ -88,10 +88,10 @@ TEST(ParallelForTest, ExceptionPropagatesAfterAllChunksFinish) {
 }
 
 TEST(ParallelForTest, NestedParallelForRunsParallelAndCompletes) {
-  // A body that itself calls ParallelFor: the inner call forks a real
-  // nested task group (work-stealing scheduler; nothing in the pool
-  // sleeps waiting on another task) instead of deadlocking on a
-  // saturated pool or degrading to serial.
+  // A body that itself calls ParallelFor: the inner call recruits its
+  // own helpers and its caller drains it too (nothing in the pool sleeps
+  // waiting on another loop) instead of deadlocking on a saturated pool
+  // or degrading to serial.
   std::vector<std::atomic<int>> hits(64);
   ParallelFor(8, 4, [&hits](std::size_t outer, std::size_t) {
     ParallelFor(8, 4, [&hits, outer](std::size_t inner, std::size_t) {
@@ -158,9 +158,9 @@ TEST(ParallelForDynamicTest, LowestFailingIndexExceptionWinsAndAllRun) {
 }
 
 TEST(ParallelForDynamicTest, NestedCallRunsParallelAndCompletes) {
-  // Each nested call forks its own group with a private worker-id space:
-  // ids stay below the nested call's ParallelWorkerCount regardless of
-  // which pool threads end up helping.
+  // Each nested call recruits its own helpers with a private worker-id
+  // space: ids stay below the nested call's ParallelWorkerCount
+  // regardless of which pool threads end up helping.
   const std::size_t nested_workers = ParallelWorkerCount(8, 4);
   std::vector<std::atomic<int>> hits(64);
   ParallelFor(8, 4, [&](std::size_t outer, std::size_t) {
@@ -172,6 +172,27 @@ TEST(ParallelForDynamicTest, NestedCallRunsParallelAndCompletes) {
   });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << i;
+  }
+}
+
+TEST(ParallelForTest, StressNestedLoopsWithLateHelpTokens) {
+  // Run under TSan and ASan in CI. Loops much shorter than the help
+  // tokens they post: most tokens are popped after their loop closed and
+  // its caller's frame (body, slots) is gone, so a late token that read
+  // either would surface as a race or a use after return. Each round
+  // also nests loops two deep from inside pool threads.
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::size_t> outer_sums(4, 0);
+    ParallelFor(4, 8, [&outer_sums](std::size_t outer, std::size_t) {
+      std::vector<std::size_t> inner(3, 0);
+      ParallelFor(3, 8, [&inner, outer](std::size_t i, std::size_t) {
+        inner[i] = outer * 10 + i;
+      });
+      outer_sums[outer] = inner[0] + inner[1] + inner[2];
+    });
+    for (std::size_t outer = 0; outer < 4; ++outer) {
+      EXPECT_EQ(outer_sums[outer], outer * 30 + 3) << "round " << round;
+    }
   }
 }
 
@@ -192,137 +213,6 @@ TEST(ParallelForTest, ContextTrippedMidLoopUnwindsWithRunAbortedError) {
                  RunAbortedError)
         << "threads " << threads;
     EXPECT_LT(ran.load(), 1000) << "threads " << threads;
-  }
-}
-
-TEST(TaskGroupTest, SpawnedTasksAllRunAndStealsCoverEveryIndex) {
-  // Many more tasks than participants: whatever mix of local pops and
-  // steals the scheduler picks, every task must run exactly once.
-  constexpr std::size_t kTasks = 512;
-  std::vector<std::atomic<int>> hits(kTasks);
-  TaskGroup group(8);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    const std::size_t index = group.Spawn([&hits, i] { ++hits[i]; });
-    EXPECT_EQ(index, i);  // spawn indices are sequential
-  }
-  group.Wait();
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
-TEST(TaskGroupTest, TasksSpawnIntoTheirOwnGroup) {
-  // Tasks fan out by spawning more tasks into the same group; Wait must
-  // cover work spawned after it started draining.
-  std::atomic<int> runs{0};
-  TaskGroup group(4);
-  for (int i = 0; i < 4; ++i) {
-    group.Spawn([&group, &runs] {
-      ++runs;
-      for (int j = 0; j < 8; ++j) {
-        group.Spawn([&runs] { ++runs; });
-      }
-    });
-  }
-  group.Wait();
-  EXPECT_EQ(runs.load(), 4 + 4 * 8);
-}
-
-namespace {
-
-// Recursive fork-join over nested groups: sums [lo, hi) by splitting in
-// half until small. Exercises nested TaskGroup spawn from inside a
-// running task — the shape the miners' recursive splitting uses.
-std::size_t NestedTreeSum(std::size_t lo, std::size_t hi) {
-  if (hi - lo <= 4) {
-    std::size_t acc = 0;
-    for (std::size_t i = lo; i < hi; ++i) acc += i;
-    return acc;
-  }
-  const std::size_t mid = lo + (hi - lo) / 2;
-  std::size_t left = 0, right = 0;
-  TaskGroup group(4);
-  group.Spawn([&left, lo, mid] { left = NestedTreeSum(lo, mid); });
-  group.Spawn([&right, mid, hi] { right = NestedTreeSum(mid, hi); });
-  group.Wait();
-  return left + right;
-}
-
-}  // namespace
-
-TEST(TaskGroupTest, NestedGroupsComputeDeterministicValue) {
-  constexpr std::size_t kN = 1000;
-  EXPECT_EQ(NestedTreeSum(0, kN), kN * (kN - 1) / 2);
-}
-
-TEST(TaskGroupTest, LowestSpawnIndexExceptionWinsAndAllTasksRun) {
-  std::vector<std::atomic<int>> ran(10);
-  TaskGroup group(4);
-  for (std::size_t i = 0; i < 10; ++i) {
-    group.Spawn([&ran, i] {
-      ++ran[i];
-      if (i == 3) throw std::out_of_range("index 3");
-      if (i == 7) throw std::runtime_error("index 7");
-    });
-  }
-  // A throwing task never cancels the others; the exception of the
-  // lowest spawn index is the one rethrown, regardless of which task
-  // happened to fail first in real time.
-  EXPECT_THROW(group.Wait(), std::out_of_range);
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(ran[i].load(), 1) << i;
-  }
-}
-
-TEST(TaskGroupTest, ReusableAcrossSpawnWaitPhases) {
-  std::atomic<int> runs{0};
-  TaskGroup group(4);
-  for (int phase = 0; phase < 5; ++phase) {
-    for (int i = 0; i < 16; ++i) {
-      group.Spawn([&runs] { ++runs; });
-    }
-    group.Wait();
-    EXPECT_EQ(runs.load(), (phase + 1) * 16);
-  }
-}
-
-TEST(TaskGroupTest, DestructorWaitsWithoutRethrow) {
-  std::atomic<int> runs{0};
-  {
-    TaskGroup group(4);
-    group.Spawn([&runs] { ++runs; });
-    group.Spawn([] { throw std::runtime_error("never observed"); });
-    group.Spawn([&runs] { ++runs; });
-    // No Wait: the destructor must run every task to completion and
-    // swallow the stored exception.
-  }
-  EXPECT_EQ(runs.load(), 2);
-}
-
-TEST(TaskGroupTest, StressNestedSpawnAndSteal) {
-  // TSan-exercised stress loop: repeated fork-joins with same-group
-  // fan-out and nested child groups, racing local pops against steals.
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<std::size_t> sum{0};
-    TaskGroup group(8);
-    for (std::size_t i = 0; i < 32; ++i) {
-      group.Spawn([&group, &sum, i] {
-        sum += i;
-        if (i % 4 == 0) {
-          TaskGroup child(2);
-          for (std::size_t j = 0; j < 4; ++j) {
-            child.Spawn([&sum] { sum += 1; });
-          }
-          child.Wait();
-        } else {
-          group.Spawn([&sum] { sum += 1000; });
-        }
-      });
-    }
-    group.Wait();
-    // 32 tasks summing 0..31, 8 of them spawn 4 nested (+1 each), the
-    // other 24 spawn one same-group task (+1000 each).
-    EXPECT_EQ(sum.load(), 496u + 8 * 4 + 24 * 1000) << "round " << round;
   }
 }
 

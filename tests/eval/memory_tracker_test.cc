@@ -35,12 +35,6 @@ TEST(MemoryTrackerTest, ResetPeakDropsToCurrent) {
   EXPECT_EQ(memory_tracker::PeakBytes(), memory_tracker::CurrentBytes());
 }
 
-TEST(MemoryTrackerTest, AllocationCountIncreases) {
-  const std::uint64_t before = memory_tracker::AllocationCount();
-  auto p = std::make_unique<int>(5);
-  EXPECT_GT(memory_tracker::AllocationCount(), before);
-}
-
 TEST(ScopedPeakMemoryTest, ReportsDeltaAboveBaseline) {
   ScopedPeakMemory scope;
   EXPECT_EQ(scope.PeakDeltaBytes(), 0u);

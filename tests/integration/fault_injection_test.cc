@@ -144,10 +144,12 @@ TEST(FaultInjectionTest, EveryRegisteredMinerSurvivesCancellation) {
   }
 }
 
-// The pattern-growth miners only split dominant subtrees into stealable
-// tasks on larger inputs; this case forces real recursion depth and an
-// aggressive split budget so cancellation lands *inside* the
-// work-stealing task groups, not just at top-level ranks.
+// The pattern-growth miners only split dominant subtrees into nested
+// loops on larger inputs; on this one both split under their fixed rule
+// at 2 and 8 threads, so cancellation lands *inside* the nested
+// ParallelFor calls, not just at top-level ranks. Each split polls the
+// run context once more than the serial run does, which is how the case
+// checks that the nested loops ran at all.
 TEST(FaultInjectionTest, PatternGrowthSplitTasksSurviveCancellation) {
   const UncertainDatabase db = MakeRandomDatabase({.seed = 82,
                                                    .num_transactions = 180,
@@ -158,17 +160,26 @@ TEST(FaultInjectionTest, PatternGrowthSplitTasksSurviveCancellation) {
   ExpectedSupportParams params;
   params.min_esup = 0.05;
   for (const char* name : {"UFP-growth", "UH-Mine"}) {
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    std::uint64_t serial_polls = 0;
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       MinerOptions options;
       options.num_threads = threads;
-      options.split_budget = 64;  // aggressive: many stealable subtrees
       const RunContext ctx = options.run_context;
       std::unique_ptr<Miner> miner = MinerRegistry::Global().Create(name,
                                                                     options);
       ASSERT_NE(miner, nullptr) << name;
-      CheckSurvivesCancellation(
-          *miner, ctx, view, MiningTask(params),
-          std::string("split/") + name + "@" + std::to_string(threads));
+      const std::string label =
+          std::string("split/") + name + "@" + std::to_string(threads);
+      const std::uint64_t polls = CountCheckpoints(ctx, [&] {
+        ASSERT_TRUE(miner->Mine(view, MiningTask(params)).ok()) << label;
+      });
+      if (threads == 1) {
+        serial_polls = polls;
+        continue;
+      }
+      EXPECT_GT(polls, serial_polls) << label << ": no subtree split";
+      CheckSurvivesCancellation(*miner, ctx, view, MiningTask(params), label);
     }
   }
 }

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,11 +25,13 @@
 #include "core/miner_registry.h"
 #include "core/simd_intersect.h"
 #include "core/streaming_flat_view.h"
+#include "testing/fault_injection.h"
 #include "testing/random_db.h"
 
 namespace ufim {
 namespace {
 
+using testing_util::CountCheckpoints;
 using testing_util::MakeRandomDatabase;
 using testing_util::RandomDbSpec;
 
@@ -250,17 +254,27 @@ UncertainDatabase MakeDominantChainDatabase(std::size_t num_transactions,
   return UncertainDatabase(std::move(txns));
 }
 
-/// The recursive split matrix of ISSUE 7: on the dominant-chain
-/// database, every pattern-growth miner must be bit-identical to its
-/// serial scalar baseline across {1,2,8} threads × {scalar, gallop,
-/// simd} × split budgets {off (1), auto (0), aggressive (64)} — results
+/// The split matrix: on an input where its fixed split rule fires,
+/// every pattern-growth miner must be bit-identical to its serial scalar
+/// baseline across {1,2,8} threads × {scalar, gallop, simd} — results
 /// and counters both, since splitting may only change *where* a subtree
-/// is mined, never what is evaluated.
+/// is mined, never what is evaluated. Each split runs one nested
+/// ParallelFor, which polls the run context once on exit, so the
+/// multi-thread runs must also poll more often than the serial run:
+/// that proves the nested loops really ran.
 TEST(ParallelEquivalenceTest, PatternGrowthSplitBudgetsOnDominantRank) {
-  const UncertainDatabase db = MakeDominantChainDatabase(320, 16);
-  FlatView view(db);
+  const UncertainDatabase chain = MakeDominantChainDatabase(320, 16);
+  // UFP-growth shares nodes on the chain, so its conditional trees stay
+  // below the 128-node split floor; continuous probabilities share no
+  // node and give it trees large enough to split.
+  const UncertainDatabase random = MakeRandomDatabase({.seed = 85,
+                                                       .num_transactions = 400,
+                                                       .num_items = 14,
+                                                       .item_presence = 0.45,
+                                                       .min_prob = 0.3});
   struct Case {
     const char* name;
+    const UncertainDatabase* db;
     MiningTask task;
   };
   ExpectedSupportParams esup_params;
@@ -269,47 +283,51 @@ TEST(ParallelEquivalenceTest, PatternGrowthSplitBudgetsOnDominantRank) {
   prob_params.min_sup = 0.08;
   prob_params.pft = 0.5;
   const Case cases[] = {
-      {"UFP-growth", esup_params},
-      {"UH-Mine", esup_params},
-      {"NDUH-Mine", prob_params},
+      {"UFP-growth", &random, esup_params},
+      {"UH-Mine", &chain, esup_params},
+      {"NDUH-Mine", &chain, prob_params},
   };
-  constexpr std::size_t kBudgets[] = {1, 0, 64};  // off, auto, aggressive
   for (const Case& c : cases) {
+    FlatView view(*c.db);
+    auto mine_counted = [&](std::size_t threads,
+                            Result<MiningResult>* out) -> std::uint64_t {
+      MinerOptions options;
+      options.num_threads = threads;
+      const RunContext ctx = options.run_context;
+      std::unique_ptr<Miner> miner =
+          MinerRegistry::Global().Create(c.name, options);
+      return CountCheckpoints(ctx, [&] { *out = miner->Mine(view, c.task); });
+    };
     Result<MiningResult> baseline = Status::Internal("not run");
+    std::uint64_t serial_polls = 0;
     {
       ScopedKernel forced(IntersectKernel::kScalar);
-      MinerOptions options;
-      options.num_threads = 1;
-      options.split_budget = 1;  // serial, splitting off
-      baseline =
-          MinerRegistry::Global().Create(c.name, options)->Mine(view, c.task);
+      serial_polls = mine_counted(1, &baseline);
     }
     ASSERT_TRUE(baseline.ok()) << c.name;
     ASSERT_GT(baseline->size(), 50u)
-        << c.name << ": chain database not deep enough to be meaningful";
+        << c.name << ": database not deep enough to be meaningful";
     for (const IntersectKernel kernel : kKernels) {
       ScopedKernel forced(kernel);
       for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                                   std::size_t{8}}) {
-        for (std::size_t budget : kBudgets) {
-          MinerOptions options;
-          options.num_threads = threads;
-          options.split_budget = budget;
-          auto run =
-              MinerRegistry::Global().Create(c.name, options)->Mine(view,
-                                                                    c.task);
-          ASSERT_TRUE(run.ok()) << c.name;
-          const std::string label = std::string("dominant/") + c.name + "@" +
-                                    std::to_string(threads) + "/b" +
-                                    std::to_string(budget) + "/" +
-                                    IntersectKernelName(kernel);
-          ExpectIdentical(run.value(), baseline.value(), label);
-          EXPECT_EQ(run->counters().candidates_generated,
-                    baseline->counters().candidates_generated)
-              << label;
-          EXPECT_EQ(run->counters().database_scans,
-                    baseline->counters().database_scans)
-              << label;
+        Result<MiningResult> run = Status::Internal("not run");
+        const std::uint64_t polls = mine_counted(threads, &run);
+        ASSERT_TRUE(run.ok()) << c.name;
+        const std::string label = std::string("split/") + c.name + "@" +
+                                  std::to_string(threads) + "/" +
+                                  IntersectKernelName(kernel);
+        ExpectIdentical(run.value(), baseline.value(), label);
+        EXPECT_EQ(run->counters().candidates_generated,
+                  baseline->counters().candidates_generated)
+            << label;
+        EXPECT_EQ(run->counters().database_scans,
+                  baseline->counters().database_scans)
+            << label;
+        if (threads == 1) {
+          EXPECT_EQ(polls, serial_polls) << label;
+        } else {
+          EXPECT_GT(polls, serial_polls) << label << ": no subtree split";
         }
       }
     }

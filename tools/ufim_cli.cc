@@ -48,15 +48,14 @@ int Usage() {
   ufim_cli stats <path>
   ufim_cli mine <path> --algorithm <name>
            (--min-esup <r> | --min-sup <r> [--pft <p>] | --k <n>)
-           [--threads <t>] [--shards <s>] [--split-budget <n>]
+           [--threads <t>] [--shards <s>]
            [--kernel {auto|scalar|gallop|simd}]
            [--prefilter {off|bounds}]
            [--deadline-ms <ms>] [--memory-budget-mb <mb>]
            [--top <k>] [--closed] [--maximal] [--rules <min_conf>]
   ufim_cli mine-stream <path> --algorithm <name> --min-esup <r>
            [--batch <n>] [--compact-ratio <r>] [--compact-every <n>]
-           [--threads <t>]
-           [--split-budget <n>] [--kernel {auto|scalar|gallop|simd}]
+           [--threads <t>] [--kernel {auto|scalar|gallop|simd}]
            [--deadline-ms <ms>] [--memory-budget-mb <mb>]
 
   --threads: worker threads for the parallel mining paths
@@ -64,11 +63,6 @@ int Usage() {
              every setting). --shards: partition the database into <s>
              transaction shards mined independently and merged exactly
              (expected-support algorithms only).
-  --split-budget: recursive task-splitting budget for the pattern-growth
-             miners' dominant conditional subtrees (0 = automatic
-             threshold, the default; 1 = split never, i.e. top-level
-             rank tasks only; larger = split more aggressively).
-             Results are identical at every setting.
   --kernel:  force the posting-intersection kernel (default auto:
              galloping on skewed list lengths, SIMD when the CPU has
              it, scalar otherwise; results are identical under every
@@ -291,7 +285,7 @@ int Mine(const Args& args) {
   std::string err;
   if (!args.Validate(
           {.value_flags = {"algorithm", "min-esup", "min-sup", "pft", "k",
-                           "threads", "shards", "split-budget", "kernel",
+                           "threads", "shards", "kernel",
                            "prefilter", "deadline-ms", "memory-budget-mb",
                            "top", "rules"},
            .switches = {"closed", "maximal"}},
@@ -304,7 +298,7 @@ int Mine(const Args& args) {
   }
 
   // Validate every numeric flag before touching the dataset.
-  std::size_t num_threads = 0, num_shards = 1, split_budget = 0, k = 10;
+  std::size_t num_threads = 0, num_shards = 1, k = 10;
   std::size_t deadline_ms = 0, memory_budget_mb = 0;
   double min_esup = 0.5, min_sup = 0.5, pft = 0.9;
   ShowOptions show;
@@ -315,7 +309,6 @@ int Mine(const Args& args) {
     double rules_conf = 0.8;
     if (!OrFail(args.GetSize("threads", 0, &num_threads, &err), err) ||
         !OrFail(args.GetSize("shards", 1, &num_shards, &err), err) ||
-        !OrFail(args.GetSize("split-budget", 0, &split_budget, &err), err) ||
         !OrFail(args.GetSize("deadline-ms", 0, &deadline_ms, &err), err) ||
         !OrFail(args.GetSize("memory-budget-mb", 0, &memory_budget_mb, &err),
                 err) ||
@@ -379,7 +372,6 @@ int Mine(const Args& args) {
   if (!ApplyKernelFlag(args)) return Usage();
   MinerOptions options;
   options.num_threads = num_threads;  // 0 = all hardware threads
-  options.split_budget = split_budget;  // 0 = automatic threshold
   if (const char* prefilter_name = args.Get("prefilter")) {
     if (!ParsePrefilterMode(prefilter_name, &options.prefilter)) {
       std::fprintf(stderr, "bad --prefilter '%s' (off|bounds)\n",
@@ -410,7 +402,7 @@ int MineStream(const Args& args) {
   std::string err;
   if (!args.Validate({.value_flags = {"algorithm", "min-esup", "batch",
                                       "compact-ratio", "compact-every",
-                                      "threads", "split-budget", "kernel",
+                                      "threads", "kernel",
                                       "deadline-ms", "memory-budget-mb"},
                       .switches = {}},
                      &err)) {
@@ -422,11 +414,10 @@ int MineStream(const Args& args) {
   }
 
   // Validate every numeric flag before touching the dataset.
-  std::size_t num_threads = 0, split_budget = 0, batch_size = 256;
+  std::size_t num_threads = 0, batch_size = 256;
   std::size_t deadline_ms = 0, memory_budget_mb = 0, compact_every = 0;
   double min_esup = 0.5, compact_ratio = 0.25;
   if (!OrFail(args.GetSize("threads", 0, &num_threads, &err), err) ||
-      !OrFail(args.GetSize("split-budget", 0, &split_budget, &err), err) ||
       !OrFail(args.GetSize("deadline-ms", 0, &deadline_ms, &err), err) ||
       !OrFail(args.GetSize("memory-budget-mb", 0, &memory_budget_mb, &err),
               err) ||
@@ -461,7 +452,6 @@ int MineStream(const Args& args) {
   params.min_esup = min_esup;
   MinerOptions options;
   options.num_threads = num_threads;  // 0 = all hardware threads
-  options.split_budget = split_budget;  // 0 = automatic threshold
   options.run_context = MakeRunLimits(deadline_ms, memory_budget_mb);
   CompactionPolicy policy;
   policy.max_delta_ratio = compact_ratio;
