@@ -1,7 +1,8 @@
 // Table 4 ablation: per-itemset cost of determining the frequent
-// probability — DP O(N·msc), DC O(N log N), Chernoff O(1) given the mean
-// (O(N) with the scan). Also micro-benchmarks the FFT-vs-naive conquer
-// crossover that justifies ExactDC's fft_threshold default.
+// probability — DP O(N·msc) in the paper, O(N·min(msc, N−msc+1)) on the
+// live band; DC O(N log N); Chernoff O(1) given the mean (O(N) with the
+// scan). Also micro-benchmarks the FFT-vs-naive conquer crossover that
+// justifies ExactDC's fft_threshold default.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -32,6 +33,25 @@ void BM_TailDP(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_TailDP)->RangeMultiplier(4)->Range(64, 16384)->Complexity();
+
+// The tail DP the miners run: scratch overload, live band only. Arg 2 is
+// the early-reject threshold in thousandths, -1 for none; at 900 the
+// candidates whose tail is far below 0.9 stop early.
+void BM_TailDPBand(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t k = static_cast<std::size_t>(state.range(1));
+  const double threshold =
+      state.range(2) < 0 ? -1.0 : static_cast<double>(state.range(2)) / 1000.0;
+  const auto probs = RandomProbs(n, 42);
+  DpScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        PoissonBinomialTailDP(probs, k, threshold, scratch));
+  }
+}
+BENCHMARK(BM_TailDPBand)
+    ->ArgNames({"n", "k", "pft_permille"})
+    ->ArgsProduct({{900, 1500, 3000}, {600, 750, 900}, {-1, 900}});
 
 void BM_TailDC(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -13,8 +13,9 @@ namespace ufim {
 ///   item,item,... esup variance [freq_prob]
 ///
 /// Lines starting with '#' are comments. Doubles are emitted with %.17g
-/// so a round-trip is bit-exact. Used by the CLI to persist results and
-/// by downstream tooling to diff algorithm outputs.
+/// so a round-trip is bit-exact. `examples/catalog_insights.cpp` persists
+/// and reloads results through it; the CLI prints its own listing and
+/// does not write result files.
 Status WriteResult(const MiningResult& result, const std::string& path);
 
 Result<MiningResult> ReadResult(const std::string& path);

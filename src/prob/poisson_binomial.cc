@@ -1,6 +1,7 @@
 #include "prob/poisson_binomial.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/math_util.h"
 #include "prob/convolution.h"
@@ -16,33 +17,19 @@ SupportMoments ComputeSupportMoments(const std::vector<double>& probs) {
   return SupportMoments{mean.value(), var.value()};
 }
 
-namespace {
-
-// Shared DP core. Fills `pmf` (resized to top + 1) with the cap-truncated
-// distribution: pmf[j] = Pr(exactly j successes so far) for j < top;
-// pmf[top] = Pr(>= top) once the overflow bucket is live. When
-// reject_threshold >= 0, the final overflow mass is periodically bounded
-// from the partial state; once Pr(S_n >= top) is certified to be at least
-// a safety margin below reject_threshold, the DP aborts, stores the bound
-// in *early_bound, and returns true. Returns false after a full run.
-bool TailDpCore(const std::vector<double>& probs, std::size_t top, bool capped,
-                double reject_threshold, std::vector<double>& pmf,
-                double* early_bound) {
-  pmf.assign(top + 1, 0.0);
+std::vector<double> PoissonBinomialCappedPmfDP(const std::vector<double>& probs,
+                                               std::size_t cap) {
+  const std::size_t top = std::min(cap, probs.size());
+  if (top == 0) return {1.0};  // cap == 0 or no trials: all mass at "via >= 0"
+  // Every bin is returned, so this keeps the full-band in-place update.
+  const bool capped = probs.size() > cap;
+  std::vector<double> pmf(top + 1, 0.0);
   pmf[0] = 1.0;
   std::size_t filled = 0;  // highest index with possibly-nonzero mass
-  const std::size_t n = probs.size();
-  // Margin under the caller's threshold: a completed DP differs from the
-  // true tail by accumulated rounding only, so certifying with this much
-  // headroom guarantees the completed evaluation would also land <= the
-  // threshold — early exit can never flip a frequent/infrequent decision.
-  constexpr double kAbortSlack = 1e-7;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double p = probs[i];
+  for (double p : probs) {
     const std::size_t hi = std::min(filled + 1, top);
     for (std::size_t j = hi; j > 0; --j) {
-      const bool overflow_bin = capped && j == top;
-      if (overflow_bin) {
+      if (capped && j == top) {
         // Overflow keeps its mass and absorbs promotions from j-1.
         pmf[j] = pmf[j] + pmf[j - 1] * p;
       } else {
@@ -51,56 +38,67 @@ bool TailDpCore(const std::vector<double>& probs, std::size_t top, bool capped,
     }
     pmf[0] *= (1.0 - p);
     filled = hi;
-    if (reject_threshold >= 0.0 && (i & 63u) == 63u && i + 1 < n) {
-      const std::size_t remaining = n - i - 1;
-      if (remaining < top) {
-        // Worlds gain at most one success per remaining trial, so
-        // Pr(S_n >= top) <= Pr(S_i >= top - remaining).
-        double reachable = 0.0;
-        for (std::size_t j = top - remaining; j <= filled; ++j) {
-          reachable += pmf[j];
-        }
-        if (reachable + kAbortSlack <= reject_threshold) {
-          *early_bound = reachable;
-          return true;
-        }
-      }
-    }
   }
-  return false;
-}
-
-}  // namespace
-
-std::vector<double> PoissonBinomialCappedPmfDP(const std::vector<double>& probs,
-                                               std::size_t cap) {
-  const std::size_t top = std::min(cap, probs.size());
-  if (top == 0) return {1.0};  // cap == 0 or no trials: all mass at "via >= 0"
-  std::vector<double> pmf;
-  TailDpCore(probs, top, /*capped=*/probs.size() > cap,
-             /*reject_threshold=*/-1.0, pmf, nullptr);
   return pmf;
 }
 
 double PoissonBinomialTailDP(const std::vector<double>& probs, std::size_t k) {
-  if (k == 0) return 1.0;
-  if (probs.size() < k) return 0.0;
-  const std::vector<double> pmf = PoissonBinomialCappedPmfDP(probs, k);
-  // The last bin holds Pr(>= k) when capped and Pr(= k) == Pr(>= k) when
-  // n == k; either way index k is the tail.
-  return pmf[k];
+  DpScratch scratch;
+  return PoissonBinomialTailDP(probs, k, /*reject_threshold=*/-1.0, scratch);
 }
 
+// Two ping-pong rows of k + 1 bins: bin j < k holds Pr(exactly j
+// successes so far); bin k holds Pr(>= k) when n > k (the capped overflow
+// bin) and Pr(= k) when n == k.
+//
+// Only the live band is computed. After trial i, with r = n - i - 1
+// trials left, a state j < k - r can never reach k, and bins above
+// min(i + 1, k) are still empty. Bin j of the next row reads bins j and
+// j - 1 of this one, both live whenever j is, so every live bin — and the
+// tail — gets exactly the operations, in exactly the order, of the full
+// [0, k] recurrence: the result is bit-identical, at O(n * min(k, n-k+1))
+// cost. Reading one row and writing the other lets the compiler
+// vectorize the inner loop; a one-row update must run backwards, and
+// that loop does not vectorize.
 double PoissonBinomialTailDP(const std::vector<double>& probs, std::size_t k,
                              double reject_threshold, DpScratch& scratch) {
   if (k == 0) return 1.0;
-  if (probs.size() < k) return 0.0;
-  double early_bound = 0.0;
-  if (TailDpCore(probs, k, /*capped=*/probs.size() > k, reject_threshold,
-                 scratch.pmf, &early_bound)) {
-    return early_bound;
+  const std::size_t n = probs.size();
+  if (n < k) return 0.0;
+  // Margin under the caller's threshold: a completed DP differs from the
+  // true tail by accumulated rounding only, so certifying with this much
+  // headroom guarantees the completed evaluation would also land <= the
+  // threshold — early exit can never flip a frequent/infrequent decision.
+  constexpr double kAbortSlack = 1e-7;
+  const bool capped = n > k;
+  // Bins the band has not reached yet must read as zero in both rows.
+  scratch.pmf.assign(2 * (k + 1), 0.0);
+  double* f = scratch.pmf.data();
+  double* g = f + (k + 1);
+  f[0] = 1.0;
+  std::size_t hi = 0;  // highest bin with possibly-nonzero mass
+  for (std::size_t i = 0; i < n; ++i) {
+    const double p = probs[i];
+    const double q = 1.0 - p;
+    const std::size_t remaining = n - i - 1;
+    const std::size_t lo = k > remaining ? k - remaining : 0;
+    hi = std::min(hi + 1, k);
+    std::size_t j = lo;
+    if (j == 0) g[j++] = f[0] * q;
+    // The overflow bin keeps its mass and absorbs promotions from k - 1.
+    const std::size_t last = capped && hi == k ? k - 1 : hi;
+    for (; j <= last; ++j) g[j] = f[j] * q + f[j - 1] * p;
+    if (last < hi) g[k] = f[k] + f[k - 1] * p;
+    std::swap(f, g);
+    // Worlds gain at most one success per remaining trial, so the live
+    // band's mass bounds Pr(S_n >= k) from above.
+    if (reject_threshold >= 0.0 && (i & 63u) == 63u && lo > 0 && i + 1 < n) {
+      double reachable = 0.0;
+      for (std::size_t b = lo; b <= hi; ++b) reachable += f[b];
+      if (reachable + kAbortSlack <= reject_threshold) return reachable;
+    }
   }
-  return scratch.pmf[k];
+  return f[k];
 }
 
 namespace {

@@ -23,18 +23,24 @@ struct SupportMoments {
 SupportMoments ComputeSupportMoments(const std::vector<double>& probs);
 
 /// Exact upper tail Pr(S >= k) by the dynamic program of Bernecker et al.
-/// (§3.2.1): O(n * k) time, O(k) memory. k == 0 returns 1.
+/// (§3.2.1). Only the live band of states is updated: after trial i a
+/// state j < k - (n - i - 1) can no longer reach k, so the cost is
+/// O(n * min(k, n - k + 1)) time and O(k) memory (two rows of k + 1
+/// bins), with the same bits as the full O(n * k) recurrence. k == 0
+/// returns 1; k > n returns 0.
 double PoissonBinomialTailDP(const std::vector<double>& probs, std::size_t k);
 
 /// Exact tail-capped pmf by the same DP: result has length
 /// min(n, cap) + 1; index j < cap is Pr(S = j) and the last index (== cap
-/// when n >= cap) is Pr(S >= cap).
+/// when n >= cap) is Pr(S >= cap). Every bin is returned, so this stays
+/// full-band: O(n * min(n, cap)) time.
 std::vector<double> PoissonBinomialCappedPmfDP(const std::vector<double>& probs,
                                                std::size_t cap);
 
 /// Reusable workspace for the tail DP. Level-wise miners keep one per
-/// worker thread so the O(k) pmf row is allocated once and recycled across
-/// every candidate of every level instead of per tail evaluation.
+/// worker thread so the two O(k) pmf rows (2 * (k + 1) doubles, both in
+/// `pmf`) are allocated once and recycled across every candidate of every
+/// level instead of per tail evaluation.
 struct DpScratch {
   std::vector<double> pmf;
 };

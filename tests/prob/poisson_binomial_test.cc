@@ -184,5 +184,62 @@ TEST(PoissonBinomialApproximationTest, PoissonApproxGoodForSmallProbs) {
   EXPECT_NEAR(approx, exact, 0.02);
 }
 
+// Pmf over [0, len) of a surrogate given by its upper tail Pr(S >= j);
+// the mass at or above len - 1 folds into the last bin, as in the
+// capped pmf of the exact DP.
+template <typename Tail>
+std::vector<double> PmfFromTail(Tail tail, std::size_t len) {
+  std::vector<double> pmf(len);
+  pmf[0] = 1.0 - tail(1);
+  for (std::size_t j = 1; j + 1 < len; ++j) pmf[j] = tail(j) - tail(j + 1);
+  pmf[len - 1] = tail(len - 1);
+  return pmf;
+}
+
+double TotalVariation(const std::vector<double>& a,
+                      const std::vector<double>& b) {
+  double sum = 0.0;
+  for (std::size_t j = 0; j < a.size(); ++j) sum += std::fabs(a[j] - b[j]);
+  return 0.5 * sum;
+}
+
+// The quantitative backbone of §4.4: on large Poisson-binomial
+// instances, the Normal surrogate is much closer (in TV distance) to
+// the true support distribution than the Poisson surrogate when unit
+// probabilities are not small.
+TEST(ApproximationQualityTest, NormalBeatsPoissonAtModerateProbs) {
+  Rng rng(9);
+  std::vector<double> probs(800);
+  for (double& p : probs) p = rng.Uniform(0.3, 0.9);
+  SupportMoments m = ComputeSupportMoments(probs);
+  const std::size_t len = probs.size() + 1;
+  const auto exact = PoissonBinomialCappedPmfDP(probs, probs.size());
+  const double tv_normal = TotalVariation(
+      exact, PmfFromTail(
+                 [&](std::size_t j) {
+                   return NormalApproxFrequentProbability(m.mean, m.variance,
+                                                          j);
+                 },
+                 len));
+  const double tv_poisson = TotalVariation(
+      exact,
+      PmfFromTail([&](std::size_t j) { return PoissonTail(j, m.mean); }, len));
+  EXPECT_LT(tv_normal, 0.02);
+  EXPECT_GT(tv_poisson, 5.0 * tv_normal);
+}
+
+TEST(ApproximationQualityTest, PoissonCompetitiveAtSmallProbs) {
+  Rng rng(10);
+  std::vector<double> probs(3000);
+  for (double& p : probs) p = rng.Uniform(0.0, 0.04);
+  SupportMoments m = ComputeSupportMoments(probs);
+  const std::size_t len = 200;
+  const auto exact = PoissonBinomialCappedPmfDP(probs, len - 1);
+  const double tv_poisson = TotalVariation(
+      exact,
+      PmfFromTail([&](std::size_t j) { return PoissonTail(j, m.mean); }, len));
+  EXPECT_LT(tv_poisson, 0.02);  // Le Cam regime: Poisson is accurate
+}
+
 }  // namespace
 }  // namespace ufim
