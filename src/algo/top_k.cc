@@ -39,9 +39,8 @@ struct SearchContext {
   std::size_t k = 0;
   /// Items in descending expected-support order (exploration order).
   std::vector<ItemId> order;
-  /// position of item in `order` — extensions use order positions so the
-  /// strongest items are tried first.
-  std::vector<std::uint32_t> pos_of;
+  /// Expected support of `order[p]`, by order position p.
+  std::vector<double> item_esup;
   MinHeap heap;
   MiningCounters counters;
   /// Shared by every extension join in the DFS: the batch kernel's
@@ -62,41 +61,60 @@ double Bound(const SearchContext& ctx) {
   return ctx.heap.size() < ctx.k ? -1.0 : ctx.heap.top().esup;
 }
 
-/// Extends `prefix` (whose containment is given) with every item at an
-/// order-position greater than `last_pos`. Extension containments come
-/// from merge-joining the prefix tids with the item's posting arrays.
+/// True when no itemset containing the item at order position `p` can
+/// beat the bound. Such an itemset's esup sums, over a subset of the
+/// item's postings, terms fl(a·b) with a <= 1, and each is <= the
+/// posting's own b; both sums are KahanSums, whose relative error is far
+/// below the 1e-12 slack. Positions run in descending item esup, so the
+/// test then holds for every later position too, and the bound stays put
+/// because nothing more is offered: callers `break`.
+bool OutOfReach(const SearchContext& ctx, std::uint32_t p) {
+  return ctx.item_esup[p] * (1.0 + 1e-12) <= Bound(ctx);
+}
+
+/// Extends `prefix` (whose containment is given) with the items at
+/// order-positions greater than `last_pos`, in order, up to the first one
+/// out of reach. Extension containments come from merge-joining the
+/// prefix tids with the item's posting arrays.
 void Dfs(SearchContext& ctx, const Itemset& prefix, const Containment& cont,
          std::uint32_t last_pos) {
   const FlatView& view = *ctx.view;
   for (std::uint32_t p = last_pos + 1; p < ctx.order.size(); ++p) {
-    // Checkpoint: one per attempted DFS extension. The search is serial
-    // and every container is owned by this call chain, so an abort here
+    // Stop before paying for the join: neither this extension nor any
+    // later one can qualify (see OutOfReach).
+    if (OutOfReach(ctx, p)) break;
+    // Checkpoint: one per joined DFS extension. The search is serial and
+    // every container is owned by this call chain, so an abort here
     // unwinds cleanly.
     PollRunContext(ctx.run);
     const ItemId item = ctx.order[p];
     ++ctx.counters.candidates_generated;
     // Batch join: one vectorized intersection, then a gather over the
-    // match columns (materialized into `ext` before the recursion below
-    // reuses the scratch).
+    // match columns.
     const FlatView::ListMatches matches =
         view.JoinWithPostings(cont.tids, item, ctx.scratch);
     // Itemsets that never co-occur are not results.
     if (matches.size() == 0) continue;
-    Containment ext;
-    ext.tids.reserve(matches.size());
-    ext.probs.reserve(matches.size());
     KahanSum esup;
     double sq_sum = 0.0;
     for (std::size_t k = 0; k < matches.size(); ++k) {
-      const std::size_t i = matches.seq_indices[k];
-      const double joint = cont.probs[i] * matches.probs[k];
-      ext.tids.push_back(cont.tids[i]);
-      ext.probs.push_back(joint);
+      const double joint =
+          cont.probs[matches.seq_indices[k]] * matches.probs[k];
       esup.Add(joint);
       sq_sum += joint * joint;
     }
     // Anti-monotonicity: nothing below this node can beat the bound.
     if (esup.value() <= Bound(ctx)) continue;
+    // Only extensions that pass get their containment, copied out of the
+    // scratch before the recursion below reuses it.
+    Containment ext;
+    ext.tids.resize(matches.size());
+    ext.probs.resize(matches.size());
+    for (std::size_t k = 0; k < matches.size(); ++k) {
+      const std::size_t i = matches.seq_indices[k];
+      ext.tids[k] = cont.tids[i];
+      ext.probs[k] = cont.probs[i] * matches.probs[k];
+    }
     Itemset extended = prefix.Union(item);
     Offer(ctx, extended, esup.value(), sq_sum);
     Dfs(ctx, extended, ext, p);
@@ -119,7 +137,11 @@ Result<MiningResult> MineTopKExpected(const FlatView& view, std::size_t k,
     return a.item < b.item;
   });
   ctx.order.reserve(stats.size());
-  for (const ItemStats& is : stats) ctx.order.push_back(is.item);
+  ctx.item_esup.reserve(stats.size());
+  for (const ItemStats& is : stats) {
+    ctx.order.push_back(is.item);
+    ctx.item_esup.push_back(is.esup);
+  }
 
   // Seed the heap with the items themselves (tightens the bound before
   // any pair is evaluated), then run the guided DFS per starting item.
@@ -128,9 +150,10 @@ Result<MiningResult> MineTopKExpected(const FlatView& view, std::size_t k,
     Offer(ctx, Itemset{is.item}, is.esup, is.sq_sum);
   }
   for (std::uint32_t p = 0; p < ctx.order.size(); ++p) {
-    PollRunContext(ctx.run);  // checkpoint: one per starting item
+    // No itemset starting here or at a later item can qualify.
+    if (OutOfReach(ctx, p)) break;
+    PollRunContext(ctx.run);  // checkpoint: one per searched starting item
     const ItemId item = ctx.order[p];
-    if (stats[p].esup <= Bound(ctx)) continue;  // no extension can qualify
     Containment cont;
     view.CopyPostings(item, cont.tids, cont.probs);
     Dfs(ctx, Itemset{item}, cont, p);

@@ -16,13 +16,20 @@ namespace ufim {
 /// Depth-first search with a dynamic bound: the k-th best expected
 /// support seen so far prunes subtrees, which is exact because expected
 /// support is anti-monotone. Items are explored in descending expected-
-/// support order so the bound tightens early.
+/// support order so the bound tightens early. An extension's expected
+/// support never exceeds its item's, so each extension loop stops, before
+/// joining, at the first item whose own expected support cannot beat the
+/// bound: no later item can either. Serial: on the CLI dataset families
+/// the whole search takes well under a millisecond at k = 10.
 ///
 /// Returns fewer than k itemsets only when fewer exist. Results carry
 /// (esup, variance) like every other miner and are sorted by descending
-/// expected support. `context` (optional) is polled once per DFS
-/// extension; a tripped token unwinds with RunAbortedError (callers going
-/// through `TopKMiner` get it converted to a Status).
+/// expected support. `counters().candidates_generated` counts the seed
+/// items plus the extensions actually joined; those cut off by the early
+/// stop are not counted. `context` (optional) is polled once per searched
+/// starting item and once per joined extension; a tripped token unwinds
+/// with RunAbortedError (callers going through `TopKMiner` get it
+/// converted to a Status).
 Result<MiningResult> MineTopKExpected(const FlatView& view, std::size_t k,
                                       const RunContext* context = nullptr);
 
