@@ -133,10 +133,13 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
     // frozen snapshot, outside the write mutex — a concurrent explicit
     // Compact cannot perturb it (copy-on-compact leaves the snapshot's
     // storage untouched), and the result is bit-identical either way.
+    // Carried candidates join only the transactions appended since the
+    // last completed recount.
     const double threshold =
         params_.min_esup * static_cast<double>(snap.watermark());
     RecountExpectedCandidates(snap.view(), singles, larger, threshold,
-                              num_threads_, result, &run_context_);
+                              num_threads_, result, &run_context_,
+                              &recount_state_);
     result.SortCanonical();
     return result;
   });

@@ -8,10 +8,12 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/result.h"
 #include "core/miner.h"
+#include "core/sharded_miner.h"
 #include "core/streaming_flat_view.h"
 
 namespace ufim {
@@ -43,14 +45,29 @@ namespace ufim {
 /// Only expected-support tasks are supported — the same additivity
 /// restriction as `ShardedMiner`.
 ///
+/// **Incremental recount.** Expected support (Definition 1) is a sum
+/// over transactions, so an append only adds terms. The miner carries
+/// each size->=2 pool candidate's Kahan state, Σp², covered watermark
+/// and join driver (`RecountState`) from one completed recount to the
+/// next, and the next recount joins only the transactions appended
+/// since. The result stays bit-identical to a from-scratch recount: the
+/// suffix join drives from the full view's `JoinDriver`, a pair may
+/// keep its state across a driver change (`a * b == b * a`), a
+/// candidate of three or more items whose driver changed is recounted
+/// from tid 0 (so is a newly admitted one), and the carried states are
+/// replaced only when a recount completes. Singletons read the view's
+/// cached moments. See `RecountExpectedCandidates`.
+///
 /// **Batch sizing.** The per-shard threshold is min_esup * |batch|;
 /// when that drops below ~1 expected occurrence, *every* itemset a
 /// transaction contains is locally frequent and the candidate pool
 /// explodes combinatorially — the classic SON degenerate regime, shared
 /// with very small `ShardedMiner` shards. Keep batches large enough
 /// that min_esup * batch_size stays comfortably above 1 (a few
-/// occurrences); the recount then dominates and stays linear in the
-/// pool.
+/// occurrences). A batch then costs the suffix mine plus joins over the
+/// batch's own transactions for every carried candidate, and a full
+/// join only for candidates that are new or whose driver moved, rather
+/// than a join over the whole stream for every candidate.
 class DeltaMiner {
  public:
   /// Wraps `inner` (an expected-support miner; typically registry-made).
@@ -147,6 +164,10 @@ class DeltaMiner {
   /// Candidate -> storage generation at which the pool admitted it.
   std::unordered_map<Itemset, std::uint64_t, ItemsetHash> pool_
       UFIM_GUARDED_BY(write_mu_);
+  /// The size->=2 candidates' moments as of the last completed recount,
+  /// sorted by itemset. Read and replaced only by the recount phase,
+  /// which the caller-serialized MineNext runs outside the write mutex.
+  std::vector<RecountState> recount_state_;
 };
 
 /// Builds a `DeltaMiner` around a registry algorithm — the streaming

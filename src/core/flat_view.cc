@@ -303,14 +303,9 @@ void FlatView::AdvanceSide(JoinScratch::Side& m, TransactionId last_tid) {
   }
 }
 
-bool FlatView::BeginJoin(const Itemset& itemset, JoinScratch& s) const {
+std::size_t FlatView::JoinDriver(const Itemset& itemset) const {
   const std::vector<ItemId>& items = itemset.items();
-  if (items.empty()) return false;
-
-  // Driver = the shortest member posting list by *logical* length (first
-  // minimal index, the historical tie-break — results depend on it
-  // through the product order, so it must stay stable and must not see
-  // the physical segmentation).
+  if (items.empty()) return 0;
   std::size_t driver = 0;
   std::size_t shortest = PostingCount(items[0]);
   for (std::size_t k = 1; k < items.size(); ++k) {
@@ -320,7 +315,16 @@ bool FlatView::BeginJoin(const Itemset& itemset, JoinScratch& s) const {
       driver = k;
     }
   }
-  if (shortest == 0) return false;
+  return driver;
+}
+
+bool FlatView::BeginJoin(const Itemset& itemset, std::size_t driver,
+                         JoinScratch& s) const {
+  const std::vector<ItemId>& items = itemset.items();
+  if (items.empty()) return false;
+  if (driver == kShortestDriver) driver = JoinDriver(itemset);
+  s.driver_postings_ = PostingSegments(items[driver]);
+  if (s.driver_postings_.total == 0) return false;
 
   s.members_.clear();
   for (std::size_t k = 0; k < items.size(); ++k) {
@@ -329,8 +333,7 @@ bool FlatView::BeginJoin(const Itemset& itemset, JoinScratch& s) const {
     side.postings = PostingSegments(items[k]);
     s.members_.push_back(side);
   }
-  s.driver_postings_ = PostingSegments(items[driver]);
-  s.driver_len_ = shortest;
+  s.driver_len_ = s.driver_postings_.total;
   s.driver_pos_ = 0;
   s.EnsureCapacity(kJoinBatchTids);
   return true;

@@ -256,9 +256,22 @@ class FlatView {
   /// identical at every thread count and under every intersect kernel.
   static constexpr std::size_t kJoinBatchTids = 1024;
 
+  /// Index into `itemset.items()` of the member a join over this view
+  /// drives from: the shortest posting list by *logical* length, the
+  /// first such member on ties. Results depend on it through the product
+  /// order (the driver's probability comes first, then the other
+  /// members' in item order), so it must stay stable and must not see
+  /// the physical segmentation. The one definition of the rule;
+  /// `JoinPostingsBatched` uses it unless told a driver. 0 for an empty
+  /// itemset.
+  std::size_t JoinDriver(const Itemset& itemset) const;
+
+  /// `JoinPostingsBatched`'s default: drive from `JoinDriver(itemset)`.
+  static constexpr std::size_t kShortestDriver = ~std::size_t{0};
+
   /// The shared posting merge-join kernel, batch form. Drives from the
-  /// shortest member posting list, `kJoinBatchTids` *logical* postings
-  /// at a time (a batch may straddle the base/delta seam — the batch
+  /// `JoinDriver` member's posting list, `kJoinBatchTids` *logical*
+  /// postings at a time (a batch may straddle the base/delta seam — the batch
   /// boundaries depend only on the driver length, never on the physical
   /// layout); per batch it (1) intersects the driver tids against each
   /// remaining member's segments through `IntersectIndices` (galloping /
@@ -273,14 +286,21 @@ class FlatView {
   /// the join — the optimistic-bound hook for decremental pruning: each
   /// unseen driver posting contributes at most 1 to expected support.
   ///
+  /// `driver` (an index into `itemset.items()`) overrides the driver
+  /// choice. Joining a slice `Slice(lo, n)` on the full view's
+  /// `JoinDriver` yields the full-view join's products for tids >= lo,
+  /// bit for bit — the incremental recount continues a candidate's
+  /// moments that way.
+  ///
   /// Every posting-join consumer (candidate evaluation, containment
   /// queries, the sharded/streaming recounts, the brute-force and top-k
   /// searches) routes through this or `JoinWithPostings` so join
   /// semantics can never diverge per miner.
   template <typename BatchSink>
   void JoinPostingsBatched(const Itemset& itemset, JoinScratch& scratch,
-                           BatchSink&& sink) const {
-    if (!BeginJoin(itemset, scratch)) return;
+                           BatchSink&& sink,
+                           std::size_t driver = kShortestDriver) const {
+    if (!BeginJoin(itemset, driver, scratch)) return;
     JoinBatch batch;
     while (NextJoinBatch(scratch, batch)) {
       if (!sink(batch)) return;
@@ -444,10 +464,11 @@ class FlatView {
   /// Advances a side's segment cursor past postings with tid <= last_tid.
   static void AdvanceSide(JoinScratch::Side& m, TransactionId last_tid);
 
-  /// Sets up `scratch` for a batched join of `itemset` (driver
-  /// selection, member segment cursors). False when the join is
-  /// trivially empty.
-  bool BeginJoin(const Itemset& itemset, JoinScratch& scratch) const;
+  /// Sets up `scratch` for a batched join of `itemset` driven from
+  /// member `driver` (`kShortestDriver`: `JoinDriver`), with the member
+  /// segment cursors. False when the join is trivially empty.
+  bool BeginJoin(const Itemset& itemset, std::size_t driver,
+                 JoinScratch& scratch) const;
 
   /// Runs one driver batch of a join started by `BeginJoin`: intersect
   /// against each member's segments, fold probabilities, advance member

@@ -16,7 +16,8 @@ void RecountExpectedCandidates(const FlatView& view,
                                const std::vector<Itemset>& larger,
                                double threshold, std::size_t num_threads,
                                MiningResult& result,
-                               const RunContext* context) {
+                               const RunContext* context,
+                               std::vector<RecountState>* carried) {
   PollRunContext(context);  // checkpoint: recount phase entry
   ++result.counters().database_scans;
   result.counters().candidates_generated += singles.size() + larger.size();
@@ -33,34 +34,71 @@ void RecountExpectedCandidates(const FlatView& view,
     }
   }
 
-  std::vector<std::pair<double, double>> moments(larger.size());
+  // Each candidate's carried state, if any: both lists are sorted.
+  std::vector<RecountState*> prev(larger.size(), nullptr);
+  if (carried != nullptr) {
+    auto it = carried->begin();
+    for (std::size_t c = 0; c < larger.size(); ++c) {
+      while (it != carried->end() && it->itemset < larger[c]) ++it;
+      if (it != carried->end() && it->itemset == larger[c]) prev[c] = &*it;
+    }
+  }
+
+  const std::size_t n_txn = view.num_transactions();
+  std::vector<RecountState> next(larger.size());
   std::vector<JoinScratch> scratches(
       ParallelWorkerCount(larger.size(), num_threads));
   ParallelFor(
       larger.size(), num_threads,
       [&](std::size_t c, std::size_t worker) {
         PollRunContext(context);  // checkpoint: one per recounted candidate
+        const std::size_t driver = view.JoinDriver(larger[c]);
         KahanSum esup;
         double sq_sum = 0.0;
-        view.JoinPostingsBatched(
-            larger[c], scratches[worker], [&](const JoinBatch& b) {
+        std::size_t from = 0;
+        // Continue the carried terms only if they were multiplied in
+        // this driver's order; a pair's two orders agree (a*b == b*a).
+        const RecountState* p = prev[c];
+        if (p != nullptr && (p->driver == driver || larger[c].size() == 2)) {
+          esup = p->esup;
+          sq_sum = p->sq_sum;
+          from = p->upto;
+        }
+        view.Slice(from, n_txn).JoinPostingsBatched(
+            larger[c], scratches[worker],
+            [&](const JoinBatch& b) {
               for (const double prod : b.prods) {
                 esup.Add(prod);
                 sq_sum += prod * prod;
               }
               return true;
-            });
-        moments[c] = {esup.value(), sq_sum};
+            },
+            driver);
+        RecountState& state = next[c];
+        state.esup = esup;
+        state.sq_sum = sq_sum;
+        state.upto = n_txn;
+        state.driver = driver;
       },
       context);
   for (std::size_t c = 0; c < larger.size(); ++c) {
-    if (moments[c].first >= threshold) {
+    const double esup = next[c].esup.value();
+    if (esup >= threshold) {
       FrequentItemset fi;
       fi.itemset = larger[c];
-      fi.expected_support = moments[c].first;
-      fi.variance = moments[c].first - moments[c].second;
+      fi.expected_support = esup;
+      fi.variance = esup - next[c].sq_sum;
       result.Add(std::move(fi));
     }
+  }
+
+  // Commit: only a completed recount replaces the carried states.
+  if (carried != nullptr) {
+    for (std::size_t c = 0; c < larger.size(); ++c) {
+      next[c].itemset =
+          prev[c] != nullptr ? std::move(prev[c]->itemset) : larger[c];
+    }
+    *carried = std::move(next);
   }
 }
 

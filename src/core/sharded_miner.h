@@ -7,10 +7,22 @@
 #include <string_view>
 #include <vector>
 
+#include "common/math_util.h"
 #include "common/thread_annotations.h"
 #include "core/miner.h"
 
 namespace ufim {
+
+/// One size->=2 candidate's exact moments over the first `upto`
+/// transactions of a growing view, carried from one recount to the next
+/// so that the next one joins only the appended transactions.
+struct RecountState {
+  Itemset itemset;
+  KahanSum esup;           ///< Kahan state over tids [0, upto), ascending
+  double sq_sum = 0.0;     ///< Σ p² over the same terms
+  std::size_t upto = 0;    ///< view transactions the moments cover
+  std::size_t driver = 0;  ///< `JoinDriver` index the products were taken on
+};
 
 /// Phase 2 of the SON (partition) drivers: exact recount of a candidate
 /// union over the full view. `singles` and `larger` are canonically
@@ -26,12 +38,31 @@ namespace ufim {
 /// is polled once per size->=2 candidate join; a tripped token unwinds
 /// with RunAbortedError, which the calling miner's guarded facade
 /// converts to a Status.
+///
+/// `carried` (optional; `ShardedMiner` passes none) makes the recount
+/// incremental over a view that only grows at the end. On entry it holds
+/// the states a previous recount left, sorted by itemset, over a prefix
+/// of `view`; a state is matched to its candidate by merge-walking the
+/// two sorted lists. A matched candidate joins only `view`'s
+/// transactions `[upto, end)` and continues the carried accumulators,
+/// which reproduces the from-scratch moments bit for bit because:
+///   - the suffix join drives from the *full* view's `JoinDriver`, so
+///     every product is evaluated in the order the full join evaluates
+///     it, and the Kahan adds continue in ascending tid order;
+///   - a pair keeps its state when its driver changed, because
+///     `a * b == b * a` in IEEE arithmetic;
+///   - a candidate of three or more items whose driver changed, and a
+///     candidate with no carried state, are recounted from tid 0.
+/// On success `*carried` is replaced by the states of `larger` over the
+/// whole view; a cancelled recount leaves it untouched, so the next
+/// call starts from the last completed one.
 void RecountExpectedCandidates(const FlatView& view,
                                const std::vector<Itemset>& singles,
                                const std::vector<Itemset>& larger,
                                double threshold, std::size_t num_threads,
                                MiningResult& result,
-                               const RunContext* context = nullptr);
+                               const RunContext* context = nullptr,
+                               std::vector<RecountState>* carried = nullptr);
 
 /// Shard-partitioned execution driver: runs any expected-support miner
 /// per contiguous transaction shard and merges to the *exact* global

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "core/flat_view.h"
 #include "core/miner_registry.h"
 #include "core/mining_result.h"
+#include "core/sharded_miner.h"
 #include "testing/random_db.h"
 
 namespace ufim {
@@ -105,6 +108,91 @@ TEST(DeltaMinerTest, UAprioriMomentsBitIdenticalToPlain) {
           << "batch " << b << " " << expect[i].itemset.ToString();
       EXPECT_EQ(incremental.value()[i].variance, expect[i].variance)
           << "batch " << b << " " << expect[i].itemset.ToString();
+    }
+  }
+}
+
+/// `count` transactions holding exactly `items`, each unit at a random
+/// probability in [0.5, 1).
+std::vector<Transaction> Block(Rng& rng, std::initializer_list<ItemId> items,
+                               int count) {
+  std::vector<Transaction> out;
+  for (int i = 0; i < count; ++i) {
+    std::vector<ProbItem> units;
+    for (const ItemId item : items) {
+      units.push_back({item, rng.Uniform(0.5, 1.0)});
+    }
+    out.push_back(Txn(std::move(units)));
+  }
+  return out;
+}
+
+TEST(DeltaMinerTest, CarriedMomentsMatchFullRecountWhenDriversMove) {
+  // The recount carries each pool candidate's moments across batches
+  // and joins only the appended suffix, driving from the full view's
+  // JoinDriver. Batch 2 moves {0,1,2}'s shortest posting list from item
+  // 0 to item 2, so its products change order and its moments must be
+  // recounted from tid 0; it also swaps the pair {1,2}'s driver from
+  // item 1 to item 2, which may keep its state. Batch 3 continues the
+  // triple on driver 2 and batch 4 moves it back to item 0. The triple's
+  // probabilities are picked so that each wrong product order shows in
+  // the sum: (0.55 * 0.55) * 0.95 != (0.95 * 0.55) * 0.55, and likewise
+  // for batch 3's (0.55, 0.6, 0.95). After every batch each reported
+  // moment must carry the bits of a from-scratch recount over the whole
+  // snapshot.
+  ExpectedSupportParams params;
+  params.min_esup = 0.03;
+  Rng rng(2024);
+  std::vector<std::vector<Transaction>> batches(4);
+  // Posting counts of items 0/1/2 after each batch: 1/2/4, 5/6/4,
+  // 6/7/5, 6/10/8.
+  batches[0] = {Txn({{0, 0.55}, {1, 0.55}, {2, 0.95}})};
+  for (Transaction& t : Block(rng, {1, 2}, 1)) batches[0].push_back(t);
+  for (Transaction& t : Block(rng, {2}, 2)) batches[0].push_back(t);
+  batches[1] = Block(rng, {0, 1}, 4);
+  batches[2] = {Txn({{0, 0.55}, {1, 0.6}, {2, 0.95}})};
+  batches[3] = Block(rng, {1, 2}, 3);
+  const Itemset triple{0, 1, 2};
+  const Itemset pair{1, 2};
+  const std::size_t triple_driver[] = {0, 2, 2, 0};
+  const std::size_t pair_driver[] = {0, 1, 1, 1};
+
+  for (const std::size_t threads : {1u, 4u}) {
+    MinerOptions options;
+    options.num_threads = threads;
+    Result<std::unique_ptr<DeltaMiner>> delta =
+        MakeDeltaMiner("UApriori", params, options);
+    ASSERT_TRUE(delta.ok());
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      const std::string at =
+          "threads " + std::to_string(threads) + " batch " + std::to_string(b);
+      Result<MiningResult> incremental = delta.value()->MineNext(batches[b]);
+      ASSERT_TRUE(incremental.ok()) << at;
+      const StreamingSnapshot snap = delta.value()->view().Snapshot();
+      EXPECT_EQ(snap.view().JoinDriver(triple), triple_driver[b]) << at;
+      EXPECT_EQ(snap.view().JoinDriver(pair), pair_driver[b]) << at;
+      ASSERT_NE(incremental.value().Find(triple), nullptr) << at;
+      ASSERT_NE(incremental.value().Find(pair), nullptr) << at;
+
+      std::vector<Itemset> singles;
+      std::vector<Itemset> larger;
+      for (const FrequentItemset& fi : incremental.value().itemsets()) {
+        (fi.itemset.size() == 1 ? singles : larger).push_back(fi.itemset);
+      }
+      std::sort(singles.begin(), singles.end());
+      std::sort(larger.begin(), larger.end());
+      MiningResult scratch;
+      RecountExpectedCandidates(snap.view(), singles, larger, 0.0, threads,
+                                scratch);
+      ASSERT_EQ(scratch.size(), incremental.value().size()) << at;
+      for (const FrequentItemset& fi : incremental.value().itemsets()) {
+        const FrequentItemset* expect = scratch.Find(fi.itemset);
+        ASSERT_NE(expect, nullptr) << at << " " << fi.itemset.ToString();
+        EXPECT_EQ(fi.expected_support, expect->expected_support)
+            << at << " " << fi.itemset.ToString();
+        EXPECT_EQ(fi.variance, expect->variance)
+            << at << " " << fi.itemset.ToString();
+      }
     }
   }
 }

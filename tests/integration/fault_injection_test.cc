@@ -283,5 +283,89 @@ TEST(FaultInjectionTest, DeltaMinerRollsBackOrCommitsButAlwaysRecovers) {
   }
 }
 
+// A recount that trips after CommitAppend must not leave half-updated
+// carried moments behind: the miner keeps the per-candidate state of
+// the last completed recount, so the empty-batch retry joins the
+// cancelled batch's transactions again and must report exactly what an
+// uninterrupted miner reports for the same empty batch — bits and
+// counters. Two earlier batches give the cancelled recount carried
+// state to continue from.
+TEST(FaultInjectionTest, DeltaMinerRecountCancelKeepsCarriedMoments) {
+  ExpectedSupportParams params;
+  params.min_esup = 0.1;
+  StreamBatchSpec spec;
+  spec.num_items = 10;
+  Rng rng(85);
+  std::vector<std::vector<Transaction>> batches;
+  for (int b = 0; b < 3; ++b) batches.push_back(MakeStreamBatch(rng, spec, 40));
+
+  for (const std::size_t threads : {1u, 4u}) {
+    const std::string label = "threads " + std::to_string(threads);
+    MinerOptions clean_options;
+    clean_options.num_threads = threads;
+    Result<std::unique_ptr<DeltaMiner>> clean =
+        MakeDeltaMiner("UApriori", params, clean_options);
+    ASSERT_TRUE(clean.ok());
+    for (const std::vector<Transaction>& batch : batches) {
+      ASSERT_TRUE(clean.value()->MineNext(batch).ok()) << label;
+    }
+    Result<MiningResult> reference = clean.value()->MineNext({});
+    ASSERT_TRUE(reference.ok()) << label;
+
+    MinerOptions count_options;
+    count_options.num_threads = threads;
+    const RunContext count_ctx = count_options.run_context;
+    Result<std::unique_ptr<DeltaMiner>> counting =
+        MakeDeltaMiner("UApriori", params, count_options);
+    ASSERT_TRUE(counting.ok());
+    ASSERT_TRUE(counting.value()->MineNext(batches[0]).ok()) << label;
+    ASSERT_TRUE(counting.value()->MineNext(batches[1]).ok()) << label;
+    const std::uint64_t total = CountCheckpoints(count_ctx, [&] {
+      ASSERT_TRUE(counting.value()->MineNext(batches[2]).ok());
+    });
+
+    std::size_t after_commit = 0;
+    for (const std::uint64_t nth : FaultSchedule(
+             ScheduleSeed("delta-recount", threads), total, 2 * kFaultsPerCase)) {
+      const std::string at = label + " @checkpoint " + std::to_string(nth) +
+                             "/" + std::to_string(total);
+      MinerOptions options;
+      options.num_threads = threads;
+      const RunContext ctx = options.run_context;
+      Result<std::unique_ptr<DeltaMiner>> delta =
+          MakeDeltaMiner("UApriori", params, options);
+      ASSERT_TRUE(delta.ok());
+      ASSERT_TRUE(delta.value()->MineNext(batches[0]).ok()) << at;
+      ASSERT_TRUE(delta.value()->MineNext(batches[1]).ok()) << at;
+      const std::size_t txns_before = delta.value()->view().num_transactions();
+
+      ctx.AssertQuiescent();  // no mine in flight between the sequential runs
+      ctx.ArmFaultAtCheckpoint(nth, StatusCode::kCancelled);
+      Result<MiningResult> faulted = delta.value()->MineNext(batches[2]);
+      ASSERT_FALSE(faulted.ok()) << at;
+      // Only faults past CommitAppend land in the recount.
+      if (delta.value()->view().num_transactions() == txns_before) continue;
+      ++after_commit;
+
+      ctx.Reset();
+      Result<MiningResult> retried = delta.value()->MineNext({});
+      ASSERT_TRUE(retried.ok()) << at << ": " << retried.status().ToString();
+      ExpectIdentical(retried.value(), reference.value(), at);
+      const MiningCounters& got = retried->counters();
+      const MiningCounters& want = reference->counters();
+      EXPECT_EQ(got.candidates_generated, want.candidates_generated) << at;
+      EXPECT_EQ(got.candidates_pruned_apriori, want.candidates_pruned_apriori)
+          << at;
+      EXPECT_EQ(got.candidates_rejected_bound, want.candidates_rejected_bound)
+          << at;
+      EXPECT_EQ(got.candidates_accepted_bound, want.candidates_accepted_bound)
+          << at;
+      EXPECT_EQ(got.exact_tail_evals, want.exact_tail_evals) << at;
+      EXPECT_EQ(got.database_scans, want.database_scans) << at;
+    }
+    EXPECT_GE(after_commit, 2u) << label << ": too few faults hit the recount";
+  }
+}
+
 }  // namespace
 }  // namespace ufim
