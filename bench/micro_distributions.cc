@@ -53,16 +53,22 @@ BENCHMARK(BM_TailDPBand)
     ->ArgNames({"n", "k", "pft_permille"})
     ->ArgsProduct({{900, 1500, 3000}, {600, 750, 900}, {-1, 900}});
 
+// The DC tail the miners run: scratch overload, one scratch per thread.
 void BM_TailDC(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t msc = n / 2;
   const auto probs = RandomProbs(n, 42);
+  DcScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PoissonBinomialTailDC(probs, msc));
+    benchmark::DoNotOptimize(
+        PoissonBinomialTailDC(probs, msc, /*fft_threshold=*/64, scratch));
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_TailDC)->RangeMultiplier(4)->Range(64, 16384)->Complexity();
+// The miners evaluate DC tails on every worker at once, so these rows
+// time one tail per thread with 1 and 4 threads running.
+BENCHMARK(BM_TailDC)->Arg(1024)->Arg(4096)->Threads(1)->Threads(4);
 
 void BM_TailDCNoFft(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -20,11 +20,15 @@ Result<MiningResult> ExactDC::MineProbabilistic(
   loop.num_threads = num_threads_;
   loop.parallel_tails = true;
   loop.context = &run_context();
+  // The recursion's pmf buffers and FFT buffers live per worker thread,
+  // so a tail allocates only when it outgrows every earlier one on that
+  // worker, not once per tree node.
   std::vector<FrequentItemset> found = MineProbabilisticApriori(
       view, msc, params.pft,
       [fft_threshold](const std::vector<double>& probs, std::size_t k,
                       std::size_t /*ordinal*/) {
-        return PoissonBinomialTailDC(probs, k, fft_threshold);
+        thread_local DcScratch scratch;
+        return PoissonBinomialTailDC(probs, k, fft_threshold, scratch);
       },
       loop, &result.counters());
   for (FrequentItemset& fi : found) result.Add(std::move(fi));

@@ -1,6 +1,7 @@
 #include "prob/poisson_binomial.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/math_util.h"
@@ -15,31 +16,6 @@ SupportMoments ComputeSupportMoments(const std::vector<double>& probs) {
     var.Add(p * (1.0 - p));
   }
   return SupportMoments{mean.value(), var.value()};
-}
-
-std::vector<double> PoissonBinomialCappedPmfDP(const std::vector<double>& probs,
-                                               std::size_t cap) {
-  const std::size_t top = std::min(cap, probs.size());
-  if (top == 0) return {1.0};  // cap == 0 or no trials: all mass at "via >= 0"
-  // Every bin is returned, so this keeps the full-band in-place update.
-  const bool capped = probs.size() > cap;
-  std::vector<double> pmf(top + 1, 0.0);
-  pmf[0] = 1.0;
-  std::size_t filled = 0;  // highest index with possibly-nonzero mass
-  for (double p : probs) {
-    const std::size_t hi = std::min(filled + 1, top);
-    for (std::size_t j = hi; j > 0; --j) {
-      if (capped && j == top) {
-        // Overflow keeps its mass and absorbs promotions from j-1.
-        pmf[j] = pmf[j] + pmf[j - 1] * p;
-      } else {
-        pmf[j] = pmf[j] * (1.0 - p) + pmf[j - 1] * p;
-      }
-    }
-    pmf[0] *= (1.0 - p);
-    filled = hi;
-  }
-  return pmf;
 }
 
 double PoissonBinomialTailDP(const std::vector<double>& probs, std::size_t k) {
@@ -103,18 +79,42 @@ double PoissonBinomialTailDP(const std::vector<double>& probs, std::size_t k,
 
 namespace {
 
-std::vector<double> DcRecurse(const std::vector<double>& probs, std::size_t lo,
-                              std::size_t hi, std::size_t cap,
-                              std::size_t fft_threshold) {
+// Computes the capped pmf of probs[lo, hi) into `out`: a leaf is
+// {1 - p, p} ({1} when cap == 0), and an internal node convolves its
+// halves' pmfs and caps the product. Every buffer is rewritten before it
+// is read, so a tail's bits never depend on what the scratch held.
+void DcRecurse(const std::vector<double>& probs, std::size_t lo,
+               std::size_t hi, std::size_t cap, std::size_t fft_threshold,
+               std::size_t depth, DcScratch& scratch,
+               std::vector<double>& out) {
   if (hi - lo == 1) {
     const double p = probs[lo];
-    if (cap == 0) return {1.0};  // everything is >= 0 successes
-    return {1.0 - p, p};
+    if (cap == 0) {
+      out.assign(1, 1.0);  // everything is >= 0 successes
+    } else {
+      out.assign({1.0 - p, p});
+    }
+    return;
   }
+  DcScratch::Level& level = scratch.levels[depth];
   const std::size_t mid = lo + (hi - lo) / 2;
-  std::vector<double> left = DcRecurse(probs, lo, mid, cap, fft_threshold);
-  std::vector<double> right = DcRecurse(probs, mid, hi, cap, fft_threshold);
-  return CappedConvolve(left, right, cap, fft_threshold);
+  DcRecurse(probs, lo, mid, cap, fft_threshold, depth + 1, scratch,
+            level.left);
+  DcRecurse(probs, mid, hi, cap, fft_threshold, depth + 1, scratch,
+            level.right);
+  CappedConvolveInto(level.left, level.right, cap, fft_threshold, scratch.fft,
+                     out);
+}
+
+// Leaves the capped pmf of a non-empty `probs` in scratch.pmf.
+void CappedPmfDC(const std::vector<double>& probs, std::size_t cap,
+                 std::size_t fft_threshold, DcScratch& scratch) {
+  // Internal nodes sit at depths [0, ceil(log2 n)); sized before the
+  // recursion takes references into `levels`.
+  const std::size_t depth = std::bit_width(probs.size() - 1);
+  if (scratch.levels.size() < depth) scratch.levels.resize(depth);
+  DcRecurse(probs, 0, probs.size(), cap, fft_threshold, 0, scratch,
+            scratch.pmf);
 }
 
 }  // namespace
@@ -123,18 +123,25 @@ std::vector<double> PoissonBinomialCappedPmfDC(const std::vector<double>& probs,
                                                std::size_t cap,
                                                std::size_t fft_threshold) {
   if (probs.empty()) return {1.0};
-  return CapPmf(DcRecurse(probs, 0, probs.size(), cap, fft_threshold), cap);
+  DcScratch scratch;
+  CappedPmfDC(probs, cap, fft_threshold, scratch);
+  return std::move(scratch.pmf);
 }
 
 double PoissonBinomialTailDC(const std::vector<double>& probs, std::size_t k,
                              std::size_t fft_threshold) {
+  DcScratch scratch;
+  return PoissonBinomialTailDC(probs, k, fft_threshold, scratch);
+}
+
+double PoissonBinomialTailDC(const std::vector<double>& probs, std::size_t k,
+                             std::size_t fft_threshold, DcScratch& scratch) {
   if (k == 0) return 1.0;
   if (probs.size() < k) return 0.0;
-  const std::vector<double> pmf =
-      PoissonBinomialCappedPmfDC(probs, k, fft_threshold);
-  // pmf has length min(n, k) + 1 >= k because n >= k; the last bin holds
-  // Pr(S >= k).
-  return pmf.size() > k ? pmf[k] : pmf.back();
+  CappedPmfDC(probs, k, fft_threshold, scratch);
+  // The pmf has min(n, k) + 1 = k + 1 bins because n >= k; the last one
+  // holds Pr(S >= k).
+  return scratch.pmf[k];
 }
 
 }  // namespace ufim

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "prob/fft.h"
+
 namespace ufim {
 
 /// The support sup(X) of an itemset X over an uncertain database is a
@@ -29,13 +31,6 @@ SupportMoments ComputeSupportMoments(const std::vector<double>& probs);
 /// bins), with the same bits as the full O(n * k) recurrence. k == 0
 /// returns 1; k > n returns 0.
 double PoissonBinomialTailDP(const std::vector<double>& probs, std::size_t k);
-
-/// Exact tail-capped pmf by the same DP: result has length
-/// min(n, cap) + 1; index j < cap is Pr(S = j) and the last index (== cap
-/// when n >= cap) is Pr(S >= cap). Every bin is returned, so this stays
-/// full-band: O(n * min(n, cap)) time.
-std::vector<double> PoissonBinomialCappedPmfDP(const std::vector<double>& probs,
-                                               std::size_t cap);
 
 /// Reusable workspace for the tail DP. Level-wise miners keep one per
 /// worker thread so the two O(k) pmf rows (2 * (k + 1) doubles, both in
@@ -66,8 +61,35 @@ double PoissonBinomialTailDP(const std::vector<double>& probs, std::size_t k,
 /// two tail-capped sub-pmfs, and conquers with (FFT) convolution —
 /// O(n log n) when k is proportional to n. `fft_threshold` controls when
 /// the conquer step switches from schoolbook to FFT multiplication.
+/// Allocates its workspace per call; see the DcScratch overload.
 double PoissonBinomialTailDC(const std::vector<double>& probs, std::size_t k,
                              std::size_t fft_threshold = 64);
+
+/// Reusable workspace for the divide-and-conquer tail. The recursion
+/// tree over n trials is ceil(log2 n) internal levels deep; a node at
+/// depth d has its two halves write their capped pmfs into `levels[d]`
+/// and conquers them into the buffer its parent passed it (`pmf` for the
+/// root); the FFT conquer transforms in `fft`. A buffer holds a product before it
+/// is capped, at most 2 * min(segment, k) + 1 doubles, so the retained
+/// footprint is O(k * log n) doubles, plus O(k) complex values in `fft`
+/// and in the calling thread's FFT twiddle table. Level-wise miners keep
+/// one per worker thread. A tail allocates nothing once the scratch has
+/// run one with at least as many trials and as large a k at the same
+/// `fft_threshold`.
+struct DcScratch {
+  struct Level {
+    std::vector<double> left;
+    std::vector<double> right;
+  };
+  std::vector<Level> levels;
+  std::vector<double> pmf;
+  FftBuffers fft;
+};
+
+/// PoissonBinomialTailDC over reusable scratch: the same operations in
+/// the same order, so the same bits.
+double PoissonBinomialTailDC(const std::vector<double>& probs, std::size_t k,
+                             std::size_t fft_threshold, DcScratch& scratch);
 
 /// The full capped pmf as computed by the divide-and-conquer recursion
 /// (exposed for tests and the micro-benchmarks).

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "gen/benchmark_datasets.h"
-#include "prob/poisson_binomial.h"
+#include "testing/capped_pmf_dp.h"
 #include "testing/random_db.h"
 
 namespace ufim {
 namespace {
+
+using testing_util::PoissonBinomialCappedPmfDP;
 
 UncertainDatabase TinyDb() {
   std::vector<Transaction> txns;

@@ -166,6 +166,56 @@ TEST(ParallelEquivalenceTest, AllMinersOnLowProbabilityDatabase) {
                  "low-prob");
 }
 
+/// The DC miners conquer by FFT once both halves carry at least 64
+/// coefficients, which the databases above never reach (msc <= 23). At
+/// msc >= 128 every frequent itemset's tail has an FFT conquer at its
+/// root, so this runs the per-worker DC scratch and the per-thread FFT
+/// twiddle table on concurrent workers.
+TEST(ParallelEquivalenceTest, DcFftConquerAcrossThreadCounts) {
+  FlatView view(MakeRandomDatabase({.seed = 54,
+                                    .num_transactions = 400,
+                                    .num_items = 8,
+                                    .item_presence = 0.9,
+                                    .min_prob = 0.5,
+                                    .max_prob = 1.0}));
+  ProbabilisticParams params;
+  params.min_sup = 0.35;
+  params.pft = 0.7;
+  ASSERT_GE(params.MinSupportCount(view.num_transactions()), 128u);
+  for (const char* name : {"DCB", "DCNB"}) {
+    for (PrefilterMode prefilter : {PrefilterMode::kOff, PrefilterMode::kBounds}) {
+      MinerOptions options;
+      options.prefilter = prefilter;
+      options.num_threads = 1;
+      auto baseline =
+          MinerRegistry::Global().Create(name, options)->Mine(view, params);
+      ASSERT_TRUE(baseline.ok()) << name;
+      ASSERT_GT(baseline->size(), 0u) << name;
+      for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+        options.num_threads = threads;
+        auto run =
+            MinerRegistry::Global().Create(name, options)->Mine(view, params);
+        ASSERT_TRUE(run.ok()) << name;
+        const std::string label = std::string(name) + "/" +
+                                  std::string(PrefilterModeName(prefilter)) +
+                                  "@" + std::to_string(threads);
+        ExpectIdentical(run.value(), baseline.value(), label);
+        const MiningCounters& got = run->counters();
+        const MiningCounters& want = baseline->counters();
+        EXPECT_EQ(got.candidates_generated, want.candidates_generated) << label;
+        EXPECT_EQ(got.candidates_pruned_apriori, want.candidates_pruned_apriori)
+            << label;
+        EXPECT_EQ(got.candidates_rejected_bound, want.candidates_rejected_bound)
+            << label;
+        EXPECT_EQ(got.candidates_accepted_bound, want.candidates_accepted_bound)
+            << label;
+        EXPECT_EQ(got.exact_tail_evals, want.exact_tail_evals) << label;
+        EXPECT_EQ(got.database_scans, want.database_scans) << label;
+      }
+    }
+  }
+}
+
 /// The pattern-growth miners (UFP-growth, UH-Mine, NDUH-Mine) mine
 /// task-parallel over top-level header ranks since PR 4. The generic
 /// matrix above already covers them on small databases; this test works

@@ -3,16 +3,18 @@
 // in-place recurrence it replaced, kept below as the oracle: same tails,
 // same early-reject bounds, same frequent/infrequent decisions.
 #include <algorithm>
-#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "prob/poisson_binomial.h"
+#include "testing/mixed_probs.h"
 
 namespace ufim {
 namespace {
+
+using testing_util::MixedProbs;
 
 // The full-band DP: every bin of [0, top] is updated in place, backwards,
 // for every trial, with the certified early reject every 64 trials.
@@ -68,25 +70,6 @@ double OracleTail(const std::vector<double>& probs, std::size_t k,
 }
 
 constexpr double kThresholds[] = {-1.0, 0.0, 0.5, 0.9, 0.999};
-
-// Probabilities drawn uniformly, with a share of exact 0s and 1s.
-std::vector<double> MixedProbs(Rng& rng, std::size_t n) {
-  std::vector<double> probs(n);
-  const std::uint64_t mode = rng.UniformInt(0, 3);
-  for (double& p : probs) {
-    const std::uint64_t roll = rng.UniformInt(0, 9);
-    if (mode == 1 && roll == 0) {
-      p = 0.0;
-    } else if (mode == 2 && roll == 0) {
-      p = 1.0;
-    } else if (mode == 3 && roll < 2) {
-      p = roll == 0 ? 0.0 : 1.0;
-    } else {
-      p = rng.Uniform01();
-    }
-  }
-  return probs;
-}
 
 // Checks one (probs, k) case against the oracle at every threshold and
 // returns how many of them aborted early.

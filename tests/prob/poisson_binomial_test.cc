@@ -8,9 +8,12 @@
 #include "common/rng.h"
 #include "prob/normal.h"
 #include "prob/poisson.h"
+#include "testing/capped_pmf_dp.h"
 
 namespace ufim {
 namespace {
+
+using testing_util::PoissonBinomialCappedPmfDP;
 
 // Exhaustive possible-world oracle: enumerate all 2^n outcomes.
 double TailByEnumeration(const std::vector<double>& probs, std::size_t k) {

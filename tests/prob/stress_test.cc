@@ -12,9 +12,12 @@
 #include "prob/normal.h"
 #include "prob/poisson.h"
 #include "prob/poisson_binomial.h"
+#include "testing/capped_pmf_dp.h"
 
 namespace ufim {
 namespace {
+
+using testing_util::PoissonBinomialCappedPmfDP;
 
 TEST(PoissonBinomialStressTest, AllProbabilitiesTiny) {
   std::vector<double> probs(5000, 1e-9);
