@@ -6,7 +6,6 @@
 //   $ ./catalog_insights
 #include <cstdio>
 
-#include "algo/top_k.h"
 #include "core/miner_registry.h"
 #include "core/postprocess.h"
 #include "core/result_io.h"
@@ -21,7 +20,8 @@ int main() {
   std::printf("Catalog sessions: %zu\n", db.size());
 
   // 1. No threshold in mind? Ask for the strongest itemsets directly.
-  auto top = MineTopKExpected(FlatView(db), 12);
+  auto top = MinerRegistry::Global().Create("TopK")->Mine(FlatView(db),
+                                                          TopKParams{12});
   if (!top.ok()) {
     std::fprintf(stderr, "%s\n", top.status().ToString().c_str());
     return 1;

@@ -1,7 +1,15 @@
-#include "algo/brute_force.h"
+// Depth-first exhaustive reference miners used as ground truth by the
+// test suite. They share no code with the production algorithms beyond
+// the data model, making cross-checks meaningful: support probabilities
+// come from the view's postings and tails from the naive O(n²)
+// convolution path rather than the DP/DC/FFT machinery.
+//
+// BruteForceExpected prunes on the (exact) anti-monotonicity of expected
+// support, so it is complete. BruteForceProbabilistic builds each
+// itemset's support pmf by incrementally convolving Bernoulli factors
+// and prunes on the anti-monotonicity of the frequent probability.
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "common/math_util.h"
@@ -77,11 +85,9 @@ double TailFromPmf(const std::vector<double>& pmf, std::size_t k) {
   return k == 0 ? 1.0 : tail;
 }
 
-}  // namespace
-
-Result<MiningResult> BruteForceExpected::MineExpected(
-    const FlatView& view, const ExpectedSupportParams& params) const {
-  UFIM_RETURN_IF_ERROR(params.Validate());
+Result<MiningResult> MineBruteForceExpected(
+    const FlatView& view, const ExpectedSupportParams& params,
+    const MinerOptions& options) {
   const double threshold =
       params.min_esup * static_cast<double>(view.num_transactions());
   const std::size_t n_items = view.num_items();
@@ -97,9 +103,9 @@ Result<MiningResult> BruteForceExpected::MineExpected(
   auto dfs = [&](auto&& self, const Frame& frame) -> void {
     for (ItemId next = frame.itemset.empty() ? 0 : frame.itemset.items().back() + 1;
          next < n_items; ++next) {
-      // Checkpoint: one per enumerated candidate (the guarded facade
+      // Checkpoint: one per enumerated candidate (the registry's miner
       // converts the throw into a Status).
-      PollRunContext(&run_context());
+      PollRunContext(&options.run_context);
       result.counters().candidates_generated++;
       Containment ext = frame.itemset.empty()
                             ? SingleItem(view, next)
@@ -122,9 +128,9 @@ Result<MiningResult> BruteForceExpected::MineExpected(
   return result;
 }
 
-Result<MiningResult> BruteForceProbabilistic::MineProbabilistic(
-    const FlatView& view, const ProbabilisticParams& params) const {
-  UFIM_RETURN_IF_ERROR(params.Validate());
+Result<MiningResult> MineBruteForceProbabilistic(
+    const FlatView& view, const ProbabilisticParams& params,
+    const MinerOptions& options) {
   const std::size_t msc = params.MinSupportCount(view.num_transactions());
   const std::size_t n_items = view.num_items();
   MiningResult result;
@@ -137,9 +143,9 @@ Result<MiningResult> BruteForceProbabilistic::MineProbabilistic(
   auto dfs = [&](auto&& self, const Frame& frame) -> void {
     for (ItemId next = frame.itemset.empty() ? 0 : frame.itemset.items().back() + 1;
          next < n_items; ++next) {
-      // Checkpoint: one per enumerated candidate (the guarded facade
+      // Checkpoint: one per enumerated candidate (the registry's miner
       // converts the throw into a Status).
-      PollRunContext(&run_context());
+      PollRunContext(&options.run_context);
       result.counters().candidates_generated++;
       Containment ext = frame.itemset.empty()
                             ? SingleItem(view, next)
@@ -165,16 +171,12 @@ Result<MiningResult> BruteForceProbabilistic::MineProbabilistic(
   return result;
 }
 
-UFIM_REGISTER_MINER("BruteForceExpected", TaskFamily::kExpectedSupport,
-                    /*production=*/false,
-                    [](const MinerOptions&) {
-                      return std::make_unique<BruteForceExpected>();
-                    })
+}  // namespace
 
-UFIM_REGISTER_MINER("BruteForceProbabilistic", TaskFamily::kProbabilistic,
-                    /*production=*/false,
-                    [](const MinerOptions&) {
-                      return std::make_unique<BruteForceProbabilistic>();
-                    })
+UFIM_REGISTER_MINER("BruteForceExpected", /*exact=*/true,
+                    /*production=*/false, MineBruteForceExpected)
+
+UFIM_REGISTER_MINER("BruteForceProbabilistic", /*exact=*/true,
+                    /*production=*/false, MineBruteForceProbabilistic)
 
 }  // namespace ufim

@@ -1,6 +1,16 @@
-#include "algo/exact_dc.h"
-
-#include <memory>
+// DC — divide-and-conquer exact probabilistic miner (Sun et al.,
+// KDD'10; paper §3.2.2). Apriori framework; per candidate the exact
+// support pmf is assembled by recursively splitting the containment-
+// probability vector and convolving the halves (FFT above
+// `MinerOptions::dc_fft_threshold` coefficients), for O(N log N) per
+// itemset against the DP algorithm's O(N * msc). DCB adds the
+// Chernoff-bound filter of Lemma 1; DCNB runs without it.
+//
+// Both candidate counting and the per-candidate DC tails (the dominant
+// cost) run in parallel; results are bit-identical at every thread
+// count. The bounds prefilter screens candidates with the certified
+// bound cascade before the DC evaluation; results are identical to
+// prefilter off.
 
 #include "algo/apriori_framework.h"
 #include "core/miner_registry.h"
@@ -8,18 +18,21 @@
 
 namespace ufim {
 
-Result<MiningResult> ExactDC::MineProbabilistic(
-    const FlatView& view, const ProbabilisticParams& params) const {
-  UFIM_RETURN_IF_ERROR(params.Validate());
+namespace {
+
+template <bool kUseChernoff>
+Result<MiningResult> MineDC(const FlatView& view,
+                            const ProbabilisticParams& params,
+                            const MinerOptions& options) {
   const std::size_t msc = params.MinSupportCount(view.num_transactions());
-  const std::size_t fft_threshold = fft_threshold_;
+  const std::size_t fft_threshold = options.dc_fft_threshold;
   MiningResult result;
   ProbabilisticLoopOptions loop;
-  loop.use_chernoff = use_chernoff_;
-  loop.prefilter = prefilter_;
-  loop.num_threads = num_threads_;
+  loop.use_chernoff = kUseChernoff;
+  loop.prefilter = options.prefilter;
+  loop.num_threads = options.num_threads;
   loop.parallel_tails = true;
-  loop.context = &run_context();
+  loop.context = &options.run_context;
   // The recursion's pmf buffers and FFT buffers live per worker thread,
   // so a tail allocates only when it outgrows every earlier one on that
   // worker, not once per tree node.
@@ -36,22 +49,12 @@ Result<MiningResult> ExactDC::MineProbabilistic(
   return result;
 }
 
-UFIM_REGISTER_MINER("DCNB", TaskFamily::kProbabilistic,
-                    /*production=*/true,
-                    [](const MinerOptions& options) {
-                      return std::make_unique<ExactDC>(
-                          /*use_chernoff_pruning=*/false,
-                          options.dc_fft_threshold, options.num_threads,
-                          options.prefilter);
-                    })
+}  // namespace
 
-UFIM_REGISTER_MINER("DCB", TaskFamily::kProbabilistic,
-                    /*production=*/true,
-                    [](const MinerOptions& options) {
-                      return std::make_unique<ExactDC>(
-                          /*use_chernoff_pruning=*/true,
-                          options.dc_fft_threshold, options.num_threads,
-                          options.prefilter);
-                    })
+UFIM_REGISTER_MINER("DCNB", /*exact=*/true, /*production=*/true,
+                    MineDC</*kUseChernoff=*/false>)
+
+UFIM_REGISTER_MINER("DCB", /*exact=*/true, /*production=*/true,
+                    MineDC</*kUseChernoff=*/true>)
 
 }  // namespace ufim

@@ -1,6 +1,14 @@
-#include "algo/exact_dp.h"
-
-#include <memory>
+// DP — dynamic-programming exact probabilistic miner (Bernecker et al.,
+// KDD'09; paper §3.2.1). Apriori framework; per candidate the exact
+// frequent probability Pr(sup >= msc) is computed by the O(N * msc)
+// support-probability dynamic program. DPB adds the Chernoff-bound
+// filter of Lemma 1; DPNB runs without it.
+//
+// Both candidate counting and the per-candidate DP tails (the dominant
+// cost) run in parallel; results are bit-identical at every thread
+// count. With the bounds prefilter, the framework's bound cascade screens
+// candidates and each DP may stop early once it certifiably cannot reach
+// pft; results are identical to prefilter off.
 
 #include "algo/apriori_framework.h"
 #include "core/miner_registry.h"
@@ -8,9 +16,12 @@
 
 namespace ufim {
 
-Result<MiningResult> ExactDP::MineProbabilistic(
-    const FlatView& view, const ProbabilisticParams& params) const {
-  UFIM_RETURN_IF_ERROR(params.Validate());
+namespace {
+
+template <bool kUseChernoff>
+Result<MiningResult> MineDP(const FlatView& view,
+                            const ProbabilisticParams& params,
+                            const MinerOptions& options) {
   const std::size_t msc = params.MinSupportCount(view.num_transactions());
   MiningResult result;
   // With the prefilter on, candidates the DP cannot lift above pft are
@@ -19,13 +30,13 @@ Result<MiningResult> ExactDP::MineProbabilistic(
   // worker thread, so the O(msc) pmf allocation is paid once per worker
   // for the whole run instead of once per tail evaluation.
   const double reject_threshold =
-      prefilter_ == PrefilterMode::kBounds ? params.pft : -1.0;
+      options.prefilter == PrefilterMode::kBounds ? params.pft : -1.0;
   ProbabilisticLoopOptions loop;
-  loop.use_chernoff = use_chernoff_;
-  loop.prefilter = prefilter_;
-  loop.num_threads = num_threads_;
+  loop.use_chernoff = kUseChernoff;
+  loop.prefilter = options.prefilter;
+  loop.num_threads = options.num_threads;
   loop.parallel_tails = true;
-  loop.context = &run_context();
+  loop.context = &options.run_context;
   std::vector<FrequentItemset> found = MineProbabilisticApriori(
       view, msc, params.pft,
       [reject_threshold](const std::vector<double>& probs, std::size_t k,
@@ -39,20 +50,12 @@ Result<MiningResult> ExactDP::MineProbabilistic(
   return result;
 }
 
-UFIM_REGISTER_MINER("DPNB", TaskFamily::kProbabilistic,
-                    /*production=*/true,
-                    [](const MinerOptions& options) {
-                      return std::make_unique<ExactDP>(
-                          /*use_chernoff_pruning=*/false,
-                          options.num_threads, options.prefilter);
-                    })
+}  // namespace
 
-UFIM_REGISTER_MINER("DPB", TaskFamily::kProbabilistic,
-                    /*production=*/true,
-                    [](const MinerOptions& options) {
-                      return std::make_unique<ExactDP>(
-                          /*use_chernoff_pruning=*/true,
-                          options.num_threads, options.prefilter);
-                    })
+UFIM_REGISTER_MINER("DPNB", /*exact=*/true, /*production=*/true,
+                    MineDP</*kUseChernoff=*/false>)
+
+UFIM_REGISTER_MINER("DPB", /*exact=*/true, /*production=*/true,
+                    MineDP</*kUseChernoff=*/true>)
 
 }  // namespace ufim

@@ -1,6 +1,24 @@
-#include "algo/mc_sampling.h"
-
-#include <memory>
+// Monte-Carlo sampling miner (Calders, Garboni & Goethals, PAKDD'10 —
+// the paper's reference [11]): estimates the frequent probability of
+// each candidate by sampling possible worlds of its containment-
+// probability vector. An unbiased estimator with standard error
+// <= 1/(2*sqrt(mc_samples)); with the default 1024 samples the
+// estimate is within ~±0.03 at 95% confidence.
+//
+// Included as the fourth approximate method the paper's taxonomy
+// mentions but does not benchmark; `bench/ablation_sampling`
+// contrasts it with the moment-based approximations.
+//
+// Threads parallelize candidate counting *and* the tail sampling
+// itself: each candidate draws from a private RNG stream derived from
+// (mc_seed, stable candidate ordinal) — see DeriveStreamSeed — so
+// concurrent evaluation consumes no shared state and results are
+// bit-identical at every thread count. Under the bounds prefilter the
+// framework cascade stays off, because analytic bounds on the true tail
+// may not overrule an *estimate* (they could disagree with the estimator
+// and change the result set); instead the sampler stops early once the
+// remaining samples can no longer lift the estimate above pft — a
+// decision-identical shortcut, so results still match prefilter off.
 
 #include "algo/apriori_framework.h"
 #include "common/rng.h"
@@ -8,17 +26,19 @@
 
 namespace ufim {
 
-Result<MiningResult> MCSampling::MineProbabilistic(
-    const FlatView& view, const ProbabilisticParams& params) const {
-  UFIM_RETURN_IF_ERROR(params.Validate());
-  if (num_samples_ == 0) {
+namespace {
+
+Result<MiningResult> MineMCSampling(const FlatView& view,
+                                    const ProbabilisticParams& params,
+                                    const MinerOptions& options) {
+  if (options.mc_samples == 0) {
     return Status::InvalidArgument("MCSampling requires num_samples > 0");
   }
   const std::size_t msc = params.MinSupportCount(view.num_transactions());
-  const std::size_t samples = num_samples_;
+  const std::size_t samples = options.mc_samples;
 
   MiningResult result;
-  const std::uint64_t seed = seed_;
+  const std::uint64_t seed = options.mc_seed;
   // Counter-based RNG splitting: every candidate samples from its own
   // stream, seeded off (seed, candidate ordinal). The ordinal is stable
   // across thread counts, so the estimate per candidate — and therefore
@@ -32,7 +52,7 @@ Result<MiningResult> MCSampling::MineProbabilistic(
   // never reported, the entire result — is identical to a full run.
   // Per-candidate RNG streams make the shortcut invisible to every other
   // candidate.
-  const bool early_exit = prefilter_ == PrefilterMode::kBounds;
+  const bool early_exit = options.prefilter == PrefilterMode::kBounds;
   const double pft = params.pft;
   auto tail_estimator = [samples, seed, early_exit,
                          pft](const std::vector<double>& probs, std::size_t k,
@@ -66,11 +86,11 @@ Result<MiningResult> MCSampling::MineProbabilistic(
   };
   ProbabilisticLoopOptions loop;
   loop.use_chernoff = true;  // part of the algorithm in both modes
-  loop.prefilter = prefilter_;
+  loop.prefilter = options.prefilter;
   loop.certified_tail = false;  // estimator: bounds may not overrule it
-  loop.num_threads = num_threads_;
+  loop.num_threads = options.num_threads;
   loop.parallel_tails = true;
-  loop.context = &run_context();
+  loop.context = &options.run_context;
   std::vector<FrequentItemset> found = MineProbabilisticApriori(
       view, msc, params.pft, tail_estimator, loop, &result.counters());
   for (FrequentItemset& fi : found) result.Add(std::move(fi));
@@ -78,12 +98,9 @@ Result<MiningResult> MCSampling::MineProbabilistic(
   return result;
 }
 
-UFIM_REGISTER_MINER("MCSampling", TaskFamily::kProbabilistic,
-                    /*production=*/true,
-                    [](const MinerOptions& options) {
-                      return std::make_unique<MCSampling>(
-                          options.mc_samples, options.mc_seed,
-                          options.num_threads, options.prefilter);
-                    })
+}  // namespace
+
+UFIM_REGISTER_MINER("MCSampling", /*exact=*/false, /*production=*/true,
+                    MineMCSampling)
 
 }  // namespace ufim

@@ -1,6 +1,11 @@
-#include "algo/ndu_apriori.h"
-
-#include <memory>
+// NDUApriori (Calders, Garboni & Goethals, ICDM'10; paper §3.3.2):
+// Normal-approximate probabilistic frequent itemset mining.
+//
+// By the Lyapunov CLT the Poisson-binomial support converges to
+// Normal(esup, var); the frequent probability is evaluated with the
+// continuity-corrected Φ formula at O(N) per itemset (one scan yields
+// both moments). Unlike PDUApriori it reports the (approximate)
+// frequent probability of every result.
 
 #include "algo/apriori_framework.h"
 #include "core/miner_registry.h"
@@ -8,9 +13,11 @@
 
 namespace ufim {
 
-Result<MiningResult> NDUApriori::MineProbabilistic(
-    const FlatView& view, const ProbabilisticParams& params) const {
-  UFIM_RETURN_IF_ERROR(params.Validate());
+namespace {
+
+Result<MiningResult> MineNDUApriori(const FlatView& view,
+                                    const ProbabilisticParams& params,
+                                    const MinerOptions& options) {
   const std::size_t msc = params.MinSupportCount(view.num_transactions());
   const double pft = params.pft;
 
@@ -25,16 +32,15 @@ Result<MiningResult> NDUApriori::MineProbabilistic(
   };
   std::vector<FrequentItemset> found = MineAprioriGeneric(
       view, callbacks, /*decremental_threshold=*/-1.0, &result.counters(),
-      num_threads_, &run_context());
+      options.num_threads, &options.run_context);
   for (FrequentItemset& fi : found) result.Add(std::move(fi));
   result.SortCanonical();
   return result;
 }
 
-UFIM_REGISTER_MINER("NDUApriori", TaskFamily::kProbabilistic,
-                    /*production=*/true,
-                    [](const MinerOptions& options) {
-                      return std::make_unique<NDUApriori>(options.num_threads);
-                    })
+}  // namespace
+
+UFIM_REGISTER_MINER("NDUApriori", /*exact=*/false, /*production=*/true,
+                    MineNDUApriori)
 
 }  // namespace ufim

@@ -1,6 +1,10 @@
-#include "algo/nduh_mine.h"
-
-#include <memory>
+// NDUH-Mine — the algorithm proposed by the paper itself (§3.3.3):
+// UH-Mine's depth-first framework with the Normal-distribution
+// approximation of the frequent probability. The UH-Struct already
+// yields Σp per prefix; accumulating Σp² alongside is free, and the two
+// moments feed the continuity-corrected Φ test. Designed to win on
+// large sparse uncertain databases, where the Apriori-framework
+// approximations (PDUApriori/NDUApriori) degrade.
 
 #include "algo/uh_struct.h"
 #include "core/miner_registry.h"
@@ -8,9 +12,11 @@
 
 namespace ufim {
 
-Result<MiningResult> NDUHMine::MineProbabilistic(
-    const FlatView& view, const ProbabilisticParams& params) const {
-  UFIM_RETURN_IF_ERROR(params.Validate());
+namespace {
+
+Result<MiningResult> MineNDUHMine(const FlatView& view,
+                                  const ProbabilisticParams& params,
+                                  const MinerOptions& options) {
   const std::size_t msc = params.MinSupportCount(view.num_transactions());
   const double pft = params.pft;
   UHStructEngine::Hooks hooks;
@@ -23,17 +29,16 @@ Result<MiningResult> NDUHMine::MineProbabilistic(
   };
   UHStructEngine engine(view, std::move(hooks));
   MiningResult result;
-  std::vector<FrequentItemset> found =
-      engine.Mine(&result.counters(), num_threads_, &run_context());
+  std::vector<FrequentItemset> found = engine.Mine(
+      &result.counters(), options.num_threads, &options.run_context);
   for (FrequentItemset& fi : found) result.Add(std::move(fi));
   result.SortCanonical();
   return result;
 }
 
-UFIM_REGISTER_MINER("NDUH-Mine", TaskFamily::kProbabilistic,
-                    /*production=*/true,
-                    [](const MinerOptions& options) {
-                      return std::make_unique<NDUHMine>(options.num_threads);
-                    })
+}  // namespace
+
+UFIM_REGISTER_MINER("NDUH-Mine", /*exact=*/false, /*production=*/true,
+                    MineNDUHMine)
 
 }  // namespace ufim

@@ -1,9 +1,26 @@
-#include "algo/top_k.h"
+// Threshold-free mining: the k itemsets with the highest expected
+// support. Practitioners rarely know a good min_esup up front (the
+// paper's sweeps exist precisely because results are threshold-
+// sensitive); top-k inverts the contract.
+//
+// Depth-first search with a dynamic bound: the k-th best expected
+// support seen so far prunes subtrees, which is exact because expected
+// support is anti-monotone. Items are explored in descending expected-
+// support order so the bound tightens early. An extension's expected
+// support never exceeds its item's, so each extension loop stops, before
+// joining, at the first item whose own expected support cannot beat the
+// bound: no later item can either. Serial: on the CLI dataset families
+// the whole search takes well under a millisecond at k = 10.
+//
+// Returns fewer than k itemsets only when fewer exist. Results carry
+// (esup, variance) like every other miner and are sorted by descending
+// expected support. `counters().candidates_generated` counts the seed
+// items plus the extensions actually joined; those cut off by the early
+// stop are not counted. The run context is polled once per searched
+// starting item and once per joined extension.
 
 #include <algorithm>
-#include <memory>
 #include <queue>
-#include <string>
 
 #include "algo/apriori_framework.h"
 #include "common/math_util.h"
@@ -121,15 +138,12 @@ void Dfs(SearchContext& ctx, const Itemset& prefix, const Containment& cont,
   }
 }
 
-}  // namespace
-
-Result<MiningResult> MineTopKExpected(const FlatView& view, std::size_t k,
-                                      const RunContext* context) {
-  if (k == 0) return Status::InvalidArgument("top-k mining requires k > 0");
+Result<MiningResult> MineTopK(const FlatView& view, const TopKParams& params,
+                              const MinerOptions& options) {
   SearchContext ctx;
   ctx.view = &view;
-  ctx.run = context;
-  ctx.k = k;
+  ctx.run = &options.run_context;
+  ctx.k = params.k;
 
   std::vector<ItemStats> stats = CollectItemStats(view);
   std::sort(stats.begin(), stats.end(), [](const ItemStats& a, const ItemStats& b) {
@@ -178,24 +192,8 @@ Result<MiningResult> MineTopKExpected(const FlatView& view, std::size_t k,
   return result;
 }
 
-Result<MiningResult> TopKMiner::Mine(const FlatView& view,
-                                     const MiningTask& task) const {
-  const auto* params = std::get_if<TopKParams>(&task);
-  if (params == nullptr) {
-    return Status::InvalidArgument("TopK does not support " +
-                                   std::string(TaskKindName(task)) + " tasks");
-  }
-  UFIM_RETURN_IF_ERROR(params->Validate());
-  // Overrides Miner::Mine directly, so it needs its own abort guard (the
-  // adapter bases' guards never run for this miner).
-  return internal::GuardMine(
-      [&] { return MineTopKExpected(view, params->k, &run_context()); });
-}
+}  // namespace
 
-UFIM_REGISTER_MINER("TopK", TaskFamily::kTopK,
-                    /*production=*/true,
-                    [](const MinerOptions&) {
-                      return std::make_unique<TopKMiner>();
-                    })
+UFIM_REGISTER_MINER("TopK", /*exact=*/true, /*production=*/true, MineTopK)
 
 }  // namespace ufim

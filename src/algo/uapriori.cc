@@ -1,15 +1,24 @@
-#include "algo/uapriori.h"
-
-#include <memory>
+// UApriori (Chui, Kao & Hung, PAKDD'07/'08; paper §3.1.1): the uncertain
+// extension of Apriori. Breadth-first generate-and-test with downward-
+// closure pruning; optionally the decremental pruning of [17, 18]
+// (mid-scan deactivation of candidates whose optimistic expected-support
+// bound falls below the threshold) on levels k >= 3. Level 2 counts
+// every pair of frequent items whole in one triangular pass.
+//
+// The paper's finding: despite Apriori being outclassed in deterministic
+// mining, UApriori is usually the fastest expected-support miner on
+// dense data with high min_esup.
 
 #include "algo/apriori_framework.h"
 #include "core/miner_registry.h"
 
 namespace ufim {
 
-Result<MiningResult> UApriori::MineExpected(
-    const FlatView& view, const ExpectedSupportParams& params) const {
-  UFIM_RETURN_IF_ERROR(params.Validate());
+namespace {
+
+Result<MiningResult> MineUApriori(const FlatView& view,
+                                  const ExpectedSupportParams& params,
+                                  const MinerOptions& options) {
   const double threshold =
       params.min_esup * static_cast<double>(view.num_transactions());
   MiningResult result;
@@ -17,20 +26,17 @@ Result<MiningResult> UApriori::MineExpected(
   callbacks.is_frequent = [threshold](double esup, double) {
     return esup >= threshold;
   };
-  std::vector<FrequentItemset> found =
-      MineAprioriGeneric(view, callbacks,
-                         decremental_pruning_ ? threshold : -1.0,
-                         &result.counters(), num_threads_, &run_context());
+  std::vector<FrequentItemset> found = MineAprioriGeneric(
+      view, callbacks, options.decremental_pruning ? threshold : -1.0,
+      &result.counters(), options.num_threads, &options.run_context);
   for (FrequentItemset& fi : found) result.Add(std::move(fi));
   result.SortCanonical();
   return result;
 }
 
-UFIM_REGISTER_MINER("UApriori", TaskFamily::kExpectedSupport,
-                    /*production=*/true,
-                    [](const MinerOptions& options) {
-                      return std::make_unique<UApriori>(
-                          options.decremental_pruning, options.num_threads);
-                    })
+}  // namespace
+
+UFIM_REGISTER_MINER("UApriori", /*exact=*/true, /*production=*/true,
+                    MineUApriori)
 
 }  // namespace ufim

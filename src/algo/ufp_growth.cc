@@ -1,8 +1,31 @@
-#include "algo/ufp_growth.h"
+// UFP-growth (Leung, Mateo & Brajczuk, PAKDD'08; paper §3.1.2):
+// FP-growth extended to uncertain data. Builds the UFP-tree, then
+// recursively projects conditional subtrees per extension item.
+//
+// Because nodes are shared only on (item, probability) equality, the
+// compression of the FP-tree largely evaporates under uncertainty: on
+// Gaussian-probability data the global tree has one node per projected
+// unit. The paper measures UFP-growth as the slowest and most
+// memory-hungry of the three expected-support miners. This
+// implementation keeps that sharing rule and node count exactly (exact
+// mining over the weighted tree, no candidate-verification rescan), but
+// stores each tree in two flat arrays — 32 B per node plus 8–16 B of
+// child index — with no heap allocation per node (see `UFPTree`). The
+// arrays are sized from the node count to expect: the global tree from
+// the node/unit ratio of its first eighth, each conditional tree from
+// its base's locally frequent units. Neither is sized from the raw
+// unit count, which overshoots a shared tree many times.
+//
+// Mining is a ParallelFor over the top-level header ranks of the
+// global tree (each rank's conditional projection chain is an
+// independent subproblem). When more than one thread runs, a
+// conditional tree of at least max(128, global_nodes / 32) nodes is
+// mined by a nested ParallelFor over its own ranks. Outputs and
+// counters are merged in fixed rank order at every level, so results
+// are bit-identical at every `num_threads`.
 
 #include <algorithm>
 #include <iterator>
-#include <memory>
 
 #include "algo/apriori_framework.h"
 #include "algo/ufp_tree.h"
@@ -193,12 +216,10 @@ void MineTreeParallel(const UFPTree& tree,
   }
 }
 
-}  // namespace
-
-Result<MiningResult> UFPGrowth::MineExpected(
-    const FlatView& view, const ExpectedSupportParams& params) const {
-  UFIM_RETURN_IF_ERROR(params.Validate());
-  PollRunContext(&run_context());  // checkpoint: run entry
+Result<MiningResult> MineUFPGrowth(const FlatView& view,
+                                   const ExpectedSupportParams& params,
+                                   const MinerOptions& options) {
+  PollRunContext(&options.run_context);  // checkpoint: run entry
   const double threshold =
       params.min_esup * static_cast<double>(view.num_transactions());
   MiningResult result;
@@ -262,7 +283,7 @@ Result<MiningResult> UFPGrowth::MineExpected(
   // tree splits into a nested loop over its own ranks, so one whale
   // subtree does not serialize on one worker.
   const std::size_t threads =
-      num_threads_ == 0 ? HardwareThreads() : num_threads_;
+      options.num_threads == 0 ? HardwareThreads() : options.num_threads;
   std::vector<FrequentItemset> found;
   MineContext ctx;
   ctx.threshold = threshold;
@@ -274,17 +295,16 @@ Result<MiningResult> UFPGrowth::MineExpected(
     ctx.min_split_nodes =
         std::max(kMinSplitNodes, tree.num_nodes() / kSplitDivisor);
   }
-  ctx.run = &run_context();
+  ctx.run = &options.run_context;
   MineTreeParallel(tree, {}, ctx);
   for (FrequentItemset& fi : found) result.Add(std::move(fi));
   result.SortCanonical();
   return result;
 }
 
-UFIM_REGISTER_MINER("UFP-growth", TaskFamily::kExpectedSupport,
-                    /*production=*/true,
-                    [](const MinerOptions& options) {
-                      return std::make_unique<UFPGrowth>(options.num_threads);
-                    })
+}  // namespace
+
+UFIM_REGISTER_MINER("UFP-growth", /*exact=*/true, /*production=*/true,
+                    MineUFPGrowth)
 
 }  // namespace ufim

@@ -170,8 +170,9 @@ Result<std::unique_ptr<DeltaMiner>> MakeDeltaMiner(
         "streaming mining supports expected-support algorithms only; '" +
         std::string(algorithm) + "' is not one");
   }
-  auto miner = std::make_unique<DeltaMiner>(entry->make(options), params,
-                                            policy, options.num_threads);
+  auto miner = std::make_unique<DeltaMiner>(
+      MinerRegistry::Global().Create(algorithm, options), params, policy,
+      options.num_threads);
   miner->set_run_context(options.run_context);
   return miner;
 }

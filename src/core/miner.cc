@@ -1,7 +1,6 @@
 #include "core/miner.h"
 
 #include <cmath>
-#include <string>
 
 namespace ufim {
 
@@ -62,33 +61,6 @@ std::string_view TaskKindName(const MiningTask& task) {
     return "probabilistic";
   }
   return "top-k";
-}
-
-namespace {
-
-Status UnsupportedTask(const Miner& miner, const MiningTask& task) {
-  return Status::InvalidArgument(std::string(miner.name()) +
-                                 " does not support " +
-                                 std::string(TaskKindName(task)) + " tasks");
-}
-
-}  // namespace
-
-Result<MiningResult> ExpectedSupportMiner::Mine(const FlatView& view,
-                                                const MiningTask& task) const {
-  if (const auto* params = std::get_if<ExpectedSupportParams>(&task)) {
-    return internal::GuardMine([&] { return MineExpected(view, *params); });
-  }
-  return UnsupportedTask(*this, task);
-}
-
-Result<MiningResult> ProbabilisticMiner::Mine(const FlatView& view,
-                                              const MiningTask& task) const {
-  if (const auto* params = std::get_if<ProbabilisticParams>(&task)) {
-    return internal::GuardMine(
-        [&] { return MineProbabilistic(view, *params); });
-  }
-  return UnsupportedTask(*this, task);
 }
 
 }  // namespace ufim

@@ -78,8 +78,11 @@ bool ParsePrefilterMode(std::string_view text, PrefilterMode* mode);
 /// Canonical spelling of a mode ("off", "bounds").
 std::string_view PrefilterModeName(PrefilterMode mode);
 
-/// Tuning knobs shared across miners. Defaults mirror the optimized
-/// configurations the paper's study used.
+/// Tuning knobs shared across miners, passed to `MinerRegistry::Create`
+/// and from there to every mine function. This is the only place miner
+/// defaults live: no algorithm has a constructor or a default of its
+/// own. Defaults mirror the optimized configurations the paper's study
+/// used.
 struct MinerOptions {
   /// Worker threads for the parallel mining paths: 1 (the default) is
   /// the sequential baseline, 0 means all hardware threads. The apriori
@@ -113,8 +116,11 @@ struct MinerOptions {
 
 /// The unified mining interface: every algorithm in the repo — the three
 /// expected-support miners, the exact DP/DC family, the approximate
-/// probabilistic miners and the brute-force oracles — is a `Miner` that
-/// consumes a columnar `FlatView` and a `MiningTask`.
+/// probabilistic miners, top-k and the brute-force oracles — is a `Miner`
+/// that consumes a columnar `FlatView` and a `MiningTask`. Algorithms are
+/// plain functions registered by name; `MinerRegistry::Create` binds one
+/// to its `MinerOptions` and is the only way to build it. Wrappers
+/// (`ShardedMiner`) implement this interface around such a miner.
 ///
 /// Implementations are stateless across calls: `Mine` may be invoked
 /// repeatedly with different views.
@@ -142,14 +148,14 @@ class Miner {
                                     const MiningTask& task) const = 0;
 
   /// Attaches the cooperative cancellation / deadline / budget token this
-  /// miner polls at its checkpoint sites. `MinerRegistry::Create` forwards
-  /// `MinerOptions::run_context` automatically; direct constructions keep
-  /// a live but unconstrained default. Copies share state, so callers keep
-  /// their own handle to `Cancel()` a running mine. Virtual so wrapper
-  /// miners (ShardedMiner; DeltaMiner wraps without inheriting) can
-  /// propagate the token to their inner miner — overrides must claim the
-  /// inner miner's config phase (`inner->AssertConfigPhase()`) before
-  /// forwarding, which is how the thread-safety analysis checks the
+  /// miner polls at its checkpoint sites. `MinerRegistry::Create` starts
+  /// each miner on `MinerOptions::run_context`; a `Miner` built any other
+  /// way keeps a live but unconstrained default. Copies share state, so
+  /// callers keep their own handle to `Cancel()` a running mine. Virtual
+  /// so wrapper miners (ShardedMiner; DeltaMiner wraps without
+  /// inheriting) can propagate the token to their inner miner — overrides
+  /// must claim the inner miner's config phase (`inner->AssertConfigPhase()`)
+  /// before forwarding, which is how the thread-safety analysis checks the
   /// propagation chain end to end.
   ///
   /// Config-phase only (annotated): `Mine` reads `run_context_` without a
@@ -182,7 +188,8 @@ namespace internal {
 /// Facade boundary of the no-exceptions-cross-the-public-API convention:
 /// runs `fn` and converts the internal abort unwind (`RunAbortedError`,
 /// thrown at RunContext checkpoints) and allocation failure into clean
-/// error Statuses. Every `Miner::Mine` entry point funnels through this.
+/// error Statuses. Every registered miner's `Mine` funnels through this
+/// (`core/miner_registry.cc`), as do `ShardedMiner` and `DeltaMiner`.
 template <typename Fn>
 Result<MiningResult> GuardMine(Fn&& fn) {
   try {
@@ -195,49 +202,6 @@ Result<MiningResult> GuardMine(Fn&& fn) {
 }
 
 }  // namespace internal
-
-/// Adapter base of the expected-support-based miners (UApriori,
-/// UFP-growth, UH-Mine, brute force). Subclasses implement
-/// `MineExpected`; the `MiningTask` dispatch lives here.
-class ExpectedSupportMiner : public Miner {
- public:
-  bool Supports(const MiningTask& task) const final {
-    return std::holds_alternative<ExpectedSupportParams>(task);
-  }
-  bool is_exact() const override { return true; }
-
-  Result<MiningResult> Mine(const FlatView& view,
-                            const MiningTask& task) const final;
-
- protected:
-  /// Finds all itemsets with esup(X) >= N * params.min_esup. Every
-  /// returned itemset carries (expected_support, variance); variance is
-  /// reported because it is free to accumulate and is exactly what turns
-  /// these miners into approximate probabilistic miners (§3.3).
-  virtual Result<MiningResult> MineExpected(
-      const FlatView& view, const ExpectedSupportParams& params) const = 0;
-};
-
-/// Adapter base of the probabilistic miners — exact (DP, DC) and
-/// approximate (PDUApriori, NDUApriori, NDUH-Mine, MCSampling).
-class ProbabilisticMiner : public Miner {
- public:
-  bool Supports(const MiningTask& task) const final {
-    return std::holds_alternative<ProbabilisticParams>(task);
-  }
-
-  /// True for DP/DC (exact frequent probabilities), false for the
-  /// distribution-approximation algorithms.
-  bool is_exact() const override = 0;
-
-  Result<MiningResult> Mine(const FlatView& view,
-                            const MiningTask& task) const final;
-
- protected:
-  /// Finds all itemsets with Pr(sup(X) >= N*min_sup) > pft.
-  virtual Result<MiningResult> MineProbabilistic(
-      const FlatView& view, const ProbabilisticParams& params) const = 0;
-};
 
 }  // namespace ufim
 

@@ -1,8 +1,73 @@
 #include "core/miner_registry.h"
 
 #include <algorithm>
+#include <type_traits>
 
 namespace ufim {
+
+namespace {
+
+// Supports() and the entry's family compare variant indices.
+static_assert(std::is_same_v<std::variant_alternative_t<0, MiningTask>,
+                             ExpectedSupportParams> &&
+              std::is_same_v<std::variant_alternative_t<1, MiningTask>,
+                             ProbabilisticParams> &&
+              std::is_same_v<std::variant_alternative_t<2, MiningTask>,
+                             TopKParams>);
+
+/// The one `Miner` implementation: a registry entry bound to the options
+/// it was created with. Everything the algorithms share lives here —
+/// name and exactness from the entry, the task-family check, params
+/// validation, and the abort guard — so a mine function holds only its
+/// algorithm.
+class RegisteredMiner final : public Miner {
+ public:
+  RegisteredMiner(const MinerEntry& entry, const MinerOptions& options)
+      : entry_(entry), options_(options) {
+    run_context_ = options.run_context;
+  }
+
+  std::string_view name() const override { return entry_.name; }
+
+  bool Supports(const MiningTask& task) const override {
+    return task.index() == entry_.mine.index();
+  }
+
+  bool is_exact() const override { return entry_.exact; }
+
+  Result<MiningResult> Mine(const FlatView& view,
+                            const MiningTask& task) const override {
+    return std::visit(
+        [&](auto mine, const auto& params) -> Result<MiningResult> {
+          if constexpr (std::is_invocable_v<decltype(mine), const FlatView&,
+                                            decltype(params),
+                                            const MinerOptions&>) {
+            UFIM_RETURN_IF_ERROR(params.Validate());
+            return internal::GuardMine(
+                [&] { return mine(view, params, options_); });
+          } else {
+            return Status::InvalidArgument(
+                entry_.name + " does not support " +
+                std::string(TaskKindName(task)) + " tasks");
+          }
+        },
+        entry_.mine, task);
+  }
+
+  /// Keeps the token the mine function reads (`options_.run_context`) and
+  /// the base's copy in step.
+  void set_run_context(RunContext context) override
+      UFIM_REQUIRES(config_role_) {
+    options_.run_context = context;
+    Miner::set_run_context(std::move(context));
+  }
+
+ private:
+  MinerEntry entry_;
+  MinerOptions options_;
+};
+
+}  // namespace
 
 MinerRegistry& MinerRegistry::Global() {
   // Function-local static: constructed on first use, so registrations
@@ -11,7 +76,10 @@ MinerRegistry& MinerRegistry::Global() {
   return *registry;
 }
 
-bool MinerRegistry::Register(MinerEntry entry) {
+bool MinerRegistry::Register(std::string name, bool exact, bool production,
+                             MineFn mine) {
+  MinerEntry entry{std::move(name), static_cast<TaskFamily>(mine.index()),
+                   exact, production, mine};
   for (MinerEntry& existing : entries_) {
     if (existing.name == entry.name) {
       existing = std::move(entry);
@@ -33,13 +101,7 @@ std::unique_ptr<Miner> MinerRegistry::Create(std::string_view name,
                                              const MinerOptions& options) const {
   const MinerEntry* entry = Find(name);
   if (entry == nullptr) return nullptr;
-  std::unique_ptr<Miner> miner = entry->make(options);
-  // Freshly constructed: nothing can be mining on it yet.
-  if (miner != nullptr) {
-    miner->AssertConfigPhase();
-    miner->set_run_context(options.run_context);
-  }
-  return miner;
+  return std::make_unique<RegisteredMiner>(*entry, options);
 }
 
 std::vector<std::string> MinerRegistry::Names(bool production_only) const {

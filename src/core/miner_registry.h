@@ -1,32 +1,49 @@
 #ifndef UFIM_CORE_MINER_REGISTRY_H_
 #define UFIM_CORE_MINER_REGISTRY_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/miner.h"
 
 namespace ufim {
 
-/// Which task alternative a registered miner answers (mirrors
-/// Miner::Supports, queryable without instantiation): the paper's two
-/// problem definitions plus threshold-free top-k.
+/// Which task alternative a registered miner answers: the paper's two
+/// problem definitions plus threshold-free top-k. Declared in the order
+/// of the `MiningTask` alternatives.
 enum class TaskFamily {
   kExpectedSupport,
   kProbabilistic,
   kTopK,
 };
 
-/// Registration record of one algorithm. Exactness is not duplicated
-/// here — query `Miner::is_exact()` on an instance.
+/// One algorithm: runs over `view` with `params` of its family, already
+/// validated, and reads its knobs (threads, prefilter, DC/MC settings,
+/// run context) from `options`. It may unwind with RunAbortedError at a
+/// checkpoint; the `Miner` that `MinerRegistry::Create` returns converts
+/// that into a Status.
+template <typename Params>
+using MineFnFor = Result<MiningResult> (*)(const FlatView& view,
+                                           const Params& params,
+                                           const MinerOptions& options);
+
+/// The mine function of an entry, one alternative per `MiningTask`
+/// alternative (same order), so the function's params type names its
+/// family.
+using MineFn = std::variant<MineFnFor<ExpectedSupportParams>,
+                            MineFnFor<ProbabilisticParams>,
+                            MineFnFor<TopKParams>>;
+
+/// Registration record of one algorithm.
 struct MinerEntry {
-  std::string name;    ///< canonical name; must equal Miner::name()
-  TaskFamily family = TaskFamily::kExpectedSupport;
+  std::string name;  ///< canonical name, as the paper spells it
+  TaskFamily family = TaskFamily::kExpectedSupport;  ///< from `mine`
+  bool exact = true;  ///< frequentness is exact (false: approximations)
   bool production = true;  ///< false for test oracles (brute force)
-  std::function<std::unique_ptr<Miner>(const MinerOptions&)> make;
+  MineFn mine;
 };
 
 /// Name-keyed registry of all mining algorithms. Algorithms register
@@ -37,15 +54,19 @@ class MinerRegistry {
   /// The process-wide registry.
   static MinerRegistry& Global();
 
-  /// Registers an entry; returns true. Registering a duplicate name is a
+  /// Registers `mine` under `name` (its family follows from the params
+  /// type `mine` takes); returns true. Registering a duplicate name is a
   /// programming error and replaces the previous entry (last wins, which
   /// keeps static-init order irrelevant for well-formed code).
-  bool Register(MinerEntry entry);
+  bool Register(std::string name, bool exact, bool production, MineFn mine);
 
   /// Looks an algorithm up by canonical name; nullptr when unknown.
   [[nodiscard]] const MinerEntry* Find(std::string_view name) const;
 
-  /// Instantiates an algorithm by name; nullptr when unknown.
+  /// The one way to build a miner: binds the algorithm to `options`
+  /// (including its run context); nullptr when the name is unknown. The
+  /// miner validates each task's params and turns an aborted run into a
+  /// Status.
   [[nodiscard]] std::unique_ptr<Miner> Create(std::string_view name,
                                 const MinerOptions& options = {}) const;
 
@@ -60,19 +81,19 @@ class MinerRegistry {
   std::vector<MinerEntry> entries_;
 };
 
-/// Registers `name` with the global registry at static-initialization
-/// time. Use in the algorithm's .cc:
+/// Registers `mine` with the global registry at static-initialization
+/// time. Use in the algorithm's .cc, after its mine function:
 ///
-///   UFIM_REGISTER_MINER("UApriori", TaskFamily::kExpectedSupport,
-///                       /*production=*/true,
-///                       [](const MinerOptions& o) {
-///                         return std::make_unique<UApriori>(o.decremental_pruning);
-///                       });
-#define UFIM_REGISTER_MINER(name, family, production, factory)     \
-  namespace {                                                      \
-  const bool UFIM_REGISTRY_CONCAT_(ufim_registered_, __LINE__) =   \
-      ::ufim::MinerRegistry::Global().Register(                    \
-          ::ufim::MinerEntry{name, family, production, factory});  \
+///   Result<MiningResult> MineUApriori(const FlatView& view,
+///                                     const ExpectedSupportParams& params,
+///                                     const MinerOptions& options);
+///   UFIM_REGISTER_MINER("UApriori", /*exact=*/true, /*production=*/true,
+///                       MineUApriori)
+#define UFIM_REGISTER_MINER(name, exact, production, mine)              \
+  namespace {                                                           \
+  const bool UFIM_REGISTRY_CONCAT_(ufim_registered_, __LINE__) =        \
+      ::ufim::MinerRegistry::Global().Register(name, exact, production, \
+                                               mine);                   \
   }
 #define UFIM_REGISTRY_CONCAT_(a, b) UFIM_REGISTRY_CONCAT_IMPL_(a, b)
 #define UFIM_REGISTRY_CONCAT_IMPL_(a, b) a##b

@@ -9,59 +9,6 @@ double StdNormalCdf(double x) {
   return 0.5 * std::erfc(-x / std::sqrt(2.0));
 }
 
-namespace {
-
-// Coefficients of Acklam's inverse-normal approximation.
-constexpr double kA[6] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                          -2.759285104469687e+02, 1.383577518672690e+02,
-                          -3.066479806614716e+01, 2.506628277459239e+00};
-constexpr double kB[5] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                          -1.556989798598866e+02, 6.680131188771972e+01,
-                          -1.328068155288572e+01};
-constexpr double kC[6] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                          -2.400758277161838e+00, -2.549732539343734e+00,
-                          4.374664141464968e+00,  2.938163982698783e+00};
-constexpr double kD[4] = {7.784695709041462e-03, 3.224671290700398e-01,
-                          2.445134137142996e+00, 3.754408661907416e+00};
-
-double AcklamQuantile(double p) {
-  constexpr double kLow = 0.02425;
-  double q, r;
-  if (p < kLow) {
-    q = std::sqrt(-2.0 * std::log(p));
-    return (((((kC[0] * q + kC[1]) * q + kC[2]) * q + kC[3]) * q + kC[4]) * q +
-            kC[5]) /
-           ((((kD[0] * q + kD[1]) * q + kD[2]) * q + kD[3]) * q + 1.0);
-  }
-  if (p <= 1.0 - kLow) {
-    q = p - 0.5;
-    r = q * q;
-    return (((((kA[0] * r + kA[1]) * r + kA[2]) * r + kA[3]) * r + kA[4]) * r +
-            kA[5]) *
-           q /
-           (((((kB[0] * r + kB[1]) * r + kB[2]) * r + kB[3]) * r + kB[4]) * r +
-            1.0);
-  }
-  q = std::sqrt(-2.0 * std::log(1.0 - p));
-  return -(((((kC[0] * q + kC[1]) * q + kC[2]) * q + kC[3]) * q + kC[4]) * q +
-           kC[5]) /
-         ((((kD[0] * q + kD[1]) * q + kD[2]) * q + kD[3]) * q + 1.0);
-}
-
-}  // namespace
-
-double StdNormalQuantile(double p) {
-  if (p <= 0.0) return -HUGE_VAL;
-  if (p >= 1.0) return HUGE_VAL;
-  double x = AcklamQuantile(p);
-  // One Halley refinement step against the true CDF.
-  const double e = StdNormalCdf(x) - p;
-  const double u = e * std::sqrt(2.0 * 3.14159265358979323846) *
-                   std::exp(x * x / 2.0);
-  x = x - u / (1.0 + x * u / 2.0);
-  return x;
-}
-
 double NormalApproxFrequentProbability(double esup, double variance,
                                        std::size_t msc) {
   const double threshold = static_cast<double>(msc) - 0.5;

@@ -8,10 +8,6 @@ namespace ufim {
 /// Standard Normal CDF Φ(x).
 double StdNormalCdf(double x);
 
-/// Standard Normal quantile Φ⁻¹(p), p in (0, 1). Acklam's rational
-/// approximation refined with one Halley step (|error| < 1e-12).
-double StdNormalQuantile(double p);
-
 /// Normal (Lyapunov CLT) approximation of the frequent probability
 /// Pr(sup(X) >= msc) for a Poisson-binomial support distribution with the
 /// given mean and variance, using the 0.5 continuity correction:

@@ -60,17 +60,6 @@ double RegularizedGammaP(double a, double x) {
   return 1.0 - GammaQContinuedFraction(a, x);
 }
 
-double RegularizedGammaQ(double a, double x) {
-  if (x <= 0.0) return 1.0;
-  if (x < a + 1.0) return 1.0 - GammaPSeries(a, x);
-  return GammaQContinuedFraction(a, x);
-}
-
-double PoissonCdf(std::size_t k, double lambda) {
-  if (lambda <= 0.0) return 1.0;
-  return RegularizedGammaQ(static_cast<double>(k) + 1.0, lambda);
-}
-
 double PoissonTail(std::size_t k, double lambda) {
   if (k == 0) return 1.0;
   if (lambda <= 0.0) return 0.0;

@@ -10,12 +10,6 @@ namespace ufim {
 /// otherwise (Numerical Recipes construction, implemented from scratch).
 double RegularizedGammaP(double a, double x);
 
-/// Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
-double RegularizedGammaQ(double a, double x);
-
-/// Poisson CDF Pr(X <= k) for X ~ Poisson(lambda), via Q(k+1, lambda).
-double PoissonCdf(std::size_t k, double lambda);
-
 /// Poisson upper tail Pr(X >= k) = P(k, lambda) for k >= 1; 1 for k == 0.
 /// This is the approximation PDUApriori (§3.3.1) applies to the frequent
 /// probability with lambda = esup(X).

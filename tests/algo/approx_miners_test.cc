@@ -1,16 +1,15 @@
 #include <gtest/gtest.h>
 
-#include "algo/exact_dc.h"
-#include "algo/ndu_apriori.h"
-#include "algo/nduh_mine.h"
-#include "algo/pdu_apriori.h"
 #include "eval/metrics.h"
 #include "gen/benchmark_datasets.h"
 #include "gen/probability.h"
 #include "testing/random_db.h"
+#include "testing/registry_mine.h"
 
 namespace ufim {
 namespace {
+
+using testing_util::MineWith;
 
 // A mid-size database in the CLT regime (N large enough for the Normal /
 // Poisson approximations to be accurate, small enough for exact DC).
@@ -24,7 +23,7 @@ TEST(NDUAprioriTest, AnnotatesFrequentProbability) {
   ProbabilisticParams params;
   params.min_sup = 0.5;
   params.pft = 0.5;
-  auto result = NDUApriori().Mine(FlatView(db), params);
+  auto result = MineWith("NDUApriori", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   for (const FrequentItemset& fi : result->itemsets()) {
     ASSERT_TRUE(fi.frequent_probability.has_value());
@@ -39,7 +38,7 @@ TEST(PDUAprioriTest, DoesNotAnnotateFrequentProbability) {
   ProbabilisticParams params;
   params.min_sup = 0.02;
   params.pft = 0.9;
-  auto result = PDUApriori().Mine(FlatView(db), params);
+  auto result = MineWith("PDUApriori", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   ASSERT_GT(result->size(), 0u);
   for (const FrequentItemset& fi : result->itemsets()) {
@@ -63,13 +62,13 @@ TEST_P(ApproxAccuracyTest, HighPrecisionAndRecallAgainstExact) {
   ProbabilisticParams params;
   params.min_sup = c.min_sup;
   params.pft = c.pft;
-  auto exact = ExactDC(true).Mine(FlatView(db), params);
+  auto exact = MineWith("DCB", FlatView(db), params);
   ASSERT_TRUE(exact.ok());
   ASSERT_GT(exact->size(), 0u) << "exact result empty: weak test";
 
-  auto ndu = NDUApriori().Mine(FlatView(db), params);
-  auto nduh = NDUHMine().Mine(FlatView(db), params);
-  auto pdu = PDUApriori().Mine(FlatView(db), params);
+  auto ndu = MineWith("NDUApriori", FlatView(db), params);
+  auto nduh = MineWith("NDUH-Mine", FlatView(db), params);
+  auto pdu = MineWith("PDUApriori", FlatView(db), params);
   ASSERT_TRUE(ndu.ok());
   ASSERT_TRUE(nduh.ok());
   ASSERT_TRUE(pdu.ok());
@@ -102,8 +101,8 @@ TEST(NDUAprioriVsNDUHMineTest, SameResultsDifferentFrameworks) {
   ProbabilisticParams params;
   params.min_sup = 0.02;
   params.pft = 0.9;
-  auto ndu = NDUApriori().Mine(FlatView(db), params);
-  auto nduh = NDUHMine().Mine(FlatView(db), params);
+  auto ndu = MineWith("NDUApriori", FlatView(db), params);
+  auto nduh = MineWith("NDUH-Mine", FlatView(db), params);
   ASSERT_TRUE(ndu.ok());
   ASSERT_TRUE(nduh.ok());
   ASSERT_EQ(ndu->size(), nduh->size());
@@ -117,24 +116,21 @@ TEST(NDUAprioriVsNDUHMineTest, SameResultsDifferentFrameworks) {
 }
 
 TEST(ApproxMinersTest, MetadataFlags) {
-  EXPECT_FALSE(PDUApriori().is_exact());
-  EXPECT_FALSE(NDUApriori().is_exact());
-  EXPECT_FALSE(NDUHMine().is_exact());
-  EXPECT_EQ(PDUApriori().name(), "PDUApriori");
-  EXPECT_EQ(NDUApriori().name(), "NDUApriori");
-  EXPECT_EQ(NDUHMine().name(), "NDUH-Mine");
+  for (const char* name : {"PDUApriori", "NDUApriori", "NDUH-Mine"}) {
+    std::unique_ptr<Miner> miner = MinerRegistry::Global().Create(name);
+    ASSERT_NE(miner, nullptr) << name;
+    EXPECT_FALSE(miner->is_exact()) << name;
+    EXPECT_EQ(miner->name(), name);
+  }
 }
 
 TEST(ApproxMinersTest, EmptyDatabase) {
   UncertainDatabase db;
   ProbabilisticParams params;
-  for (auto* miner :
-       std::initializer_list<ProbabilisticMiner*>{new PDUApriori(), new NDUApriori(),
-                                                  new NDUHMine()}) {
-    auto result = miner->Mine(FlatView(db), params);
-    ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(result->empty());
-    delete miner;
+  for (const char* name : {"PDUApriori", "NDUApriori", "NDUH-Mine"}) {
+    auto result = MineWith(name, FlatView(db), params);
+    ASSERT_TRUE(result.ok()) << name;
+    EXPECT_TRUE(result->empty()) << name;
   }
 }
 
@@ -142,9 +138,9 @@ TEST(ApproxMinersTest, RejectInvalidParams) {
   UncertainDatabase db = MakePaperTable1();
   ProbabilisticParams bad;
   bad.pft = -1.0;
-  EXPECT_FALSE(PDUApriori().Mine(FlatView(db), bad).ok());
-  EXPECT_FALSE(NDUApriori().Mine(FlatView(db), bad).ok());
-  EXPECT_FALSE(NDUHMine().Mine(FlatView(db), bad).ok());
+  EXPECT_FALSE(MineWith("PDUApriori", FlatView(db), bad).ok());
+  EXPECT_FALSE(MineWith("NDUApriori", FlatView(db), bad).ok());
+  EXPECT_FALSE(MineWith("NDUH-Mine", FlatView(db), bad).ok());
 }
 
 }  // namespace

@@ -1,19 +1,20 @@
-#include "algo/brute_force.h"
-
 #include <gtest/gtest.h>
 
 #include "gen/benchmark_datasets.h"
 #include "testing/random_db.h"
+#include "testing/registry_mine.h"
 
 namespace ufim {
 namespace {
+
+using testing_util::MineWith;
 
 TEST(BruteForceExpectedTest, PaperExample1) {
   // min_esup = 0.5 over Table 1: exactly {A} (2.1) and {C} (2.6).
   UncertainDatabase db = MakePaperTable1();
   ExpectedSupportParams params;
   params.min_esup = 0.5;
-  auto result = BruteForceExpected().Mine(FlatView(db), params);
+  auto result = MineWith("BruteForceExpected", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 2u);
   const FrequentItemset* a = result->Find(Itemset({kItemA}));
@@ -28,7 +29,7 @@ TEST(BruteForceExpectedTest, LowerThresholdAdmitsPairs) {
   UncertainDatabase db = MakePaperTable1();
   ExpectedSupportParams params;
   params.min_esup = 0.25;  // absolute threshold 1.0
-  auto result = BruteForceExpected().Mine(FlatView(db), params);
+  auto result = MineWith("BruteForceExpected", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   // {A,C} has esup 1.84 >= 1.0 and must appear.
   const FrequentItemset* ac = result->Find(Itemset({kItemA, kItemC}));
@@ -44,7 +45,7 @@ TEST(BruteForceExpectedTest, VarianceIsSumOfBernoulliVariances) {
   UncertainDatabase db = MakePaperTable1();
   ExpectedSupportParams params;
   params.min_esup = 0.5;
-  auto result = BruteForceExpected().Mine(FlatView(db), params);
+  auto result = MineWith("BruteForceExpected", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   const FrequentItemset* a = result->Find(Itemset({kItemA}));
   ASSERT_NE(a, nullptr);
@@ -59,7 +60,7 @@ TEST(BruteForceProbabilisticTest, PaperExample2) {
   ProbabilisticParams params;
   params.min_sup = 0.5;
   params.pft = 0.7;
-  auto result = BruteForceProbabilistic().Mine(FlatView(db), params);
+  auto result = MineWith("BruteForceProbabilistic", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   const FrequentItemset* a = result->Find(Itemset({kItemA}));
   ASSERT_NE(a, nullptr);
@@ -77,11 +78,11 @@ TEST(BruteForceProbabilisticTest, ThresholdIsStrict) {
   ProbabilisticParams params;
   params.min_sup = 1.0;  // msc = 2
   params.pft = 0.5;      // Pr(sup >= 2) = 0.5 exactly
-  auto result = BruteForceProbabilistic().Mine(FlatView(db), params);
+  auto result = MineWith("BruteForceProbabilistic", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->Find(Itemset({0})), nullptr);
   params.pft = 0.49;
-  result = BruteForceProbabilistic().Mine(FlatView(db), params);
+  result = MineWith("BruteForceProbabilistic", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   EXPECT_NE(result->Find(Itemset({0})), nullptr);
 }
@@ -90,11 +91,11 @@ TEST(BruteForceTest, EmptyDatabaseYieldsNothing) {
   UncertainDatabase db;
   ExpectedSupportParams ep;
   ep.min_esup = 0.5;
-  auto er = BruteForceExpected().Mine(FlatView(db), ep);
+  auto er = MineWith("BruteForceExpected", FlatView(db), ep);
   ASSERT_TRUE(er.ok());
   EXPECT_TRUE(er->empty());
   ProbabilisticParams pp;
-  auto pr = BruteForceProbabilistic().Mine(FlatView(db), pp);
+  auto pr = MineWith("BruteForceProbabilistic", FlatView(db), pp);
   ASSERT_TRUE(pr.ok());
   EXPECT_TRUE(pr->empty());
 }
@@ -103,10 +104,10 @@ TEST(BruteForceTest, RejectsInvalidParams) {
   UncertainDatabase db = MakePaperTable1();
   ExpectedSupportParams bad;
   bad.min_esup = -1.0;
-  EXPECT_FALSE(BruteForceExpected().Mine(FlatView(db), bad).ok());
+  EXPECT_FALSE(MineWith("BruteForceExpected", FlatView(db), bad).ok());
   ProbabilisticParams badp;
   badp.pft = 1.5;
-  EXPECT_FALSE(BruteForceProbabilistic().Mine(FlatView(db), badp).ok());
+  EXPECT_FALSE(MineWith("BruteForceProbabilistic", FlatView(db), badp).ok());
 }
 
 TEST(BruteForceProbabilisticTest, ResultsRespectDownwardClosure) {
@@ -115,7 +116,7 @@ TEST(BruteForceProbabilisticTest, ResultsRespectDownwardClosure) {
   ProbabilisticParams params;
   params.min_sup = 0.3;
   params.pft = 0.5;
-  auto result = BruteForceProbabilistic().Mine(FlatView(db), params);
+  auto result = MineWith("BruteForceProbabilistic", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   for (const FrequentItemset& fi : result->itemsets()) {
     for (const Itemset& sub : fi.itemset.AllSubsetsMissingOne()) {

@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
-#include "algo/brute_force.h"
-#include "algo/exact_dc.h"
-#include "algo/exact_dp.h"
 #include "gen/benchmark_datasets.h"
 #include "testing/random_db.h"
+#include "testing/registry_mine.h"
 
 namespace ufim {
 namespace {
+
+using testing_util::MineWith;
 
 void ExpectSameProbabilisticResults(const MiningResult& got,
                                     const MiningResult& want) {
@@ -26,7 +26,7 @@ TEST(ExactDPTest, PaperExample2) {
   ProbabilisticParams params;
   params.min_sup = 0.5;
   params.pft = 0.7;
-  auto result = ExactDP(/*use_chernoff_pruning=*/false).Mine(FlatView(db), params);
+  auto result = MineWith("DPNB", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   const FrequentItemset* a = result->Find(Itemset({kItemA}));
   ASSERT_NE(a, nullptr);
@@ -50,8 +50,8 @@ TEST_P(ExactMinerPropertyTest, DPNBMatchesBruteForce) {
   ProbabilisticParams params;
   params.min_sup = c.min_sup;
   params.pft = c.pft;
-  auto fast = ExactDP(false).Mine(FlatView(db), params);
-  auto oracle = BruteForceProbabilistic().Mine(FlatView(db), params);
+  auto fast = MineWith("DPNB", FlatView(db), params);
+  auto oracle = MineWith("BruteForceProbabilistic", FlatView(db), params);
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(oracle.ok());
   ExpectSameProbabilisticResults(*fast, *oracle);
@@ -65,8 +65,8 @@ TEST_P(ExactMinerPropertyTest, DCNBMatchesBruteForce) {
   ProbabilisticParams params;
   params.min_sup = c.min_sup;
   params.pft = c.pft;
-  auto fast = ExactDC(false).Mine(FlatView(db), params);
-  auto oracle = BruteForceProbabilistic().Mine(FlatView(db), params);
+  auto fast = MineWith("DCNB", FlatView(db), params);
+  auto oracle = MineWith("BruteForceProbabilistic", FlatView(db), params);
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(oracle.ok());
   ExpectSameProbabilisticResults(*fast, *oracle);
@@ -82,10 +82,10 @@ TEST_P(ExactMinerPropertyTest, ChernoffVariantsReturnIdenticalSets) {
   ProbabilisticParams params;
   params.min_sup = c.min_sup;
   params.pft = c.pft;
-  auto dpb = ExactDP(true).Mine(FlatView(db), params);
-  auto dpnb = ExactDP(false).Mine(FlatView(db), params);
-  auto dcb = ExactDC(true).Mine(FlatView(db), params);
-  auto dcnb = ExactDC(false).Mine(FlatView(db), params);
+  auto dpb = MineWith("DPB", FlatView(db), params);
+  auto dpnb = MineWith("DPNB", FlatView(db), params);
+  auto dcb = MineWith("DCB", FlatView(db), params);
+  auto dcnb = MineWith("DCNB", FlatView(db), params);
   ASSERT_TRUE(dpb.ok());
   ASSERT_TRUE(dpnb.ok());
   ASSERT_TRUE(dcb.ok());
@@ -113,8 +113,8 @@ TEST(ExactMinersTest, ChernoffPruningReducesExactEvaluations) {
   ProbabilisticParams params;
   params.min_sup = 0.6;  // far above typical esup: plenty to prune
   params.pft = 0.9;
-  auto with = ExactDP(true).Mine(FlatView(db), params);
-  auto without = ExactDP(false).Mine(FlatView(db), params);
+  auto with = MineWith("DPB", FlatView(db), params);
+  auto without = MineWith("DPNB", FlatView(db), params);
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(without.ok());
   EXPECT_LT(with->counters().exact_tail_evals,
@@ -123,19 +123,19 @@ TEST(ExactMinersTest, ChernoffPruningReducesExactEvaluations) {
 }
 
 TEST(ExactMinersTest, NamesReflectChernoffFlag) {
-  EXPECT_EQ(ExactDP(true).name(), "DPB");
-  EXPECT_EQ(ExactDP(false).name(), "DPNB");
-  EXPECT_EQ(ExactDC(true).name(), "DCB");
-  EXPECT_EQ(ExactDC(false).name(), "DCNB");
-  EXPECT_TRUE(ExactDP(true).is_exact());
-  EXPECT_TRUE(ExactDC(false).is_exact());
+  for (const char* name : {"DPB", "DPNB", "DCB", "DCNB"}) {
+    std::unique_ptr<Miner> miner = MinerRegistry::Global().Create(name);
+    ASSERT_NE(miner, nullptr) << name;
+    EXPECT_EQ(miner->name(), name);
+    EXPECT_TRUE(miner->is_exact()) << name;
+  }
 }
 
 TEST(ExactMinersTest, EmptyDatabase) {
   UncertainDatabase db;
   ProbabilisticParams params;
-  auto dp = ExactDP(true).Mine(FlatView(db), params);
-  auto dc = ExactDC(true).Mine(FlatView(db), params);
+  auto dp = MineWith("DPB", FlatView(db), params);
+  auto dc = MineWith("DCB", FlatView(db), params);
   ASSERT_TRUE(dp.ok());
   ASSERT_TRUE(dc.ok());
   EXPECT_TRUE(dp->empty());
@@ -146,8 +146,8 @@ TEST(ExactMinersTest, RejectsInvalidParams) {
   UncertainDatabase db = MakePaperTable1();
   ProbabilisticParams bad;
   bad.min_sup = 0.0;
-  EXPECT_FALSE(ExactDP(true).Mine(FlatView(db), bad).ok());
-  EXPECT_FALSE(ExactDC(true).Mine(FlatView(db), bad).ok());
+  EXPECT_FALSE(MineWith("DPB", FlatView(db), bad).ok());
+  EXPECT_FALSE(MineWith("DCB", FlatView(db), bad).ok());
 }
 
 }  // namespace

@@ -1,26 +1,39 @@
-#include "algo/mc_sampling.h"
-
 #include <gtest/gtest.h>
 
-#include "algo/brute_force.h"
 #include "eval/metrics.h"
 #include "gen/benchmark_datasets.h"
 #include "gen/probability.h"
 #include "testing/random_db.h"
+#include "testing/registry_mine.h"
 
 namespace ufim {
 namespace {
 
+using testing_util::MineWith;
+
+/// MinerOptions for `samples` samples per candidate from `seed`.
+MinerOptions Sampling(std::size_t samples, std::uint64_t seed,
+                      std::size_t threads = 1) {
+  MinerOptions options;
+  options.mc_samples = samples;
+  options.mc_seed = seed;
+  options.num_threads = threads;
+  return options;
+}
+
 TEST(MCSamplingTest, Metadata) {
-  MCSampling miner;
-  EXPECT_EQ(miner.name(), "MCSampling");
-  EXPECT_FALSE(miner.is_exact());
+  std::unique_ptr<Miner> miner = MinerRegistry::Global().Create("MCSampling");
+  ASSERT_NE(miner, nullptr);
+  EXPECT_EQ(miner->name(), "MCSampling");
+  EXPECT_FALSE(miner->is_exact());
 }
 
 TEST(MCSamplingTest, RejectsZeroSamples) {
   UncertainDatabase db = MakePaperTable1();
   ProbabilisticParams params;
-  EXPECT_FALSE(MCSampling(0).Mine(FlatView(db), params).ok());
+  MinerOptions none;
+  none.mc_samples = 0;
+  EXPECT_FALSE(MineWith("MCSampling", FlatView(db), params, none).ok());
 }
 
 TEST(MCSamplingTest, DeterministicInSeed) {
@@ -29,8 +42,8 @@ TEST(MCSamplingTest, DeterministicInSeed) {
   ProbabilisticParams params;
   params.min_sup = 0.3;
   params.pft = 0.6;
-  auto a = MCSampling(256, 5).Mine(FlatView(db), params);
-  auto b = MCSampling(256, 5).Mine(FlatView(db), params);
+  auto a = MineWith("MCSampling", FlatView(db), params, Sampling(256, 5));
+  auto b = MineWith("MCSampling", FlatView(db), params, Sampling(256, 5));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->ItemsetsOnly(), b->ItemsetsOnly());
@@ -46,7 +59,8 @@ TEST(MCSamplingTest, PaperExample2WithManySamples) {
   ProbabilisticParams params;
   params.min_sup = 0.5;
   params.pft = 0.7;
-  auto result = MCSampling(20000, 1).Mine(FlatView(db), params);
+  auto result = MineWith("MCSampling", FlatView(db), params,
+                         Sampling(20000, 1));
   ASSERT_TRUE(result.ok());
   const FrequentItemset* a = result->Find(Itemset({kItemA}));
   ASSERT_NE(a, nullptr);
@@ -71,8 +85,9 @@ TEST_P(MCSamplingAgreementTest, HighAgreementWithExact) {
   ProbabilisticParams params;
   params.min_sup = c.min_sup;
   params.pft = c.pft;
-  auto exact = BruteForceProbabilistic().Mine(FlatView(db), params);
-  auto sampled = MCSampling(4096, c.seed).Mine(FlatView(db), params);
+  auto exact = MineWith("BruteForceProbabilistic", FlatView(db), params);
+  auto sampled = MineWith("MCSampling", FlatView(db), params,
+                          Sampling(4096, c.seed));
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(sampled.ok());
   PrecisionRecall pr = ComputePrecisionRecall(*sampled, *exact);
@@ -101,8 +116,9 @@ TEST(MCSamplingTest, ChernoffPruningStillSound) {
   ProbabilisticParams params;
   params.min_sup = 0.4;
   params.pft = 0.9;
-  auto exact = BruteForceProbabilistic().Mine(FlatView(db), params);
-  auto sampled = MCSampling(8192, 2).Mine(FlatView(db), params);
+  auto exact = MineWith("BruteForceProbabilistic", FlatView(db), params);
+  auto sampled = MineWith("MCSampling", FlatView(db), params,
+                          Sampling(8192, 2));
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(sampled.ok());
   PrecisionRecall pr = ComputePrecisionRecall(*sampled, *exact);
@@ -119,11 +135,13 @@ TEST(MCSamplingTest, ParallelTailsBitIdenticalAcrossThreadCounts) {
   ProbabilisticParams params;
   params.min_sup = 0.2;
   params.pft = 0.5;
-  auto baseline = MCSampling(512, 9, /*num_threads=*/1).Mine(FlatView(db), params);
+  auto baseline = MineWith("MCSampling", FlatView(db), params,
+                           Sampling(512, 9, /*threads=*/1));
   ASSERT_TRUE(baseline.ok());
   ASSERT_FALSE(baseline->empty());
   for (std::size_t threads : {2u, 8u}) {
-    auto run = MCSampling(512, 9, threads).Mine(FlatView(db), params);
+    auto run = MineWith("MCSampling", FlatView(db), params,
+                        Sampling(512, 9, threads));
     ASSERT_TRUE(run.ok());
     ASSERT_EQ(run->size(), baseline->size()) << threads << " threads";
     for (std::size_t i = 0; i < baseline->size(); ++i) {
@@ -142,7 +160,7 @@ TEST(MCSamplingTest, ParallelTailsBitIdenticalAcrossThreadCounts) {
 TEST(MCSamplingTest, EmptyDatabase) {
   UncertainDatabase db;
   ProbabilisticParams params;
-  auto result = MCSampling().Mine(FlatView(db), params);
+  auto result = MineWith("MCSampling", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }

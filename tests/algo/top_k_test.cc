@@ -1,5 +1,3 @@
-#include "algo/top_k.h"
-
 #include <gtest/gtest.h>
 
 #include <string>
@@ -7,20 +5,23 @@
 #include <utility>
 #include <vector>
 
-#include "algo/brute_force.h"
 #include "core/postprocess.h"
 #include "gen/benchmark_datasets.h"
 #include "testing/random_db.h"
+#include "testing/registry_mine.h"
 
 namespace ufim {
 namespace {
 
+using testing_util::MineWith;
+
 TEST(TopKMinerTest, RejectsZeroK) {
-  EXPECT_FALSE(MineTopKExpected(FlatView(MakePaperTable1()), 0).ok());
+  EXPECT_FALSE(
+      MineWith("TopK", FlatView(MakePaperTable1()), TopKParams{0}).ok());
 }
 
 TEST(TopKMinerTest, PaperTable1TopTwoAreCAndA) {
-  auto result = MineTopKExpected(FlatView(MakePaperTable1()), 2);
+  auto result = MineWith("TopK", FlatView(MakePaperTable1()), TopKParams{2});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 2u);
   EXPECT_EQ((*result)[0].itemset, Itemset({kItemC}));  // esup 2.6
@@ -33,7 +34,7 @@ TEST(TopKMinerTest, KLargerThanLatticeReturnsEverything) {
   std::vector<Transaction> txns;
   txns.emplace_back(std::vector<ProbItem>{{0, 0.5}, {1, 0.5}});
   UncertainDatabase db(std::move(txns));
-  auto result = MineTopKExpected(FlatView(db), 100);
+  auto result = MineWith("TopK", FlatView(db), TopKParams{100});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 3u);
 }
@@ -52,12 +53,12 @@ TEST_P(TopKPropertyTest, MatchesRankedBruteForce) {
   const TopKCase c = GetParam();
   UncertainDatabase db = testing_util::MakeRandomDatabase(
       {.seed = c.seed, .num_transactions = 15, .num_items = 6});
-  auto top = MineTopKExpected(FlatView(db), c.k);
+  auto top = MineWith("TopK", FlatView(db), TopKParams{c.k});
   ASSERT_TRUE(top.ok());
 
   ExpectedSupportParams params;
   params.min_esup = 1e-9;  // everything
-  auto all = BruteForceExpected().Mine(FlatView(db), params);
+  auto all = MineWith("BruteForceExpected", FlatView(db), params);
   ASSERT_TRUE(all.ok());
   MiningResult oracle = TopK(*all, c.k);
 
@@ -85,7 +86,7 @@ TEST(TopKMinerTest, PrunesAgainstExhaustiveSearch) {
   UncertainDatabase db = testing_util::MakeRandomDatabase(
       {.seed = 9, .num_transactions = 100, .num_items = 14,
        .item_presence = 0.4});
-  auto top = MineTopKExpected(FlatView(db), 5);
+  auto top = MineWith("TopK", FlatView(db), TopKParams{5});
   ASSERT_TRUE(top.ok());
   EXPECT_EQ(top->size(), 5u);
   // Full lattice over 14 items is 2^14-1 = 16383; the bound should keep
@@ -128,7 +129,7 @@ TEST(TopKMinerTest, TiesAtTheBoundKeepTheirItemsetsAndOrder) {
            "{6}=1.000000 "},
   };
   for (const auto& [k, want] : cases) {
-    auto top = MineTopKExpected(view, k);
+    auto top = MineWith("TopK", view, TopKParams{k});
     ASSERT_TRUE(top.ok());
     std::string got;
     for (const FrequentItemset& fi : top->itemsets()) {
@@ -150,12 +151,12 @@ TEST_P(TopKCrossCheckTest, MatchesBruteForceRankByRank) {
       {.seed = seed, .num_transactions = 30, .num_items = 10});
   ExpectedSupportParams params;
   params.min_esup = 1e-9;  // everything
-  auto all = BruteForceExpected().Mine(FlatView(db), params);
+  auto all = MineWith("BruteForceExpected", FlatView(db), params);
   ASSERT_TRUE(all.ok());
   ASSERT_GT(all->size(), 100u);
   const MiningResult oracle = TopK(*all, k);
 
-  auto top = MineTopKExpected(FlatView(db), k);
+  auto top = MineWith("TopK", FlatView(db), TopKParams{k});
   ASSERT_TRUE(top.ok());
   ASSERT_EQ(top->size(), oracle.size());
   for (std::size_t i = 0; i < oracle.size(); ++i) {
@@ -171,7 +172,7 @@ INSTANTIATE_TEST_SUITE_P(SeedAndKSweep, TopKCrossCheckTest,
                                             ::testing::Values(1, 10, 100)));
 
 TEST(TopKMinerTest, EmptyDatabase) {
-  auto result = MineTopKExpected(FlatView(UncertainDatabase()), 3);
+  auto result = MineWith("TopK", FlatView(UncertainDatabase()), TopKParams{3});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }

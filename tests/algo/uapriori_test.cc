@@ -1,13 +1,13 @@
-#include "algo/uapriori.h"
-
 #include <gtest/gtest.h>
 
-#include "algo/brute_force.h"
 #include "gen/benchmark_datasets.h"
 #include "testing/random_db.h"
+#include "testing/registry_mine.h"
 
 namespace ufim {
 namespace {
+
+using testing_util::MineWith;
 
 void ExpectSameResults(const MiningResult& got, const MiningResult& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -23,7 +23,7 @@ TEST(UAprioriTest, PaperExample1) {
   UncertainDatabase db = MakePaperTable1();
   ExpectedSupportParams params;
   params.min_esup = 0.5;
-  auto result = UApriori().Mine(FlatView(db), params);
+  auto result = MineWith("UApriori", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 2u);
   EXPECT_NE(result->Find(Itemset({kItemA})), nullptr);
@@ -45,8 +45,8 @@ TEST_P(UAprioriPropertyTest, MatchesBruteForce) {
        .item_presence = c.presence});
   ExpectedSupportParams params;
   params.min_esup = c.min_esup;
-  auto fast = UApriori().Mine(FlatView(db), params);
-  auto oracle = BruteForceExpected().Mine(FlatView(db), params);
+  auto fast = MineWith("UApriori", FlatView(db), params);
+  auto oracle = MineWith("BruteForceExpected", FlatView(db), params);
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(oracle.ok());
   ExpectSameResults(*fast, *oracle);
@@ -66,8 +66,12 @@ TEST(UAprioriTest, DecrementalPruningPreservesResults) {
        .item_presence = 0.4});
   ExpectedSupportParams params;
   params.min_esup = 0.15;
-  auto with = UApriori(/*decremental_pruning=*/true).Mine(FlatView(db), params);
-  auto without = UApriori(/*decremental_pruning=*/false).Mine(FlatView(db), params);
+  MinerOptions pruned;
+  pruned.decremental_pruning = true;
+  MinerOptions unpruned;
+  unpruned.decremental_pruning = false;
+  auto with = MineWith("UApriori", FlatView(db), params, pruned);
+  auto without = MineWith("UApriori", FlatView(db), params, unpruned);
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(without.ok());
   ExpectSameResults(*with, *without);
@@ -77,7 +81,7 @@ TEST(UAprioriTest, CountsDatabaseScansPerLevel) {
   UncertainDatabase db = MakePaperTable1();
   ExpectedSupportParams params;
   params.min_esup = 0.25;
-  auto result = UApriori().Mine(FlatView(db), params);
+  auto result = MineWith("UApriori", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   // At least the item scan plus one candidate level.
   EXPECT_GE(result->counters().database_scans, 2u);
@@ -87,7 +91,7 @@ TEST(UAprioriTest, EmptyDatabase) {
   UncertainDatabase db;
   ExpectedSupportParams params;
   params.min_esup = 0.5;
-  auto result = UApriori().Mine(FlatView(db), params);
+  auto result = MineWith("UApriori", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }
@@ -101,7 +105,7 @@ TEST(UAprioriTest, ThresholdOneRequiresCertainUnits) {
   UncertainDatabase db(std::move(txns));
   ExpectedSupportParams params;
   params.min_esup = 1.0;
-  auto result = UApriori().Mine(FlatView(db), params);
+  auto result = MineWith("UApriori", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
   EXPECT_EQ((*result)[0].itemset, Itemset({0}));

@@ -1,19 +1,19 @@
-#include "algo/ufp_growth.h"
-
 #include <gtest/gtest.h>
 
-#include "algo/brute_force.h"
 #include "gen/benchmark_datasets.h"
 #include "testing/random_db.h"
+#include "testing/registry_mine.h"
 
 namespace ufim {
 namespace {
+
+using testing_util::MineWith;
 
 TEST(UFPGrowthTest, PaperExample1) {
   UncertainDatabase db = MakePaperTable1();
   ExpectedSupportParams params;
   params.min_esup = 0.5;
-  auto result = UFPGrowth().Mine(FlatView(db), params);
+  auto result = MineWith("UFP-growth", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 2u);
   const FrequentItemset* a = result->Find(Itemset({kItemA}));
@@ -27,13 +27,13 @@ TEST(UFPGrowthTest, PaperFigure1Threshold) {
   UncertainDatabase db = MakePaperTable1();
   ExpectedSupportParams params;
   params.min_esup = 0.25;
-  auto result = UFPGrowth().Mine(FlatView(db), params);
+  auto result = MineWith("UFP-growth", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   for (ItemId item : {kItemA, kItemB, kItemC, kItemD, kItemE, kItemF}) {
     EXPECT_NE(result->Find(Itemset({item})), nullptr) << "item " << item;
   }
   // And it agrees with brute force in full.
-  auto oracle = BruteForceExpected().Mine(FlatView(db), params);
+  auto oracle = MineWith("BruteForceExpected", FlatView(db), params);
   ASSERT_TRUE(oracle.ok());
   EXPECT_EQ(result->size(), oracle->size());
 }
@@ -54,8 +54,8 @@ TEST_P(UFPGrowthPropertyTest, MatchesBruteForce) {
        .item_presence = c.presence, .min_prob = c.min_prob});
   ExpectedSupportParams params;
   params.min_esup = c.min_esup;
-  auto fast = UFPGrowth().Mine(FlatView(db), params);
-  auto oracle = BruteForceExpected().Mine(FlatView(db), params);
+  auto fast = MineWith("UFP-growth", FlatView(db), params);
+  auto oracle = MineWith("BruteForceExpected", FlatView(db), params);
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(oracle.ok());
   ASSERT_EQ(fast->size(), oracle->size());
@@ -98,8 +98,8 @@ TEST(UFPGrowthTest, SharedNodesRemainExact) {
   UncertainDatabase db(std::move(txns));
   ExpectedSupportParams params;
   params.min_esup = 0.2;
-  auto fast = UFPGrowth().Mine(FlatView(db), params);
-  auto oracle = BruteForceExpected().Mine(FlatView(db), params);
+  auto fast = MineWith("UFP-growth", FlatView(db), params);
+  auto oracle = MineWith("BruteForceExpected", FlatView(db), params);
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(oracle.ok());
   ASSERT_EQ(fast->size(), oracle->size());
@@ -115,7 +115,7 @@ TEST(UFPGrowthTest, EmptyDatabase) {
   UncertainDatabase db;
   ExpectedSupportParams params;
   params.min_esup = 0.5;
-  auto result = UFPGrowth().Mine(FlatView(db), params);
+  auto result = MineWith("UFP-growth", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }

@@ -1,20 +1,20 @@
-#include "algo/uh_mine.h"
-
 #include <gtest/gtest.h>
 
-#include "algo/brute_force.h"
 #include "algo/uh_struct.h"
 #include "gen/benchmark_datasets.h"
 #include "testing/random_db.h"
+#include "testing/registry_mine.h"
 
 namespace ufim {
 namespace {
+
+using testing_util::MineWith;
 
 TEST(UHMineTest, PaperExample1) {
   UncertainDatabase db = MakePaperTable1();
   ExpectedSupportParams params;
   params.min_esup = 0.5;
-  auto result = UHMine().Mine(FlatView(db), params);
+  auto result = MineWith("UH-Mine", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 2u);
   EXPECT_NE(result->Find(Itemset({kItemA})), nullptr);
@@ -36,8 +36,8 @@ TEST_P(UHMinePropertyTest, MatchesBruteForce) {
        .item_presence = c.presence});
   ExpectedSupportParams params;
   params.min_esup = c.min_esup;
-  auto fast = UHMine().Mine(FlatView(db), params);
-  auto oracle = BruteForceExpected().Mine(FlatView(db), params);
+  auto fast = MineWith("UH-Mine", FlatView(db), params);
+  auto oracle = MineWith("BruteForceExpected", FlatView(db), params);
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(oracle.ok());
   ASSERT_EQ(fast->size(), oracle->size());
@@ -78,7 +78,7 @@ TEST(UHMineTest, EmptyDatabase) {
   UncertainDatabase db;
   ExpectedSupportParams params;
   params.min_esup = 0.5;
-  auto result = UHMine().Mine(FlatView(db), params);
+  auto result = MineWith("UH-Mine", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }
@@ -91,7 +91,7 @@ TEST(UHMineTest, SingleTransactionChain) {
   UncertainDatabase db(std::move(txns));
   ExpectedSupportParams params;
   params.min_esup = 1.0;
-  auto result = UHMine().Mine(FlatView(db), params);
+  auto result = MineWith("UH-Mine", FlatView(db), params);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 7u);  // 2^3 - 1
 }

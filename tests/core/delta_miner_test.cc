@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "algo/uapriori.h"
 #include "common/rng.h"
 #include "core/flat_view.h"
 #include "core/miner_registry.h"
@@ -369,25 +368,29 @@ TEST(DeltaMinerTest, RegistryPlumbingRejectsBadInners) {
 /// (0-based) and delegates to UApriori otherwise — for pinning the
 /// transactional retry contract around a transiently failing shard
 /// miner.
-class FlakyMiner final : public ExpectedSupportMiner {
+class FlakyMiner final : public Miner {
  public:
   FlakyMiner(int fail_from, int failures)
       : fail_from_(fail_from), fail_until_(fail_from + failures) {}
   std::string_view name() const override { return "Flaky"; }
-  Result<MiningResult> MineExpected(
-      const FlatView& view, const ExpectedSupportParams& params) const override {
+  bool Supports(const MiningTask& task) const override {
+    return inner_->Supports(task);
+  }
+  bool is_exact() const override { return true; }
+  Result<MiningResult> Mine(const FlatView& view,
+                            const MiningTask& task) const override {
     const int call = calls_++;
     if (call >= fail_from_ && call < fail_until_) {
       return Status::Internal("shard miner down");
     }
-    UApriori inner;
-    return inner.Mine(view, params);
+    return inner_->Mine(view, task);
   }
 
  private:
   int fail_from_;
   int fail_until_;
   mutable int calls_ = 0;
+  std::unique_ptr<Miner> inner_ = MinerRegistry::Global().Create("UApriori");
 };
 
 TEST(DeltaMinerTest, TransientInnerFailureRollsBackAndRetrySucceeds) {

@@ -31,12 +31,100 @@ TEST(MinerRegistryTest, RoundTripsEveryFactoryName) {
 }
 
 TEST(MinerRegistryTest, ExactnessFlagsMatchTaxonomy) {
-  const MinerRegistry& registry = MinerRegistry::Global();
-  EXPECT_TRUE(registry.Create("DPB")->is_exact());
-  EXPECT_TRUE(registry.Create("DCNB")->is_exact());
-  EXPECT_FALSE(registry.Create("PDUApriori")->is_exact());
-  EXPECT_FALSE(registry.Create("NDUApriori")->is_exact());
-  EXPECT_FALSE(registry.Create("NDUH-Mine")->is_exact());
+  // The paper's taxonomy (Table 2) plus the extensions: every registered
+  // algorithm, its family and whether its frequentness is exact.
+  struct Row {
+    const char* name;
+    TaskFamily family;
+    bool exact;
+  };
+  const Row kTaxonomy[] = {
+      {"BruteForceExpected", TaskFamily::kExpectedSupport, true},
+      {"BruteForceProbabilistic", TaskFamily::kProbabilistic, true},
+      {"DCB", TaskFamily::kProbabilistic, true},
+      {"DCNB", TaskFamily::kProbabilistic, true},
+      {"DPB", TaskFamily::kProbabilistic, true},
+      {"DPNB", TaskFamily::kProbabilistic, true},
+      {"MCSampling", TaskFamily::kProbabilistic, false},
+      {"NDUApriori", TaskFamily::kProbabilistic, false},
+      {"NDUH-Mine", TaskFamily::kProbabilistic, false},
+      {"PDUApriori", TaskFamily::kProbabilistic, false},
+      {"TopK", TaskFamily::kTopK, true},
+      {"UApriori", TaskFamily::kExpectedSupport, true},
+      {"UFP-growth", TaskFamily::kExpectedSupport, true},
+      {"UH-Mine", TaskFamily::kExpectedSupport, true},
+  };
+  std::vector<std::string> names;
+  for (const Row& row : kTaxonomy) {
+    names.push_back(row.name);
+    const MinerEntry* entry = MinerRegistry::Global().Find(row.name);
+    ASSERT_NE(entry, nullptr) << row.name;
+    EXPECT_EQ(entry->family, row.family) << row.name;
+    EXPECT_EQ(entry->exact, row.exact) << row.name;
+    EXPECT_EQ(MinerRegistry::Global().Create(row.name)->is_exact(), row.exact)
+        << row.name;
+  }
+  // Nothing registered is missing from the table.
+  for (const std::string& name : MinerRegistry::Global().Names()) {
+    if (name == "StubMiner") continue;  // SelfRegistrationAcceptsNewAlgorithms
+    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
+        << name;
+  }
+}
+
+/// A valid task of `family` whose params Validate() accepts.
+MiningTask TaskOf(TaskFamily family) {
+  switch (family) {
+    case TaskFamily::kExpectedSupport:
+      return ExpectedSupportParams{};
+    case TaskFamily::kProbabilistic:
+      return ProbabilisticParams{};
+    case TaskFamily::kTopK:
+      return TopKParams{};
+  }
+  return TopKParams{};
+}
+
+TEST(MinerRegistryTest, EveryMinerRejectsTasksOfOtherFamilies) {
+  const FlatView view(MakePaperTable1());
+  for (const std::string& name : MinerRegistry::Global().Names()) {
+    const TaskFamily own = MinerRegistry::Global().Find(name)->family;
+    std::unique_ptr<Miner> miner = MinerRegistry::Global().Create(name);
+    for (TaskFamily other : {TaskFamily::kExpectedSupport,
+                             TaskFamily::kProbabilistic, TaskFamily::kTopK}) {
+      if (other == own) continue;
+      Result<MiningResult> result = miner->Mine(view, TaskOf(other));
+      ASSERT_FALSE(result.ok()) << name;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << name;
+    }
+  }
+}
+
+TEST(MinerRegistryTest, EveryMinerRejectsOutOfRangeParams) {
+  const FlatView view(MakePaperTable1());
+  ExpectedSupportParams zero_esup;
+  zero_esup.min_esup = 0.0;
+  ProbabilisticParams certain_pft;
+  certain_pft.pft = 1.0;
+  TopKParams zero_k;
+  zero_k.k = 0;
+  for (const std::string& name : MinerRegistry::Global().Names()) {
+    MiningTask bad = zero_k;
+    switch (MinerRegistry::Global().Find(name)->family) {
+      case TaskFamily::kExpectedSupport:
+        bad = zero_esup;
+        break;
+      case TaskFamily::kProbabilistic:
+        bad = certain_pft;
+        break;
+      case TaskFamily::kTopK:
+        break;
+    }
+    Result<MiningResult> result =
+        MinerRegistry::Global().Create(name)->Mine(view, bad);
+    ASSERT_FALSE(result.ok()) << name;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << name;
+  }
 }
 
 TEST(MinerRegistryTest, OptionsReachUApriori) {
@@ -157,21 +245,19 @@ TEST(MinerRegistryTest, EveryMinerRunsThroughUnifiedFacadeOverFlatView) {
 TEST(MinerRegistryTest, SelfRegistrationAcceptsNewAlgorithms) {
   // A miner registered at runtime is immediately creatable by name —
   // the plug-in path a new algorithm's translation unit uses.
-  class Stub final : public ExpectedSupportMiner {
-   public:
-    std::string_view name() const override { return "StubMiner"; }
-    Result<MiningResult> MineExpected(
-        const FlatView&, const ExpectedSupportParams&) const override {
-      return MiningResult();
-    }
-  };
   MinerRegistry::Global().Register(
-      MinerEntry{"StubMiner", TaskFamily::kExpectedSupport,
-                 /*production=*/false,
-                 [](const MinerOptions&) { return std::make_unique<Stub>(); }});
+      "StubMiner", /*exact=*/false, /*production=*/false,
+      [](const FlatView&, const ExpectedSupportParams&,
+         const MinerOptions&) -> Result<MiningResult> {
+        return MiningResult();
+      });
+  const MinerEntry* entry = MinerRegistry::Global().Find("StubMiner");
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->family, TaskFamily::kExpectedSupport);
   std::unique_ptr<Miner> miner = MinerRegistry::Global().Create("StubMiner");
   ASSERT_NE(miner, nullptr);
   EXPECT_EQ(miner->name(), "StubMiner");
+  EXPECT_FALSE(miner->is_exact());
   auto result = miner->Mine(FlatView(MakePaperTable1()),
                             MiningTask(ExpectedSupportParams{}));
   EXPECT_TRUE(result.ok());

@@ -1,4 +1,4 @@
-#include "core/possible_worlds.h"
+#include "testing/possible_worlds.h"
 
 #include <numeric>
 
@@ -11,7 +11,13 @@
 namespace ufim {
 namespace {
 
+using testing_util::EnumerateWorlds;
+using testing_util::EstimateFrequentProbability;
 using testing_util::PoissonBinomialCappedPmfDP;
+using testing_util::SampleWorld;
+using testing_util::SupportDistributionByEnumeration;
+using testing_util::World;
+using testing_util::WorldSupport;
 
 UncertainDatabase TinyDb() {
   std::vector<Transaction> txns;

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "algo/brute_force.h"
 #include "gen/benchmark_datasets.h"
 #include "testing/random_db.h"
+#include "testing/registry_mine.h"
 
 namespace ufim {
 namespace {
+
+using testing_util::MineWith;
 
 MiningResult MakeResult(
     std::initializer_list<std::pair<Itemset, double>> entries) {
@@ -55,7 +57,7 @@ TEST(PostprocessLatticeTest, MaximalSubsetOfClosedSubsetOfAll) {
       {.seed = 61, .num_transactions = 20, .num_items = 7});
   ExpectedSupportParams params;
   params.min_esup = 0.1;
-  auto all = BruteForceExpected().Mine(FlatView(db), params);
+  auto all = MineWith("BruteForceExpected", FlatView(db), params);
   ASSERT_TRUE(all.ok());
   MiningResult closed = FilterClosed(*all);
   MiningResult maximal = FilterMaximal(*all);
@@ -147,7 +149,7 @@ TEST(GenerateRulesTest, ConfidenceNeverExceedsOneOnRealResults) {
       {.seed = 62, .num_transactions = 20, .num_items = 6});
   ExpectedSupportParams params;
   params.min_esup = 0.1;
-  auto all = BruteForceExpected().Mine(FlatView(db), params);
+  auto all = MineWith("BruteForceExpected", FlatView(db), params);
   ASSERT_TRUE(all.ok());
   for (const AssociationRule& rule : GenerateRules(*all, 0.0)) {
     EXPECT_LE(rule.expected_confidence, 1.0 + 1e-9) << rule.ToString();

@@ -2,14 +2,16 @@
 // measurement instruments, so their meaning is pinned by tests.
 #include <gtest/gtest.h>
 
-#include "algo/exact_dc.h"
 #include "core/miner_registry.h"
 #include "gen/benchmark_datasets.h"
 #include "gen/probability.h"
 #include "testing/random_db.h"
+#include "testing/registry_mine.h"
 
 namespace ufim {
 namespace {
+
+using testing_util::MineWith;
 
 TEST(CountersTest, UAprioriScansOncePerLevelPlusItems) {
   // Paper Table 1 at min_esup 0.25: frequent itemsets reach size 2, so
@@ -113,10 +115,13 @@ TEST(FftThresholdInvarianceTest, MiningResultsIdenticalAcrossThresholds) {
   ProbabilisticParams params;
   params.min_sup = 0.25;
   params.pft = 0.9;
-  auto reference = ExactDC(false, 64).Mine(FlatView(db), params);
+  MinerOptions options;
+  options.dc_fft_threshold = 64;
+  auto reference = MineWith("DCNB", FlatView(db), params, options);
   ASSERT_TRUE(reference.ok());
   for (std::size_t threshold : {1u, 16u, 1024u, 1u << 30}) {
-    auto other = ExactDC(false, threshold).Mine(FlatView(db), params);
+    options.dc_fft_threshold = threshold;
+    auto other = MineWith("DCNB", FlatView(db), params, options);
     ASSERT_TRUE(other.ok());
     ASSERT_EQ(other->size(), reference->size()) << "threshold=" << threshold;
     for (const FrequentItemset& fi : reference->itemsets()) {

@@ -25,24 +25,6 @@ TEST(StdNormalCdfTest, MonotoneAndSymmetric) {
   }
 }
 
-TEST(StdNormalQuantileTest, InvertsCdf) {
-  for (double p = 0.001; p < 0.999; p += 0.017) {
-    const double x = StdNormalQuantile(p);
-    EXPECT_NEAR(StdNormalCdf(x), p, 1e-10) << "p=" << p;
-  }
-}
-
-TEST(StdNormalQuantileTest, KnownValues) {
-  EXPECT_NEAR(StdNormalQuantile(0.5), 0.0, 1e-12);
-  EXPECT_NEAR(StdNormalQuantile(0.975), 1.959963984540054, 1e-8);
-  EXPECT_NEAR(StdNormalQuantile(0.9), 1.2815515655446004, 1e-8);
-}
-
-TEST(StdNormalQuantileTest, EdgesAreInfinite) {
-  EXPECT_EQ(StdNormalQuantile(0.0), -HUGE_VAL);
-  EXPECT_EQ(StdNormalQuantile(1.0), HUGE_VAL);
-}
-
 TEST(NormalApproxFrequentProbabilityTest, CenteredCaseIsHalf) {
   // esup exactly at the continuity-corrected threshold: probability 1/2.
   EXPECT_NEAR(NormalApproxFrequentProbability(9.5, 4.0, 10), 0.5, 1e-12);

@@ -71,13 +71,6 @@ TEST(PoissonBinomialStressTest, DpAndDcAgreeOnAdversarialShapes) {
   }
 }
 
-TEST(NormalStressTest, QuantileFarTails) {
-  for (double p : {1e-12, 1e-9, 1e-6, 1.0 - 1e-6, 1.0 - 1e-9}) {
-    const double x = StdNormalQuantile(p);
-    EXPECT_NEAR(StdNormalCdf(x), p, p * 1e-3 + 1e-13) << "p=" << p;
-  }
-}
-
 TEST(NormalStressTest, CdfExtremeArguments) {
   EXPECT_EQ(StdNormalCdf(-40.0), 0.0);
   EXPECT_EQ(StdNormalCdf(40.0), 1.0);
@@ -86,8 +79,7 @@ TEST(NormalStressTest, CdfExtremeArguments) {
 }
 
 TEST(PoissonStressTest, LargeLambdaLargeK) {
-  // Around the mean of Poisson(1e5) the CDF is ~0.5.
-  EXPECT_NEAR(PoissonCdf(100000, 1e5), 0.5, 0.01);
+  // Around the mean of Poisson(1e5) the tail is ~0.5.
   EXPECT_NEAR(PoissonTail(100000, 1e5), 0.5, 0.01);
   // Ten sigma out: essentially 0 / 1.
   EXPECT_LT(PoissonTail(103200, 1e5), 1e-10);
