@@ -95,7 +95,7 @@ void BM_ShardedUApriori(benchmark::State& state) {
       benchmark::DoNotOptimize(result);
     } else {
       ShardedMiner miner(MinerRegistry::Global().Create("UApriori", options),
-                         shards, threads);
+                         shards);
       auto result = miner.Mine(view, MiningTask(params));
       benchmark::DoNotOptimize(result);
     }

@@ -474,7 +474,7 @@ std::vector<FrequentItemset> MineProbabilisticApriori(
   return LevelWiseLoop(
       view, judge, /*collect_probs=*/true,
       /*decremental_threshold=*/-1.0, counters, options.num_threads,
-      /*judge_threads=*/options.parallel_tails ? options.num_threads : 1,
+      /*judge_threads=*/options.num_threads,
       options.context);
 }
 

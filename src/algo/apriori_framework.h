@@ -135,6 +135,11 @@ std::vector<FrequentItemset> MineAprioriGeneric(const FlatView& view,
 /// counter-based per-candidate RNG stream from it (DeriveStreamSeed)
 /// instead of consuming a shared sequential stream. Pure evaluators (DP,
 /// DC) simply ignore it.
+///
+/// Contract: the loop evaluates tails on `num_threads` workers in any
+/// order, so a `TailFn` must be a pure function of its arguments,
+/// `candidate_ordinal` included (per-thread scratch is fine; shared
+/// mutable state, such as one sequential RNG, is not).
 using TailFn = std::function<double(const std::vector<double>& probs,
                                     std::size_t msc,
                                     std::size_t candidate_ordinal)>;
@@ -154,13 +159,9 @@ struct ProbabilisticLoopOptions {
   /// the cascade could contradict the estimate and change the reported
   /// result set, so the framework never applies it there.
   bool certified_tail = true;
-  /// Worker threads for candidate counting (0 = all hardware threads).
+  /// Worker threads for candidate counting and tail evaluation (0 = all
+  /// hardware threads).
   std::size_t num_threads = 1;
-  /// Also parallelize per-candidate tail evaluations. Only safe for a
-  /// `tail_fn` that is a pure function of its arguments — including
-  /// `candidate_ordinal`, which is how MCSampling's sampler qualifies
-  /// since its per-candidate RNG streams are derived, not shared.
-  bool parallel_tails = false;
   /// Cancellation/deadline/budget token, polled per level, per candidate
   /// evaluation and per judged candidate; nullptr = unconstrained.
   const RunContext* context = nullptr;

@@ -31,7 +31,6 @@ Result<MiningResult> MineDC(const FlatView& view,
   loop.use_chernoff = kUseChernoff;
   loop.prefilter = options.prefilter;
   loop.num_threads = options.num_threads;
-  loop.parallel_tails = true;
   loop.context = &options.run_context;
   // The recursion's pmf buffers and FFT buffers live per worker thread,
   // so a tail allocates only when it outgrows every earlier one on that

@@ -35,7 +35,6 @@ Result<MiningResult> MineDP(const FlatView& view,
   loop.use_chernoff = kUseChernoff;
   loop.prefilter = options.prefilter;
   loop.num_threads = options.num_threads;
-  loop.parallel_tails = true;
   loop.context = &options.run_context;
   std::vector<FrequentItemset> found = MineProbabilisticApriori(
       view, msc, params.pft,

@@ -89,7 +89,6 @@ Result<MiningResult> MineMCSampling(const FlatView& view,
   loop.prefilter = options.prefilter;
   loop.certified_tail = false;  // estimator: bounds may not overrule it
   loop.num_threads = options.num_threads;
-  loop.parallel_tails = true;
   loop.context = &options.run_context;
   std::vector<FrequentItemset> found = MineProbabilisticApriori(
       view, msc, params.pft, tail_estimator, loop, &result.counters());

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/miner_registry.h"
 #include "core/sharded_miner.h"
 
@@ -34,22 +33,11 @@ class AppendTxnGuard {
 }  // namespace
 
 DeltaMiner::DeltaMiner(std::unique_ptr<Miner> inner,
-                       ExpectedSupportParams params, CompactionPolicy policy,
-                       std::size_t num_threads)
+                       ExpectedSupportParams params, CompactionPolicy policy)
     : inner_(std::move(inner)),
       params_(params),
       name_("Delta(" + std::string(inner_->name()) + ")"),
-      num_threads_(num_threads == 0 ? HardwareThreads() : num_threads),
       view_(policy) {}
-
-void DeltaMiner::set_run_context(RunContext context) {
-  // Same propagation contract as ShardedMiner::set_run_context: the
-  // delta miner is the inner miner's only driver, so "no MineNext in
-  // flight" (the caller's obligation) implies the inner config phase.
-  inner_->AssertConfigPhase();
-  inner_->set_run_context(context);  // copies share the token
-  run_context_ = std::move(context);
-}
 
 Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
   UFIM_RETURN_IF_ERROR(params_.Validate());
@@ -61,8 +49,9 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
 
   // The guard converts recount-phase checkpoint throws into a clean
   // Status at this facade (the inner miner guards its own Mine).
+  const RunContext& context = inner_->options().run_context;
   return internal::GuardMine([&]() -> Result<MiningResult> {
-    PollRunContext(&run_context_);  // checkpoint: batch entry
+    PollRunContext(&context);  // checkpoint: batch entry
 
     MiningResult result;
     StreamingSnapshot snap;
@@ -138,8 +127,8 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
     const double threshold =
         params_.min_esup * static_cast<double>(snap.watermark());
     RecountExpectedCandidates(snap.view(), singles, larger, threshold,
-                              num_threads_, result, &run_context_,
-                              &recount_state_);
+                              inner_->options().num_threads, result,
+                              &context, &recount_state_);
     result.SortCanonical();
     return result;
   });
@@ -170,11 +159,8 @@ Result<std::unique_ptr<DeltaMiner>> MakeDeltaMiner(
         "streaming mining supports expected-support algorithms only; '" +
         std::string(algorithm) + "' is not one");
   }
-  auto miner = std::make_unique<DeltaMiner>(
-      MinerRegistry::Global().Create(algorithm, options), params, policy,
-      options.num_threads);
-  miner->set_run_context(options.run_context);
-  return miner;
+  return std::make_unique<DeltaMiner>(
+      MinerRegistry::Global().Create(algorithm, options), params, policy);
 }
 
 }  // namespace ufim

@@ -71,11 +71,11 @@ namespace ufim {
 class DeltaMiner {
  public:
   /// Wraps `inner` (an expected-support miner; typically registry-made).
-  /// The stream starts empty; feed transactions through `MineNext`.
-  /// `num_threads` as in MinerOptions (0 = all hardware threads),
-  /// applied to the suffix mining and the recount.
+  /// The stream starts empty; feed transactions through `MineNext`. The
+  /// suffix mining and the recount run at the inner miner's
+  /// `num_threads` and poll its `run_context`.
   DeltaMiner(std::unique_ptr<Miner> inner, ExpectedSupportParams params,
-             CompactionPolicy policy = {}, std::size_t num_threads = 1);
+             CompactionPolicy policy = {});
 
   /// "Delta(<inner name>)".
   std::string_view name() const { return name_; }
@@ -87,9 +87,9 @@ class DeltaMiner {
   ///
   /// **Transactional.** The append runs under the view's
   /// BeginAppend/CommitAppend protocol: if the inner shard mine fails
-  /// (including cancellation through the attached RunContext), the batch
-  /// is rolled back to the pre-append watermark and the error returned —
-  /// the stream is *not* poisoned. Retrying the same batch after a
+  /// (including cancellation through the inner miner's RunContext), the
+  /// batch is rolled back to the pre-append watermark and the error
+  /// returned — the stream is *not* poisoned. Retrying the same batch after a
   /// transient failure appends it exactly once and yields the same
   /// result as if the failure never happened. The candidate pool and
   /// shard watermark advance only on a successful shard mine, and the
@@ -103,12 +103,6 @@ class DeltaMiner {
   /// thread may overlap the recount freely without changing a bit of
   /// the result.
   Result<MiningResult> MineNext(std::span<const Transaction> batch);
-
-  /// Attaches the cooperative cancellation / deadline / budget token,
-  /// shared with the inner shard miner. `MakeDeltaMiner` forwards
-  /// `MinerOptions::run_context` automatically.
-  void set_run_context(RunContext context);
-  const RunContext& run_context() const { return run_context_; }
 
   /// Read-only storage access. Mutation stays behind MineNext (and the
   /// Compact forwarder below): appending to the view directly would
@@ -150,8 +144,6 @@ class DeltaMiner {
   std::unique_ptr<Miner> inner_;
   ExpectedSupportParams params_;
   std::string name_;
-  std::size_t num_threads_;
-  RunContext run_context_;
 
   /// Serializes stream mutation + snapshot acquisition (MineNext's
   /// append/commit phase, explicit Compact) and guards the pool and
@@ -172,8 +164,10 @@ class DeltaMiner {
 
 /// Builds a `DeltaMiner` around a registry algorithm — the streaming
 /// entry point behind the `Miner` facade: any registered expected-support
-/// algorithm can serve as the shard miner. NotFound for unregistered
-/// names, InvalidArgument for non-expected-support algorithms.
+/// algorithm can serve as the shard miner, created with `options`, whose
+/// thread count and token the whole `MineNext` then uses. NotFound for
+/// unregistered names, InvalidArgument for non-expected-support
+/// algorithms.
 Result<std::unique_ptr<DeltaMiner>> MakeDeltaMiner(
     std::string_view algorithm, const ExpectedSupportParams& params,
     const MinerOptions& options = {}, CompactionPolicy policy = {});

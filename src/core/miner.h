@@ -10,7 +10,6 @@
 #include "common/result.h"
 #include "common/run_context.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "core/flat_view.h"
 #include "core/mining_result.h"
 
@@ -109,8 +108,10 @@ struct MinerOptions {
   PrefilterMode prefilter = PrefilterMode::kOff;
   /// Cooperative cancellation / deadline / memory-budget token, polled at
   /// the miners' checkpoint sites and observed by the execution layer
-  /// between tasks. Copies share state: keep a handle to `Cancel()` or arm
-  /// limits on while a mine runs. The default is live but unconstrained.
+  /// between tasks. Bound once, at `Create`; a wrapper around the miner
+  /// polls the same token. Copies share state: keep a handle to
+  /// `Cancel()` or arm limits on while a mine runs. The default is live
+  /// but unconstrained.
   RunContext run_context;
 };
 
@@ -120,10 +121,12 @@ struct MinerOptions {
 /// that consumes a columnar `FlatView` and a `MiningTask`. Algorithms are
 /// plain functions registered by name; `MinerRegistry::Create` binds one
 /// to its `MinerOptions` and is the only way to build it. Wrappers
-/// (`ShardedMiner`) implement this interface around such a miner.
+/// (`ShardedMiner`) implement this interface around such a miner and
+/// read their configuration from it.
 ///
-/// Implementations are stateless across calls: `Mine` may be invoked
-/// repeatedly with different views.
+/// A miner is configured once, at construction: nothing re-attaches its
+/// options or token afterwards. Implementations are stateless across
+/// calls: `Mine` may be invoked repeatedly with different views.
 class Miner {
  public:
   virtual ~Miner() = default;
@@ -141,46 +144,18 @@ class Miner {
 
   /// Runs the task over a prebuilt columnar view. Returns
   /// InvalidArgument when `Supports(task)` is false; kCancelled /
-  /// kDeadlineExceeded / kResourceExhausted when the miner's `RunContext`
+  /// kDeadlineExceeded / kResourceExhausted when `options().run_context`
   /// trips mid-run (the view, scratch pools, and the thread pool stay
   /// valid and reusable — see common/run_context.h).
   virtual Result<MiningResult> Mine(const FlatView& view,
                                     const MiningTask& task) const = 0;
 
-  /// Attaches the cooperative cancellation / deadline / budget token this
-  /// miner polls at its checkpoint sites. `MinerRegistry::Create` starts
-  /// each miner on `MinerOptions::run_context`; a `Miner` built any other
-  /// way keeps a live but unconstrained default. Copies share state, so
-  /// callers keep their own handle to `Cancel()` a running mine. Virtual
-  /// so wrapper miners (ShardedMiner; DeltaMiner wraps without
-  /// inheriting) can propagate the token to their inner miner — overrides
-  /// must claim the inner miner's config phase (`inner->AssertConfigPhase()`)
-  /// before forwarding, which is how the thread-safety analysis checks the
-  /// propagation chain end to end.
-  ///
-  /// Config-phase only (annotated): `Mine` reads `run_context_` without a
-  /// lock, so swapping the token while a mine is running on another
-  /// thread would race. Call sites claim the no-mine-in-flight window via
-  /// `AssertConfigPhase()`.
-  virtual void set_run_context(RunContext context)
-      UFIM_REQUIRES(config_role_) {
-    run_context_ = std::move(context);
-  }
-  const RunContext& run_context() const { return run_context_; }
-
-  /// Claims (to the thread-safety analysis; no runtime effect) that no
-  /// `Mine` call is in flight on this miner — the precondition of
-  /// `set_run_context`. See its comment.
-  void AssertConfigPhase() const UFIM_ASSERT_CAPABILITY(config_role_) {}
-
- protected:
-  // Deliberately not GUARDED_BY(config_role_): `Mine` bodies read the
-  // handle concurrently without the role (reads are safe — the handle is
-  // only swapped during the config phase the setter's REQUIRES pins).
-  RunContext run_context_;
-
-  /// The "no mine in flight; I am wiring up this miner" role.
-  Role config_role_;
+  /// The options `MinerRegistry::Create` bound this miner to: its thread
+  /// count, per-algorithm knobs and the `RunContext` token it polls at
+  /// its checkpoint sites. Fixed for the miner's lifetime. Wrappers
+  /// (`ShardedMiner`) return their inner miner's, so a wrapper and the
+  /// miner it drives share one thread count and one token.
+  virtual const MinerOptions& options() const = 0;
 };
 
 namespace internal {

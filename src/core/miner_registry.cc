@@ -23,9 +23,7 @@ static_assert(std::is_same_v<std::variant_alternative_t<0, MiningTask>,
 class RegisteredMiner final : public Miner {
  public:
   RegisteredMiner(const MinerEntry& entry, const MinerOptions& options)
-      : entry_(entry), options_(options) {
-    run_context_ = options.run_context;
-  }
+      : entry_(entry), options_(options) {}
 
   std::string_view name() const override { return entry_.name; }
 
@@ -54,17 +52,11 @@ class RegisteredMiner final : public Miner {
         entry_.mine, task);
   }
 
-  /// Keeps the token the mine function reads (`options_.run_context`) and
-  /// the base's copy in step.
-  void set_run_context(RunContext context) override
-      UFIM_REQUIRES(config_role_) {
-    options_.run_context = context;
-    Miner::set_run_context(std::move(context));
-  }
+  const MinerOptions& options() const override { return options_; }
 
  private:
   MinerEntry entry_;
-  MinerOptions options_;
+  const MinerOptions options_;
 };
 
 }  // namespace

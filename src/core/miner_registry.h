@@ -64,9 +64,9 @@ class MinerRegistry {
   [[nodiscard]] const MinerEntry* Find(std::string_view name) const;
 
   /// The one way to build a miner: binds the algorithm to `options`
-  /// (including its run context); nullptr when the name is unknown. The
-  /// miner validates each task's params and turns an aborted run into a
-  /// Status.
+  /// (including its run context) for the miner's lifetime; nullptr when
+  /// the name is unknown. The miner validates each task's params and
+  /// turns an aborted run into a Status.
   [[nodiscard]] std::unique_ptr<Miner> Create(std::string_view name,
                                 const MinerOptions& options = {}) const;
 

@@ -103,20 +103,10 @@ void RecountExpectedCandidates(const FlatView& view,
 }
 
 ShardedMiner::ShardedMiner(std::unique_ptr<Miner> inner,
-                           std::size_t num_shards, std::size_t num_threads)
+                           std::size_t num_shards)
     : inner_(std::move(inner)),
       name_("Sharded(" + std::string(inner_->name()) + ")"),
-      num_shards_(std::max<std::size_t>(num_shards, 1)),
-      num_threads_(num_threads == 0 ? HardwareThreads() : num_threads) {}
-
-void ShardedMiner::set_run_context(RunContext context) {
-  // The caller's claim on this wrapper covers the whole wiring step:
-  // while no mine is in flight on the wrapper, none is in flight on the
-  // inner miner either (the wrapper is its only driver).
-  inner_->AssertConfigPhase();
-  inner_->set_run_context(context);  // copies share the token
-  Miner::set_run_context(std::move(context));
-}
+      num_shards_(std::max<std::size_t>(num_shards, 1)) {}
 
 bool ShardedMiner::Supports(const MiningTask& task) const {
   // Only expected support is additive across shards; see class comment.
@@ -140,8 +130,10 @@ Result<MiningResult> ShardedMiner::Mine(const FlatView& view,
   // The driver polls at phase boundaries and inside the recount; the
   // guard converts those throws (and the context-carrying ParallelFor's
   // final poll) into a clean Status at this facade.
+  const RunContext& context = options().run_context;
+  const std::size_t num_threads = options().num_threads;
   return internal::GuardMine([&]() -> Result<MiningResult> {
-    PollRunContext(&run_context());  // checkpoint: shard phase entry
+    PollRunContext(&context);  // checkpoint: shard phase entry
 
     // Phase 1: mine every shard independently at the same min_esup ratio.
     // Shard boundaries are a pure function of (n_txn, shards), so the
@@ -152,13 +144,13 @@ Result<MiningResult> ShardedMiner::Mine(const FlatView& view,
       local.push_back(Status::Internal("shard not mined"));
     }
     ParallelFor(
-        shards, num_threads_,
+        shards, num_threads,
         [&](std::size_t s, std::size_t /*worker*/) {
           const FlatView shard =
               view.Slice(s * n_txn / shards, (s + 1) * n_txn / shards);
           local[s] = inner_->Mine(shard, task);
         },
-        &run_context());
+        &context);
 
     MiningResult result;
     std::unordered_set<Itemset, ItemsetHash> seen;
@@ -168,14 +160,7 @@ Result<MiningResult> ShardedMiner::Mine(const FlatView& view,
       UFIM_RETURN_IF_ERROR(local[s].status());
       // Counters aggregate the work done across all shards plus the merge
       // pass below — the uniform work measures stay meaningful.
-      MiningCounters& agg = result.counters();
-      const MiningCounters& sc = local[s]->counters();
-      agg.candidates_generated += sc.candidates_generated;
-      agg.candidates_pruned_apriori += sc.candidates_pruned_apriori;
-      agg.candidates_rejected_bound += sc.candidates_rejected_bound;
-      agg.candidates_accepted_bound += sc.candidates_accepted_bound;
-      agg.exact_tail_evals += sc.exact_tail_evals;
-      agg.database_scans += sc.database_scans;
+      result.counters() += local[s]->counters();
       for (const FrequentItemset& fi : local[s]->itemsets()) {
         if (seen.insert(fi.itemset).second) {
           (fi.itemset.size() == 1 ? singles : larger).push_back(fi.itemset);
@@ -189,8 +174,8 @@ Result<MiningResult> ShardedMiner::Mine(const FlatView& view,
 
     // Phase 2: exact recount of the union over the full view.
     const double threshold = params->min_esup * static_cast<double>(n_txn);
-    RecountExpectedCandidates(view, singles, larger, threshold, num_threads_,
-                              result, &run_context());
+    RecountExpectedCandidates(view, singles, larger, threshold, num_threads,
+                              result, &context);
     result.SortCanonical();
     return result;
   });

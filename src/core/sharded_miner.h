@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/math_util.h"
-#include "common/thread_annotations.h"
 #include "core/miner.h"
 
 namespace ufim {
@@ -69,8 +68,8 @@ void RecountExpectedCandidates(const FlatView& view,
 /// answer — the classic SON (partition) scheme, carried by FlatView's
 /// O(1) `Slice` views instead of data copies.
 ///
-/// Phase 1 mines every shard independently (in parallel, up to
-/// `num_threads` shards in flight) with the same min_esup *ratio*; the
+/// Phase 1 mines every shard independently (in parallel, up to the inner
+/// miner's `num_threads` shards in flight) with the same min_esup *ratio*; the
 /// shard thresholds ratio * |shard| sum to the global threshold, so by
 /// pigeonhole every globally frequent itemset is locally frequent in at
 /// least one shard — the union of shard results is a complete candidate
@@ -97,11 +96,10 @@ class ShardedMiner final : public Miner {
  public:
   /// Wraps `inner` (an expected-support miner; typically registry-made).
   /// `num_shards` contiguous transaction shards (clamped to the view
-  /// size; <= 1 degenerates to a plain delegated run). `num_threads` as
-  /// in MinerOptions: concurrency for shard mining and the recount, 0
-  /// meaning all hardware threads.
-  ShardedMiner(std::unique_ptr<Miner> inner, std::size_t num_shards,
-               std::size_t num_threads = 1);
+  /// size; <= 1 degenerates to a plain delegated run). Shard mining and
+  /// the recount run at the inner miner's `num_threads` and poll its
+  /// `run_context`, so one token stops both phases.
+  ShardedMiner(std::unique_ptr<Miner> inner, std::size_t num_shards);
 
   /// "Sharded(<inner name>)".
   std::string_view name() const override { return name_; }
@@ -114,12 +112,8 @@ class ShardedMiner final : public Miner {
   Result<MiningResult> Mine(const FlatView& view,
                             const MiningTask& task) const override;
 
-  /// Propagates the token to the inner miner, so cancellation observed at
-  /// the driver's phase boundaries also stops the per-shard mining.
-  /// Config-phase only, like the base: the override claims the inner
-  /// miner's config role before forwarding (see miner.h).
-  void set_run_context(RunContext context) override
-      UFIM_REQUIRES(config_role_);
+  /// The inner miner's options.
+  const MinerOptions& options() const override { return inner_->options(); }
 
   std::size_t num_shards() const { return num_shards_; }
 
@@ -127,7 +121,6 @@ class ShardedMiner final : public Miner {
   std::unique_ptr<Miner> inner_;
   std::string name_;
   std::size_t num_shards_;
-  std::size_t num_threads_;
 };
 
 }  // namespace ufim

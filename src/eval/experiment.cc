@@ -38,13 +38,7 @@ Result<ExperimentMeasurement> RunRegisteredExperiment(
                             "' is not registered");
   }
   if (num_shards > 1) {
-    miner = std::make_unique<ShardedMiner>(std::move(miner), num_shards,
-                                           options.num_threads);
-    // The registry attached the token to the inner miner; the sharded
-    // driver polls it at its own phase boundaries too. The wrapper is
-    // freshly constructed, so this thread owns its config phase.
-    miner->AssertConfigPhase();
-    miner->set_run_context(options.run_context);
+    miner = std::make_unique<ShardedMiner>(std::move(miner), num_shards);
   }
   return RunExperiment(*miner, view, task);
 }

@@ -20,11 +20,13 @@
 #include "core/miner_registry.h"
 #include "core/mining_result.h"
 #include "core/sharded_miner.h"
+#include "testing/flaky_miner.h"
 #include "testing/random_db.h"
 
 namespace ufim {
 namespace {
 
+using testing_util::FlakyMiner;
 using testing_util::MakeStreamBatch;
 using testing_util::StreamBatchSpec;
 
@@ -364,35 +366,6 @@ TEST(DeltaMinerTest, RegistryPlumbingRejectsBadInners) {
   EXPECT_EQ(probabilistic.status().code(), StatusCode::kInvalidArgument);
 }
 
-/// Inner miner that fails calls [fail_from, fail_from + failures)
-/// (0-based) and delegates to UApriori otherwise — for pinning the
-/// transactional retry contract around a transiently failing shard
-/// miner.
-class FlakyMiner final : public Miner {
- public:
-  FlakyMiner(int fail_from, int failures)
-      : fail_from_(fail_from), fail_until_(fail_from + failures) {}
-  std::string_view name() const override { return "Flaky"; }
-  bool Supports(const MiningTask& task) const override {
-    return inner_->Supports(task);
-  }
-  bool is_exact() const override { return true; }
-  Result<MiningResult> Mine(const FlatView& view,
-                            const MiningTask& task) const override {
-    const int call = calls_++;
-    if (call >= fail_from_ && call < fail_until_) {
-      return Status::Internal("shard miner down");
-    }
-    return inner_->Mine(view, task);
-  }
-
- private:
-  int fail_from_;
-  int fail_until_;
-  mutable int calls_ = 0;
-  std::unique_ptr<Miner> inner_ = MinerRegistry::Global().Create("UApriori");
-};
-
 TEST(DeltaMinerTest, TransientInnerFailureRollsBackAndRetrySucceeds) {
   // A failed suffix mine rolls the appended batch back to the pre-append
   // watermark, so retrying the same batch appends it exactly once and
@@ -426,6 +399,33 @@ TEST(DeltaMinerTest, TransientInnerFailureRollsBackAndRetrySucceeds) {
   Result<MiningResult> reference = clean.MineNext(b2);
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(retried.value().ToString(), reference.value().ToString());
+}
+
+TEST(DeltaMinerTest, PollsTheTokenItsInnerMinerWasCreatedWith) {
+  // The token is bound once, when the registry creates the inner miner;
+  // the wrapper polls that one at batch entry, before anything appends.
+  MinerOptions options;
+  options.run_context.Cancel();
+  ExpectedSupportParams params;
+  params.min_esup = 0.3;
+  const std::vector<Transaction> batch = {Txn({{0, 0.9}}), Txn({{0, 0.8}})};
+
+  Result<std::unique_ptr<DeltaMiner>> delta =
+      MakeDeltaMiner("UApriori", params, options);
+  ASSERT_TRUE(delta.ok());
+  Result<MiningResult> made = delta.value()->MineNext(batch);
+  ASSERT_FALSE(made.ok());
+  EXPECT_EQ(made.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(delta.value()->view().num_transactions(), 0u);
+
+  auto counting = std::make_unique<FlakyMiner>(99, 0, options);
+  const FlakyMiner& inner = *counting;
+  DeltaMiner wrapped(std::move(counting), params);
+  Result<MiningResult> r = wrapped.MineNext(batch);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(wrapped.view().num_transactions(), 0u);
+  EXPECT_EQ(inner.calls(), 0);
 }
 
 TEST(DeltaMinerTest, InvalidParamsSurfaceOnMineNext) {

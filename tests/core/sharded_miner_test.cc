@@ -6,11 +6,13 @@
 
 #include "core/miner_registry.h"
 #include "gen/benchmark_datasets.h"
+#include "testing/flaky_miner.h"
 #include "testing/random_db.h"
 
 namespace ufim {
 namespace {
 
+using testing_util::FlakyMiner;
 using testing_util::MakeRandomDatabase;
 
 std::unique_ptr<Miner> MakeInner(const char* name, std::size_t threads = 1) {
@@ -144,11 +146,11 @@ TEST(ShardedMinerTest, BitIdenticalAcrossThreadCounts) {
   FlatView view(db);
   ExpectedSupportParams params;
   params.min_esup = 0.1;
-  ShardedMiner baseline(MakeInner("UApriori", 1), 5, 1);
+  ShardedMiner baseline(MakeInner("UApriori", 1), 5);
   auto expect = baseline.Mine(view, MiningTask(params));
   ASSERT_TRUE(expect.ok());
   for (std::size_t threads : {2u, 8u}) {
-    ShardedMiner sharded(MakeInner("UApriori", threads), 5, threads);
+    ShardedMiner sharded(MakeInner("UApriori", threads), 5);
     auto result = sharded.Mine(view, MiningTask(params));
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->size(), expect->size()) << threads << " threads";
@@ -159,6 +161,29 @@ TEST(ShardedMinerTest, BitIdenticalAcrossThreadCounts) {
       EXPECT_EQ((*result)[i].variance, (*expect)[i].variance);
     }
   }
+}
+
+TEST(ShardedMinerTest, PollsTheTokenItsInnerMinerWasCreatedWith) {
+  // The wrapper has no token of its own: it polls the one the registry
+  // bound to its inner miner, at shard phase entry, before any shard is
+  // handed to the inner miner.
+  MinerOptions options;
+  options.num_threads = 2;
+  options.run_context.Cancel();
+  auto counting = std::make_unique<FlakyMiner>(99, 0, options);
+  const FlakyMiner& inner = *counting;
+  ShardedMiner sharded(std::move(counting), 4);
+  EXPECT_EQ(&sharded.options(), &inner.options());
+
+  UncertainDatabase db = MakeRandomDatabase(
+      {.seed = 43, .num_transactions = 40, .num_items = 6});
+  FlatView view(db);
+  ExpectedSupportParams params;
+  params.min_esup = 0.1;
+  Result<MiningResult> r = sharded.Mine(view, MiningTask(params));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(inner.calls(), 0);
 }
 
 }  // namespace

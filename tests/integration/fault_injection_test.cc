@@ -200,10 +200,7 @@ TEST(FaultInjectionTest, ShardedMinerSurvivesCancellationAcrossPhases) {
     MinerOptions options;
     options.num_threads = threads;
     const RunContext ctx = options.run_context;
-    ShardedMiner miner(MinerRegistry::Global().Create("UApriori", options), 4,
-                       threads);
-    miner.AssertConfigPhase();  // freshly constructed, no mine in flight
-    miner.set_run_context(ctx);
+    ShardedMiner miner(MinerRegistry::Global().Create("UApriori", options), 4);
     CheckSurvivesCancellation(miner, ctx, view, MiningTask(params),
                               "Sharded(UApriori)@" + std::to_string(threads));
   }

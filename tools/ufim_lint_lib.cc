@@ -119,18 +119,18 @@ void CheckNoNondeterminism(const PreparedFile& f,
                            std::vector<Diagnostic>* out) {
   if (!HasPrefix(f.source->path, "src/")) return;
   struct Pattern {
-    const char* regex;
+    std::regex regex;
     const char* what;
   };
   static const Pattern kPatterns[] = {
-      {R"(\b(?:std\s*::\s*)?s?rand\s*\()", "rand()/srand()"},
-      {R"(\brandom_device\b)", "std::random_device"},
-      {R"(\b(?:std\s*::\s*)?time\s*\()", "time()"},
-      {R"(\b(?:std\s*::\s*)?clock\s*\()", "clock()"},
+      {std::regex(R"(\b(?:std\s*::\s*)?s?rand\s*\()"), "rand()/srand()"},
+      {std::regex(R"(\brandom_device\b)"), "std::random_device"},
+      {std::regex(R"(\b(?:std\s*::\s*)?time\s*\()"), "time()"},
+      {std::regex(R"(\b(?:std\s*::\s*)?clock\s*\()"), "clock()"},
   };
   for (std::size_t i = 0; i < f.stripped_lines.size(); ++i) {
     for (const Pattern& p : kPatterns) {
-      if (std::regex_search(f.stripped_lines[i], std::regex(p.regex))) {
+      if (std::regex_search(f.stripped_lines[i], p.regex)) {
         Emit(f, i + 1, "no-nondeterminism",
              std::string(p.what) +
                  " in library code: results must be a pure function of "
