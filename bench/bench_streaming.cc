@@ -4,11 +4,12 @@
 // Two layers are measured over the same Kosarak-like stream (2000-txn
 // base + 1024 appended transactions, long-tail item skew):
 //
-//  * storage only — StreamingFlatView::Append (delta tail writes, plus
+//  * storage only — StreamingFlatView::Append (the batch built as its
+//    own FlatView, copied column by column into the delta tails, plus
 //    whatever compactions the policy triggers) against building a fresh
 //    FlatView over the accumulated database per batch. This isolates the
 //    O(batch units) vs O(total units) claim.
-//  * append + mine — DeltaMiner::MineNext (suffix-shard mine + exact
+//  * append + mine — DeltaMiner::MineNext (batch-shard mine + exact
 //    pool recount over the streaming layout) against the rebuild
 //    pipeline every batch: FlatView(db) from scratch + a full UApriori
 //    run. This is the end-to-end amortized cost per appended
@@ -77,14 +78,15 @@ std::span<const Transaction> Batch(std::size_t lo, std::size_t batch) {
   return {tail.data() + lo, hi - lo};
 }
 
-/// Storage only: absorb the stream through StreamingFlatView::Append.
+/// Storage only: absorb the stream through StreamingFlatView::Append, one
+/// batch view at a time (the path DeltaMiner::MineNext takes).
 void BM_AppendStorage(benchmark::State& state) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     StreamingFlatView sv(Stream().base);
     sv.AssertSoleWriter();  // single-threaded bench: sole writer by construction
     for (std::size_t lo = 0; lo < kStreamTxns; lo += batch) {
-      sv.Append(Batch(lo, batch));
+      sv.Append(FlatView(Batch(lo, batch)));
     }
     benchmark::DoNotOptimize(sv.num_units());
     state.counters["compactions"] = static_cast<double>(sv.compactions());
@@ -167,7 +169,7 @@ void BM_Snapshot(benchmark::State& state) {
   never.max_delta_ratio = 1e18;
   StreamingFlatView sv(Stream().base, never);
   sv.AssertSoleWriter();  // single-threaded bench: sole writer by construction
-  sv.Append(Batch(0, delta_txns));
+  sv.Append(FlatView(Batch(0, delta_txns)));
   std::size_t delta_units = sv.num_units();
   for (auto _ : state) {
     const StreamingSnapshot snap = sv.Snapshot();

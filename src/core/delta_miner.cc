@@ -1,6 +1,5 @@
 #include "core/delta_miner.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -8,29 +7,6 @@
 #include "core/sharded_miner.h"
 
 namespace ufim {
-
-namespace {
-
-/// Rolls the view's open append transaction back unless the caller
-/// committed first — so every early return (and any exception unwinding
-/// to the GuardMine boundary) restores the pre-append stream.
-class AppendTxnGuard {
- public:
-  explicit AppendTxnGuard(StreamingFlatView& view) : view_(view) {}
-  ~AppendTxnGuard() {
-    // The guard unwinds on behalf of the writer that created it (inside
-    // MineNext's serialized batch), so the writer role transfers here.
-    view_.AssertSoleWriter();
-    if (view_.in_append_txn()) view_.RollbackAppend();
-  }
-  AppendTxnGuard(const AppendTxnGuard&) = delete;
-  AppendTxnGuard& operator=(const AppendTxnGuard&) = delete;
-
- private:
-  StreamingFlatView& view_;
-};
-
-}  // namespace
 
 DeltaMiner::DeltaMiner(std::unique_ptr<Miner> inner,
                        ExpectedSupportParams params, CompactionPolicy policy)
@@ -57,65 +33,40 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
     StreamingSnapshot snap;
     std::vector<Itemset> singles;
     std::vector<Itemset> larger;
-    {
-      // Mutation phase, under the write mutex (serialized with any
-      // concurrent explicit Compact). MineNext calls themselves are
+    if (!batch.empty()) {
+      // Phase 1: mine the batch as its own SON shard, at the same
+      // min_esup ratio (the shard threshold is ratio * |shard|, exactly
+      // as ShardedMiner's static shards), before the stream is touched:
+      // a failed shard mine returns with the stream as it was.
+      FlatView shard(batch);
+      Result<MiningResult> local = inner_->Mine(shard, task);
+      UFIM_RETURN_IF_ERROR(local.status());
+      result.counters() += local->counters();
+
+      // Append, under the write mutex (serialized with any concurrent
+      // explicit Compact). MineNext calls themselves are
       // caller-serialized; inside this block the thread is the stream's
-      // sole writer, which is exactly the writer-role claim.
+      // sole writer, which is exactly the writer-role claim. The pool
+      // admits the shard's itemsets first: should the append throw, the
+      // pool only holds extra candidates and later recounts stay exact.
       MutexLock lock(write_mu_);
       view_.AssertSoleWriter();
-
-      if (batch.empty()) {
-        // Pure recount: no append transaction, no policy-compaction
-        // side effect, no shard/watermark drift — just freeze the
-        // current state for phase 2.
-        snap = view_.Snapshot();
-      } else {
-        // Transactional append: any failure before CommitAppend — inner
-        // shard-mine error, cancellation, allocation failure — rolls
-        // the batch back to the pre-append watermark on the way out, so
-        // a retry of the same batch appends it exactly once.
-        view_.BeginAppend();
-        AppendTxnGuard rollback_unless_committed(view_);
-        view_.Append(batch);
-        // ufim-lint: allow(raw-view) consumed before CommitAppend, under the write mutex
-        const FlatView full = view_.View();
-        const std::size_t n_txn = full.num_transactions();
-
-        // Phase 1: mine the appended suffix as its own SON shard, at
-        // the same min_esup ratio (the shard threshold is ratio *
-        // |shard|, exactly as ShardedMiner's static shards). The slice
-        // spans the base/delta seam transparently, so this works
-        // identically pre- and post-compaction.
-        const FlatView suffix = full.Slice(mined_upto_, n_txn);
-        Result<MiningResult> local = inner_->Mine(suffix, task);
-        UFIM_RETURN_IF_ERROR(local.status());
-        result.counters() += local->counters();
-        const std::uint64_t admit_gen = view_.generation();
-        for (const FrequentItemset& fi : local->itemsets()) {
-          // emplace keeps the first admission's generation on
-          // re-discovery by a later shard.
-          pool_.emplace(fi.itemset, admit_gen);
-        }
-        mined_upto_ = n_txn;
-        ++shards_mined_;
-        // The shard is mined and the pool updated — commit (running any
-        // deferred compaction) before snapshotting, so a recount
-        // failure leaves a consistent stream that an empty-batch call
-        // re-mines, and the snapshot freezes the committed state.
-        view_.CommitAppend();
-        snap = view_.Snapshot();
+      for (const FrequentItemset& fi : local->itemsets()) {
+        pool_.insert(fi.itemset);
       }
-
-      // Canonical candidate order keeps the recount independent of pool
-      // insertion history (and of the unordered_map's iteration order).
-      // ufim-lint: allow(unordered-iteration) order erased by the sorts below
-      for (const auto& [is, admitted] : pool_) {
-        static_cast<void>(admitted);
+      view_.Append(std::move(shard));
+      ++shards_mined_;
+    }
+    {
+      // Freeze the stream and read the pool (in itemset order) for
+      // phase 2. A recount failure then leaves a consistent stream that
+      // an empty-batch call re-mines.
+      MutexLock lock(write_mu_);
+      view_.AssertSoleWriter();
+      snap = view_.Snapshot();
+      for (const Itemset& is : pool_) {
         (is.size() == 1 ? singles : larger).push_back(is);
       }
-      std::sort(singles.begin(), singles.end());
-      std::sort(larger.begin(), larger.end());
     }
 
     // Phase 2: exact recount of the whole candidate pool over the
@@ -132,18 +83,6 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
     result.SortCanonical();
     return result;
   });
-}
-
-std::size_t DeltaMiner::candidates_admitted_since(
-    std::uint64_t generation) const {
-  MutexLock lock(write_mu_);
-  std::size_t n = 0;
-  // ufim-lint: allow(unordered-iteration) order-independent count
-  for (const auto& [is, admitted] : pool_) {
-    static_cast<void>(is);
-    if (admitted >= generation) ++n;
-  }
-  return n;
 }
 
 Result<std::unique_ptr<DeltaMiner>> MakeDeltaMiner(

@@ -2,12 +2,11 @@
 #define UFIM_CORE_DELTA_MINER_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -22,25 +21,24 @@ namespace ufim {
 /// counterpart of `ShardedMiner`'s SON scheme, with the shard structure
 /// given by arrival order instead of a static partition.
 ///
-/// `MineNext(batch)` appends the batch, mines the *appended suffix* as
-/// its own shard with the inner miner at the same min_esup ratio, unions
-/// the shard-local frequent itemsets into a persistent candidate pool,
-/// and recounts the pool exactly over the full view
-/// (`RecountExpectedCandidates`). The suffix shards mined across the
-/// stream's lifetime partition the database, so the SON pigeonhole
-/// applies at every point: an itemset that is globally frequent *now*
-/// was locally frequent in at least one suffix shard when that shard
-/// arrived and therefore sits in the pool — the recount returns the
-/// exact full-database answer, identical (itemsets and moments) to
-/// mining the accumulated database from scratch. Note the pool keeps
-/// every shard-local candidate, not just previously-global ones: an
-/// itemset can be locally frequent long before it is globally frequent,
-/// and dropping it then would lose it forever.
+/// `MineNext(batch)` builds the batch's own `FlatView`, mines it as a
+/// shard with the inner miner at the same min_esup ratio, unions the
+/// shard-local frequent itemsets into a persistent candidate pool,
+/// appends the batch view to the stream, and recounts the pool exactly
+/// over the full stream (`RecountExpectedCandidates`). The batch shards
+/// mined across the stream's lifetime partition the database, so the
+/// SON pigeonhole applies at every point: an itemset that is globally
+/// frequent *now* was locally frequent in at least one batch shard when
+/// that shard arrived and therefore sits in the pool — the recount
+/// returns the exact full-database answer, identical (itemsets and
+/// moments) to mining the accumulated database from scratch. Note the
+/// pool keeps every shard-local candidate, not just previously-global
+/// ones: an itemset can be locally frequent long before it is globally
+/// frequent, and dropping it then would lose it forever.
 ///
-/// Mining the suffix works pre- and post-compaction alike: the suffix is
-/// a `Slice` of the full view, and slices walk the base/delta segment
-/// lists transparently. Results and counters are bit-identical whatever
-/// the compaction policy (the streaming differential harness pins this).
+/// The shard mine reads only the batch's view, never the stream, so
+/// results and counters are bit-identical whatever the compaction policy
+/// (the streaming differential harness pins this).
 ///
 /// Only expected-support tasks are supported — the same additivity
 /// restriction as `ShardedMiner`.
@@ -64,7 +62,7 @@ namespace ufim {
 /// explodes combinatorially — the classic SON degenerate regime, shared
 /// with very small `ShardedMiner` shards. Keep batches large enough
 /// that min_esup * batch_size stays comfortably above 1 (a few
-/// occurrences). A batch then costs the suffix mine plus joins over the
+/// occurrences). A batch then costs the shard mine plus joins over the
 /// batch's own transactions for every carried candidate, and a full
 /// join only for candidates that are new or whose driver moved, rather
 /// than a join over the whole stream for every candidate.
@@ -72,7 +70,7 @@ class DeltaMiner {
  public:
   /// Wraps `inner` (an expected-support miner; typically registry-made).
   /// The stream starts empty; feed transactions through `MineNext`. The
-  /// suffix mining and the recount run at the inner miner's
+  /// shard mine and the recount run at the inner miner's
   /// `num_threads` and poll its `run_context`.
   DeltaMiner(std::unique_ptr<Miner> inner, ExpectedSupportParams params,
              CompactionPolicy policy = {});
@@ -82,31 +80,30 @@ class DeltaMiner {
 
   /// Appends `batch` to the stream and returns the exact mining result
   /// over every transaction appended so far. An empty batch re-mines the
-  /// current state (recount only): it opens no append transaction,
-  /// triggers no policy compaction, and moves no shard bookkeeping.
+  /// current state (recount only): it appends nothing, triggers no
+  /// policy compaction, and moves no shard bookkeeping.
   ///
-  /// **Transactional.** The append runs under the view's
-  /// BeginAppend/CommitAppend protocol: if the inner shard mine fails
-  /// (including cancellation through the inner miner's RunContext), the
-  /// batch is rolled back to the pre-append watermark and the error
-  /// returned — the stream is *not* poisoned. Retrying the same batch after a
-  /// transient failure appends it exactly once and yields the same
-  /// result as if the failure never happened. The candidate pool and
-  /// shard watermark advance only on a successful shard mine, and the
-  /// batch commits before the recount, so a recount-phase failure leaves
-  /// a consistent committed stream that an empty-batch retry re-mines.
+  /// **Transactional.** The batch is appended only after its shard mine
+  /// succeeds: if the inner shard mine fails (including cancellation
+  /// through the inner miner's RunContext), the error is returned and
+  /// the stream, the candidate pool and the shard count are as they
+  /// were. Retrying the same batch after a transient failure appends it
+  /// exactly once and yields the same result as if the failure never
+  /// happened. The batch is appended before the recount, so a
+  /// recount-phase failure leaves a consistent stream that an
+  /// empty-batch retry re-mines.
   ///
   /// **Threads.** Calls to MineNext must still be serialized by the
-  /// caller (it is the stream's one writer), but the expensive recount
-  /// phase runs over a `Snapshot()` taken at commit time, outside the
-  /// miner's write mutex — so an explicit `Compact()` from another
-  /// thread may overlap the recount freely without changing a bit of
-  /// the result.
+  /// caller (it is the stream's one writer), but the shard mine reads
+  /// only the batch, and the expensive recount phase runs over a
+  /// `Snapshot()` taken after the append; both run outside the miner's
+  /// write mutex — so an explicit `Compact()` from another thread may
+  /// overlap them freely without changing a bit of the result.
   Result<MiningResult> MineNext(std::span<const Transaction> batch);
 
   /// Read-only storage access. Mutation stays behind MineNext (and the
   /// Compact forwarder below): appending to the view directly would
-  /// bypass the suffix-shard bookkeeping and silently break exactness.
+  /// bypass the shard mine and silently break exactness.
   const StreamingFlatView& view() const { return view_; }
 
   /// Forces a compaction — a layout change only, never a result change
@@ -121,8 +118,8 @@ class DeltaMiner {
     view_.Compact();
   }
 
-  /// Suffix shards mined so far (== MineNext calls with a non-empty
-  /// batch).
+  /// Batch shards mined so far (== successful MineNext calls with a
+  /// non-empty batch).
   std::size_t shards_mined() const {
     MutexLock lock(write_mu_);
     return shards_mined_;
@@ -134,28 +131,21 @@ class DeltaMiner {
     return pool_.size();
   }
 
-  /// Candidates first admitted to the pool at storage generation >=
-  /// `generation` — per-generation bookkeeping for pool-growth
-  /// diagnostics (a candidate's admission generation never changes;
-  /// re-discovery by a later shard keeps the original).
-  std::size_t candidates_admitted_since(std::uint64_t generation) const;
-
  private:
   std::unique_ptr<Miner> inner_;
   ExpectedSupportParams params_;
   std::string name_;
 
   /// Serializes stream mutation + snapshot acquisition (MineNext's
-  /// append/commit phase, explicit Compact) and guards the pool and
-  /// shard bookkeeping. The recount phase deliberately runs outside it.
+  /// append, explicit Compact) and guards the pool and shard
+  /// bookkeeping. The shard mine and the recount deliberately run
+  /// outside it.
   mutable Mutex write_mu_;
   StreamingFlatView view_;
-  /// Transactions covered by mined suffix shards.
-  std::size_t mined_upto_ UFIM_GUARDED_BY(write_mu_) = 0;
   std::size_t shards_mined_ UFIM_GUARDED_BY(write_mu_) = 0;
-  /// Candidate -> storage generation at which the pool admitted it.
-  std::unordered_map<Itemset, std::uint64_t, ItemsetHash> pool_
-      UFIM_GUARDED_BY(write_mu_);
+  /// Every shard-local frequent itemset so far, in itemset order (the
+  /// recount's canonical candidate order).
+  std::set<Itemset> pool_ UFIM_GUARDED_BY(write_mu_);
   /// The size->=2 candidates' moments as of the last completed recount,
   /// sorted by itemset. Read and replaced only by the recount phase,
   /// which the caller-serialized MineNext runs outside the write mutex.

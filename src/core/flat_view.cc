@@ -8,17 +8,18 @@
 
 namespace ufim {
 
-void FlatView::BuildStorage(const UncertainDatabase& db, Storage& s) {
-  s.num_items = db.num_items();
-  s.full_size = db.size();
-  s.base_size = db.size();
+void FlatView::BuildStorage(std::span<const Transaction> txns,
+                            std::size_t num_items, Storage& s) {
+  s.num_items = num_items;
+  s.full_size = txns.size();
+  s.base_size = txns.size();
 
   // Pass 1: postings counted per item so the CSR arrays are filled
   // without reallocation.
   Storage::BaseArrays b;
   std::size_t total_units = 0;
   std::vector<std::size_t> item_counts(s.num_items, 0);
-  for (const Transaction& t : db) {
+  for (const Transaction& t : txns) {
     total_units += t.size();
     for (const ProbItem& u : t) ++item_counts[u.item];
   }
@@ -40,8 +41,8 @@ void FlatView::BuildStorage(const UncertainDatabase& db, Storage& s) {
   // a from-scratch rebuild at every point of the stream.
   std::vector<std::size_t> fill(b.item_offsets.begin(),
                                 b.item_offsets.end() - 1);
-  for (std::size_t ti = 0; ti < db.size(); ++ti) {
-    for (const ProbItem& u : db[ti]) {
+  for (std::size_t ti = 0; ti < txns.size(); ++ti) {
+    for (const ProbItem& u : txns[ti]) {
       const std::size_t pos = fill[u.item]++;
       b.posting_tids[pos] = static_cast<TransactionId>(ti);
       b.posting_probs[pos] = u.prob;
@@ -55,9 +56,31 @@ void FlatView::BuildStorage(const UncertainDatabase& db, Storage& s) {
   s.base = std::make_shared<const Storage::BaseArrays>(std::move(b));
 }
 
-FlatView::FlatView(const UncertainDatabase& db) {
+namespace {
+
+/// One past the largest item id in `txns` (0 when there is none).
+std::size_t ItemUniverse(std::span<const Transaction> txns) {
+  std::size_t num_items = 0;
+  for (const Transaction& t : txns) {
+    // Units are sorted, so back() is the transaction's largest item.
+    if (!t.empty()) {
+      num_items = std::max(num_items, std::size_t{t.units().back().item} + 1);
+    }
+  }
+  return num_items;
+}
+
+}  // namespace
+
+FlatView::FlatView(std::span<const Transaction> txns)
+    : FlatView(txns, ItemUniverse(txns)) {}
+
+FlatView::FlatView(const UncertainDatabase& db)
+    : FlatView(db.transactions(), db.num_items()) {}
+
+FlatView::FlatView(std::span<const Transaction> txns, std::size_t num_items) {
   auto s = std::make_shared<Storage>();
-  BuildStorage(db, *s);
+  BuildStorage(txns, num_items, *s);
   begin_ = 0;
   end_ = s->full_size;
   born_generation_ = 0;  // freshly built storage starts at generation 0
@@ -154,8 +177,8 @@ namespace {
 void FlatView::DieOnStaleView() {
   std::fprintf(stderr,
                "FlatView: stale view — the backing streaming storage was "
-               "mutated (Append/Compact/RollbackAppend) after this view was "
-               "obtained; re-take View() after mutating, or hold a "
+               "mutated (Append/Compact) after this view was obtained; "
+               "re-take View() after mutating, or hold a "
                "StreamingFlatView::Snapshot() to read across mutations\n");
   std::abort();
 }

@@ -151,10 +151,10 @@ struct JoinBatch {
 ///
 /// **Storage generations (stale-view detection).** Every storage
 /// carries a monotonically increasing generation counter; a mutation of
-/// streaming storage (`StreamingFlatView::Append`, `Compact`,
-/// `RollbackAppend`) bumps it. A view remembers the generation it was
-/// born at, and in debug/sanitizer builds (`UFIM_STALE_VIEW_CHECKS`)
-/// every accessor verifies the two still agree — a *stale* view, one
+/// streaming storage (`StreamingFlatView::Append`, `Compact`) bumps it.
+/// A view remembers the generation it was born at, and in
+/// debug/sanitizer builds (`UFIM_STALE_VIEW_CHECKS`) every accessor
+/// verifies the two still agree — a *stale* view, one
 /// that outlived a mutation of its storage, aborts with a clear message
 /// instead of silently reading mutated arrays and returning wrong
 /// supports. Views over `FlatView(db)` storage are never stale (nothing
@@ -175,10 +175,15 @@ struct JoinBatch {
 /// A view's transactions are `[begin_tid(), end_tid())`.
 class FlatView {
  public:
-  FlatView() : FlatView(UncertainDatabase()) {}
+  FlatView() : FlatView(std::span<const Transaction>()) {}
 
-  /// Builds the postings in two passes over `db`. The view does not keep
-  /// a reference to `db`; it owns its arrays.
+  /// Builds the postings in two passes over `txns`, which become
+  /// transactions [0, txns.size()). The view does not keep a reference
+  /// to `txns`; it owns its arrays. Its item universe is one past the
+  /// largest item id in `txns`.
+  explicit FlatView(std::span<const Transaction> txns);
+
+  /// `FlatView(db.transactions())`, with the item universe `db` caches.
   explicit FlatView(const UncertainDatabase& db);
 
   std::size_t num_transactions() const { return end_ - begin_; }
@@ -393,9 +398,9 @@ class FlatView {
     /// (BuildStorage / Compact / Snapshot), never rewritten after.
     std::shared_ptr<const BaseArrays> base;
 
-    /// Mutation counter for stale-view detection: bumped by streaming
-    /// Append/Rollback, and bumped once more when a compaction retires
-    /// this storage in favour of the freshly merged one. Atomic so a
+    /// Mutation counter for stale-view detection: bumped by a streaming
+    /// Append, and bumped once more when a compaction retires this
+    /// storage in favour of the freshly merged one. Atomic so a
     /// stale reader's check races cleanly with the writer's bump
     /// (relaxed order suffices — the check is advisory, not a fence).
     std::atomic<std::uint64_t> generation{0};
@@ -451,8 +456,14 @@ class FlatView {
 #endif
   }
 
-  /// Builds `s` as the contiguous (no-delta) columnar image of `db`.
-  static void BuildStorage(const UncertainDatabase& db, Storage& s);
+  /// Both public constructors: `num_items` is one past `txns`' largest
+  /// item id.
+  FlatView(std::span<const Transaction> txns, std::size_t num_items);
+
+  /// Builds `s` as the contiguous (no-delta) columnar image of `txns`,
+  /// over items [0, num_items).
+  static void BuildStorage(std::span<const Transaction> txns,
+                           std::size_t num_items, Storage& s);
 
   /// Folds one member side into the survivor columns (see flat_view.cc).
   static std::size_t FoldMember(const TransactionId* src_t,

@@ -1,7 +1,9 @@
 #include "core/streaming_flat_view.h"
 
-#include <cassert>
+#include <algorithm>
+#include <bit>
 #include <utility>
+#include <vector>
 
 namespace ufim {
 
@@ -11,122 +13,73 @@ StreamingFlatView::StreamingFlatView(CompactionPolicy policy)
 StreamingFlatView::StreamingFlatView(const UncertainDatabase& db,
                                      CompactionPolicy policy)
     : storage_(std::make_shared<FlatView::Storage>()), policy_(policy) {
-  FlatView::BuildStorage(db, *storage_);
+  FlatView::BuildStorage(db.transactions(), db.num_items(), *storage_);
   storage_->delta_tids.resize(storage_->num_items);
   storage_->delta_probs.resize(storage_->num_items);
 }
 
-void StreamingFlatView::BeginAppend() {
-  assert(!txn_.has_value() && "append transaction already open");
-  const FlatView::Storage& s = *storage_;
-  AppendTxn txn;
-  txn.full_size = s.full_size;
-  txn.num_items = s.num_items;
-  txn.delta_units = s.delta_units;
-  txn_ = std::move(txn);
-}
-
-void StreamingFlatView::SnapshotForTxn(ItemId item) {
-  const FlatView::Storage& s = *storage_;
-  // Tids assigned inside the transaction are >= the transaction's
-  // starting full_size, and per-item delta tids strictly ascend — so the
-  // tail tid tells in O(1) whether this item was already dirtied (and
-  // snapshotted) by this transaction.
-  const std::vector<TransactionId>& tids = s.delta_tids[item];
-  if (!tids.empty() &&
-      static_cast<std::size_t>(tids.back()) >= txn_->full_size) {
-    return;
-  }
-  AppendTxn::ItemSnapshot snap;
-  snap.item = item;
-  snap.delta_len = tids.size();
-  snap.esup_acc = s.item_esup_acc[item];
-  snap.esup = s.item_esup[item];
-  snap.sq_sum = s.item_sq_sum[item];
-  txn_->items.push_back(std::move(snap));
-}
-
-bool StreamingFlatView::CommitAppend() {
-  assert(txn_.has_value() && "no open append transaction");
-  txn_.reset();
-  // Deferred policy check, same rule as a bare Append's tail.
-  return MaybeCompact();
-}
-
-void StreamingFlatView::RollbackAppend() {
-  assert(txn_.has_value() && "no open append transaction");
+bool StreamingFlatView::Append(FlatView batch) {
+  if (batch.empty()) return false;
   FlatView::Storage& s = *storage_;
-  const AppendTxn& txn = *txn_;
-  // Per-item posting tails and moment cells first; items created inside
-  // the transaction are truncated away by the universe shrink below, so
-  // writing their cells here is harmless.
-  for (const AppendTxn::ItemSnapshot& snap : txn.items) {
-    s.delta_tids[snap.item].resize(snap.delta_len);
-    s.delta_probs[snap.item].resize(snap.delta_len);
-    s.item_esup_acc[snap.item] = snap.esup_acc;
-    s.item_esup[snap.item] = snap.esup;
-    s.item_sq_sum[snap.item] = snap.sq_sum;
-  }
-  if (s.num_items != txn.num_items) {
-    s.num_items = txn.num_items;
-    s.delta_tids.resize(txn.num_items);
-    s.delta_probs.resize(txn.num_items);
-    s.item_esup.resize(txn.num_items);
-    s.item_sq_sum.resize(txn.num_items);
-    s.item_esup_acc.resize(txn.num_items);
-  }
-  s.delta_units = txn.delta_units;
-  s.full_size = txn.full_size;
-  // A rollback is a mutation like any other: views handed out during
-  // the transaction (or before it) must not keep reading, even though
-  // the restored bits happen to match the pre-transaction state.
-  s.generation.fetch_add(1, std::memory_order_relaxed);
-  txn_.reset();
-}
+  const std::size_t num_items = std::max(s.num_items, batch.num_items());
 
-bool StreamingFlatView::Append(std::span<const Transaction> batch) {
-  FlatView::Storage& s = *storage_;
-  for (const Transaction& t : batch) {
-    const TransactionId tid = static_cast<TransactionId>(s.full_size);
-    for (const ProbItem& u : t) {
-      if (u.item >= s.num_items) {
-        // Previously-unseen item: grow the item-indexed arrays. The base
-        // CSR stays as built (the new item simply has no base segment).
-        s.num_items = static_cast<std::size_t>(u.item) + 1;
-        s.delta_tids.resize(s.num_items);
-        s.delta_probs.resize(s.num_items);
-        s.item_esup.resize(s.num_items, 0.0);
-        s.item_sq_sum.resize(s.num_items, 0.0);
-        s.item_esup_acc.resize(s.num_items, KahanSum());
+  // Size every array before writing anything, so an allocation failure
+  // leaves the stream as it was (the item-indexed arrays may have grown
+  // past num_items, by empty entries no reader looks at). Each item's
+  // delta grows to a power of two: the capacity push_back's doubling
+  // reaches.
+  s.item_esup.resize(num_items, 0.0);
+  s.item_sq_sum.resize(num_items, 0.0);
+  s.item_esup_acc.resize(num_items, KahanSum());
+  s.delta_tids.resize(num_items);
+  s.delta_probs.resize(num_items);
+  const auto grow = [](auto& column, std::size_t need) {
+    if (column.capacity() < need) column.reserve(std::bit_ceil(need));
+  };
+  std::size_t units = 0;
+  for (std::size_t i = 0; i < batch.num_items(); ++i) {
+    const std::size_t n = batch.PostingCount(static_cast<ItemId>(i));
+    grow(s.delta_tids[i], s.delta_tids[i].size() + n);
+    grow(s.delta_probs[i], s.delta_probs[i].size() + n);
+    units += n;
+  }
+
+  // Copy column by column. Within an item the batch's postings are in
+  // tid order, the order a from-scratch build adds them in, so
+  // continuing the persistent accumulators reproduces its moment bits.
+  const std::size_t first = batch.begin_tid();
+  for (std::size_t i = 0; i < batch.num_items(); ++i) {
+    const SegmentedPostings p = batch.PostingSegments(static_cast<ItemId>(i));
+    if (p.total == 0) continue;
+    std::vector<TransactionId>& tids = s.delta_tids[i];
+    std::vector<double>& probs = s.delta_probs[i];
+    KahanSum& esup = s.item_esup_acc[i];
+    double& sq_sum = s.item_sq_sum[i];
+    for (std::size_t si = 0; si < p.count; ++si) {
+      const PostingSegment& seg = p.seg[si];
+      for (std::size_t k = 0; k < seg.len; ++k) {
+        const double prob = seg.probs[k];
+        tids.push_back(
+            static_cast<TransactionId>(s.full_size + (seg.tids[k] - first)));
+        probs.push_back(prob);
+        esup.Add(prob);
+        sq_sum += prob * prob;
       }
-      if (txn_.has_value()) SnapshotForTxn(u.item);
-      ++s.delta_units;
-      s.delta_tids[u.item].push_back(tid);
-      s.delta_probs[u.item].push_back(u.prob);
-      // Per-item unit order is tid-major here exactly as in a
-      // from-scratch build, so continuing the persistent accumulators
-      // reproduces the rebuild's moment bits at every point.
-      s.item_esup_acc[u.item].Add(u.prob);
-      s.item_esup[u.item] = s.item_esup_acc[u.item].value();
-      s.item_sq_sum[u.item] += u.prob * u.prob;
     }
-    ++s.full_size;
+    s.item_esup[i] = esup.value();
   }
+  s.num_items = num_items;
+  s.delta_units += units;
+  s.full_size += batch.num_transactions();
   // Mark the mutation before the policy check so a triggered compaction
   // advances the generation sequence monotonically (append g -> g+1,
   // compact retires at g+2 and publishes fresh storage at g+2).
-  if (!batch.empty()) {
-    s.generation.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Inside an append transaction the compaction is deferred to
-  // CommitAppend: folding uncommitted rows into the base would make them
-  // unrecoverable on rollback.
-  if (txn_.has_value()) return false;
-  return MaybeCompact();
-}
+  s.generation.fetch_add(1, std::memory_order_relaxed);
 
-bool StreamingFlatView::MaybeCompact() {
-  const FlatView::Storage& s = *storage_;
+  // Drop this reference to the batch's arrays before a compaction builds
+  // the merged base, so the two need not coexist. `batch` is not read
+  // again.
+  batch.storage_.reset();
   if (!policy_.ShouldCompact(s.base->posting_tids.size(), s.delta_units,
                              delta_transactions())) {
     return false;
@@ -136,7 +89,6 @@ bool StreamingFlatView::MaybeCompact() {
 }
 
 void StreamingFlatView::Compact() {
-  assert(!txn_.has_value() && "cannot compact inside an append transaction");
   const FlatView::Storage& s = *storage_;
   if (s.full_size == s.base_size) return;
 
@@ -203,7 +155,6 @@ void StreamingFlatView::Compact() {
 }
 
 StreamingSnapshot StreamingFlatView::Snapshot() const {
-  assert(!txn_.has_value() && "cannot snapshot inside an append transaction");
   const FlatView::Storage& s = *storage_;
   // Freeze: share the immutable compacted base, deep-copy the delta and
   // moment arrays. O(delta + num_items), bounded by the compaction

@@ -4,14 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <span>
-#include <vector>
 
-#include "common/math_util.h"
 #include "common/thread_annotations.h"
 #include "core/flat_view.h"
-#include "core/transaction.h"
 #include "core/uncertain_database.h"
 
 namespace ufim {
@@ -90,13 +85,14 @@ class StreamingSnapshot {
 /// Incrementally maintained columnar storage: the streaming counterpart
 /// of building a `FlatView` per batch.
 ///
-/// `Append(transactions)` assigns the next transaction ids and writes
-/// the new postings into a per-item *delta* region (per-item posting
-/// tail vectors) in O(batch units) — no O(total
-/// units) rebuild. Because appended tids are strictly greater than every
-/// existing tid, each item's logical posting list is its base segment
-/// followed by its delta segment, and every `FlatView` accessor and join
-/// kernel walks that segment list transparently (see
+/// `Append(batch)` takes a batch already built as its own `FlatView`,
+/// assigns its transactions the next ids and copies its postings,
+/// column by column, into a per-item *delta* region (per-item posting
+/// tail vectors) in O(batch units) — no O(total units) rebuild.
+/// Because appended tids are strictly greater than every existing tid,
+/// each item's logical posting list is its base segment followed by its
+/// delta segment, and every `FlatView` accessor and join kernel walks
+/// that segment list transparently (see
 /// `FlatView::PostingSegments`). `Compact()` merges the delta back into
 /// the contiguous base; the policy above triggers it automatically.
 ///
@@ -110,8 +106,8 @@ class StreamingSnapshot {
 /// enforces this across append/compact/mine schedules.
 ///
 /// **View validity.** `View()` (and any slice or copy of it) reads the
-/// *live* storage: `Append`, `Compact` and `RollbackAppend` invalidate
-/// every previously obtained live view. That invalidation is no longer
+/// *live* storage: `Append` and `Compact` invalidate every previously
+/// obtained live view. That invalidation is no longer
 /// silent — each mutation bumps the storage generation, and in
 /// debug/sanitizer builds a stale view's next accessor aborts with a
 /// clear message (see `FlatView`'s storage-generations section). Code
@@ -125,9 +121,8 @@ class StreamingSnapshot {
 /// generation's arrays untouched for whoever still holds them.
 ///
 /// **Single-writer contract (annotated).** At most one thread at a time
-/// — the serialized writer — may call `Append` / `Compact` / the
-/// `BeginAppend`/`CommitAppend`/`RollbackAppend` transaction protocol,
-/// or take a `Snapshot()`. The contract covers *mutators and snapshot
+/// — the serialized writer — may call `Append` / `Compact` or take a
+/// `Snapshot()`. The contract covers *mutators and snapshot
 /// acquisition only*: reading through a `StreamingSnapshot` handle
 /// needs no coordination with the writer at all (the handle's storage
 /// is frozen), which is what lets long-running mines overlap ingestion.
@@ -163,8 +158,8 @@ class StreamingFlatView {
   std::size_t compactions() const { return compactions_; }
 
   /// Current storage generation: bumped by every mutation (Append of a
-  /// non-empty batch, RollbackAppend, Compact — which also advances to
-  /// freshly published storage). Monotonically increasing over the
+  /// non-empty batch, Compact — which also advances to freshly
+  /// published storage). Monotonically increasing over the
   /// stream's life; views and snapshots taken at an older generation
   /// are stale / frozen respectively.
   std::uint64_t generation() const {
@@ -173,36 +168,28 @@ class StreamingFlatView {
 
   const CompactionPolicy& policy() const { return policy_; }
 
-  /// Appends `batch` as transactions [num_transactions(),
-  /// num_transactions() + batch.size()), growing the item universe when
-  /// a transaction introduces a previously-unseen item. O(batch units)
-  /// plus any triggered compaction. Invalidates existing views. Returns
-  /// true when the policy compacted.
-  bool Append(std::span<const Transaction> batch)
-      UFIM_REQUIRES(writer_role_);
+  /// Appends the transactions of `batch` (typically
+  /// `FlatView(transactions)`) as [num_transactions(),
+  /// num_transactions() + batch.num_transactions()), growing the item
+  /// universe to `batch.num_items()` when it is larger. Each item's
+  /// postings are copied as one column, and its cached moments are
+  /// continued over them in tid order, so the stored bits are those of
+  /// a from-scratch build over the same transactions. Every array is
+  /// sized before anything is written: an `Append` that throws
+  /// (allocation failure) leaves the stream's contents, universe and
+  /// generation unchanged. `Append` drops its reference to the batch's
+  /// arrays before any compaction the policy triggers (pass the view
+  /// with `std::move` to free them there). `batch` must not read this
+  /// stream's live storage (a `View()` of it); a `Snapshot()` view is
+  /// fine. O(batch units) plus that compaction. Invalidates existing
+  /// views (unless the batch has no transactions). Returns true when
+  /// the policy compacted.
+  bool Append(FlatView batch) UFIM_REQUIRES(writer_role_);
 
   /// Merges the delta into the contiguous base (O(total units)); no-op
   /// without a delta. Invalidates existing views. Mining results are
-  /// unaffected — compaction changes the physical layout only. Must not
-  /// be called inside an open append transaction.
+  /// unaffected — compaction changes the physical layout only.
   void Compact() UFIM_REQUIRES(writer_role_);
-
-  /// Transactional append protocol, used by `DeltaMiner` to make a
-  /// failed mine-over-append recoverable. Between `BeginAppend()` and
-  /// `CommitAppend()`, `Append` writes into the delta as usual but
-  /// records an O(batch-distinct-items) undo log and defers any policy
-  /// compaction (a compaction would fold the uncommitted rows into the
-  /// base, where they could no longer be cheaply removed).
-  /// `RollbackAppend()` restores the exact pre-BeginAppend state —
-  /// posting tails, the delta unit count, item universe and the persistent Kahan
-  /// moment accumulators are all bit-identical to before, so the
-  /// equivalence contract above keeps holding after a rollback.
-  /// `CommitAppend()` drops the undo log and runs the deferred
-  /// compaction check; like `Append` it returns true when it compacted.
-  /// Both close the transaction; both invalidate existing views.
-  void BeginAppend() UFIM_REQUIRES(writer_role_);
-  bool CommitAppend() UFIM_REQUIRES(writer_role_);
-  void RollbackAppend() UFIM_REQUIRES(writer_role_);
 
   /// Claims the writer role to the thread-safety analysis (no runtime
   /// effect). Call it at the point where the caller's own serialization
@@ -210,14 +197,8 @@ class StreamingFlatView {
   /// see the single-writer contract in the class comment.
   void AssertSoleWriter() const UFIM_ASSERT_CAPABILITY(writer_role_) {}
 
-  /// True between BeginAppend and Commit/RollbackAppend. Part of the
-  /// writer protocol (it reads the undo log), so writer-gated too.
-  bool in_append_txn() const UFIM_REQUIRES(writer_role_) {
-    return txn_.has_value();
-  }
-
   /// Full *live* view over everything appended so far. Valid until the
-  /// next Append/Compact/RollbackAppend; after that, any accessor on it
+  /// next Append/Compact; after that, any accessor on it
   /// aborts in debug/sanitizer builds (stale-view check). To read
   /// across mutations, take a Snapshot() instead.
   [[nodiscard]] FlatView View() const {
@@ -231,45 +212,13 @@ class StreamingFlatView {
   /// Part of the writer protocol — snapshot *acquisition* observes the
   /// delta mid-construction if it raced a mutator, so it is serialized
   /// with mutations; the returned handle itself is free-threaded.
-  /// Must not be called inside an open append transaction.
   [[nodiscard]] StreamingSnapshot Snapshot() const
       UFIM_REQUIRES(writer_role_);
 
  private:
-  /// Undo log for one open append transaction: the scalar watermarks plus
-  /// a pre-touch snapshot of every item the appends dirtied (posting-tail
-  /// length and the three moment cells, including the Kahan compensation
-  /// term — restoring the accumulator object restores the exact bits).
-  struct AppendTxn {
-    std::size_t full_size = 0;
-    std::size_t num_items = 0;
-    std::size_t delta_units = 0;
-    struct ItemSnapshot {
-      ItemId item = 0;
-      std::size_t delta_len = 0;
-      KahanSum esup_acc;
-      double esup = 0.0;
-      double sq_sum = 0.0;
-    };
-    std::vector<ItemSnapshot> items;
-  };
-
-  /// Records `item`'s pre-append state in the open transaction's undo
-  /// log, once per distinct item.
-  void SnapshotForTxn(ItemId item) UFIM_REQUIRES(writer_role_);
-
-  /// Runs the policy check against the current delta and compacts when
-  /// it says so; returns true when it compacted. The single home of the
-  /// automatic-compaction decision (Append and CommitAppend both defer
-  /// here).
-  bool MaybeCompact() UFIM_REQUIRES(writer_role_);
-
   std::shared_ptr<FlatView::Storage> storage_;
   CompactionPolicy policy_;
   std::size_t compactions_ = 0;
-  /// Open-transaction undo log; touched only through the writer-gated
-  /// transaction protocol above.
-  std::optional<AppendTxn> txn_ UFIM_GUARDED_BY(writer_role_);
 
   /// The "I am the one serialized writer" capability (see class comment).
   Role writer_role_;

@@ -49,8 +49,9 @@ class UncertainDatabase {
   /// Appends a transaction (updates cached stats incrementally).
   void Add(Transaction t);
 
-  /// Appends a batch of transactions — the streaming ingestion path.
-  /// Equivalent to `Add` per transaction: every eagerly maintained cache
+  /// Appends a batch of transactions (streams ingest through
+  /// `DeltaMiner::MineNext`, not through this). Equivalent to `Add` per
+  /// transaction: every eagerly maintained cache
   /// (currently `num_items`) is updated as part of the append, never
   /// invalidated, so the contract below holds mid-stream exactly as it
   /// does after construction.

@@ -1,4 +1,4 @@
-// DeltaMiner unit coverage: SON-over-suffix-shards exactness against the
+// DeltaMiner unit coverage: SON-over-batch-shards exactness against the
 // plain miners, candidate-pool retention across batches (the property a
 // results-only union would break), facade/registry plumbing, and the
 // empty-batch / empty-stream degenerate calls. The randomized
@@ -262,7 +262,7 @@ TEST(DeltaMinerTest, EmptyBatchesAndEmptyStream) {
   ASSERT_EQ(r1.value().size(), 1u);
 
   // An empty batch re-mines the unchanged state: same answer, and no
-  // new suffix shard.
+  // new batch shard.
   Result<MiningResult> r2 = delta.value()->MineNext({});
   ASSERT_TRUE(r2.ok());
   ASSERT_EQ(r2.value().size(), 1u);
@@ -271,11 +271,11 @@ TEST(DeltaMinerTest, EmptyBatchesAndEmptyStream) {
 }
 
 TEST(DeltaMinerTest, EmptyBatchIsPureRecount) {
-  // A recount-only call must not open/commit an append transaction,
-  // consult the compaction policy, or drift the shard bookkeeping — pin
-  // every observable piece of that. The never-compact policy keeps a
-  // live delta across the call, so an accidental commit-path compaction
-  // would show in compactions()/has_delta().
+  // A recount-only call must not append, consult the compaction policy,
+  // or drift the shard bookkeeping — pin every observable piece of that.
+  // The never-compact policy keeps a live delta across the call, so an
+  // accidental append-path compaction would show in
+  // compactions()/has_delta().
   ExpectedSupportParams params;
   params.min_esup = 0.3;
   CompactionPolicy never;
@@ -301,56 +301,15 @@ TEST(DeltaMinerTest, EmptyBatchIsPureRecount) {
   ASSERT_TRUE(recount.ok());
   EXPECT_EQ(recount.value().ToString(), first.value().ToString());
 
-  // No mutation of any kind: the storage generation did not move (a
-  // BeginAppend/Commit or Rollback would have bumped it), nothing
-  // compacted, and the shard/pool bookkeeping is untouched.
+  // No mutation of any kind: the storage generation did not move (an
+  // append would have bumped it), nothing compacted, and the shard/pool
+  // bookkeeping is untouched.
   EXPECT_EQ(delta.value()->view().generation(), generation);
   EXPECT_EQ(delta.value()->view().compactions(), compactions);
   EXPECT_EQ(delta.value()->view().num_transactions(), transactions);
   EXPECT_TRUE(delta.value()->view().has_delta());
   EXPECT_EQ(delta.value()->shards_mined(), shards);
   EXPECT_EQ(delta.value()->candidate_pool_size(), pool);
-}
-
-TEST(DeltaMinerTest, PoolTracksAdmissionGenerations) {
-  // Same stream as PoolRetainsDilutedCandidatesAcrossBatches; here we
-  // pin the per-generation bookkeeping: each candidate remembers the
-  // storage generation that admitted it, and re-discovery by a later
-  // shard keeps the original.
-  ExpectedSupportParams params;
-  params.min_esup = 0.5;
-  const std::vector<Transaction> b1 = {Txn({{0, 0.9}, {1, 0.9}}),
-                                       Txn({{0, 0.8}, {1, 0.8}})};
-  const std::vector<Transaction> b2 = {Txn({{2, 0.9}}), Txn({{2, 0.8}}),
-                                       Txn({{2, 0.7}}), Txn({{2, 0.9}})};
-  const std::vector<Transaction> b3 = {
-      Txn({{0, 0.95}, {1, 0.95}}), Txn({{0, 0.95}, {1, 0.95}}),
-      Txn({{0, 0.95}, {1, 0.95}}), Txn({{0, 0.95}, {1, 0.95}}),
-      Txn({{0, 0.95}, {1, 0.95}})};
-
-  Result<std::unique_ptr<DeltaMiner>> delta =
-      MakeDeltaMiner("UApriori", params);
-  ASSERT_TRUE(delta.ok());
-
-  ASSERT_TRUE(delta.value()->MineNext(b1).ok());
-  const std::size_t pool_b1 = delta.value()->candidate_pool_size();
-  const std::uint64_t gen_b1 = delta.value()->view().generation();
-  EXPECT_EQ(delta.value()->candidates_admitted_since(0), pool_b1);
-  EXPECT_EQ(delta.value()->candidates_admitted_since(gen_b1 + 1), 0u);
-
-  ASSERT_TRUE(delta.value()->MineNext(b2).ok());
-  const std::size_t pool_b2 = delta.value()->candidate_pool_size();
-  const std::uint64_t gen_b2 = delta.value()->view().generation();
-  ASSERT_GT(pool_b2, pool_b1) << "batch 2 admits {2}";
-  EXPECT_EQ(delta.value()->candidates_admitted_since(gen_b1 + 1),
-            pool_b2 - pool_b1);
-
-  // Batch 3 re-discovers batch 1's candidates; none count as new.
-  ASSERT_TRUE(delta.value()->MineNext(b3).ok());
-  EXPECT_EQ(delta.value()->candidates_admitted_since(gen_b2 + 1),
-            delta.value()->candidate_pool_size() - pool_b2);
-  EXPECT_EQ(delta.value()->candidates_admitted_since(0),
-            delta.value()->candidate_pool_size());
 }
 
 TEST(DeltaMinerTest, RegistryPlumbingRejectsBadInners) {
@@ -367,9 +326,9 @@ TEST(DeltaMinerTest, RegistryPlumbingRejectsBadInners) {
 }
 
 TEST(DeltaMinerTest, TransientInnerFailureRollsBackAndRetrySucceeds) {
-  // A failed suffix mine rolls the appended batch back to the pre-append
-  // watermark, so retrying the same batch appends it exactly once and
-  // the stream continues as if the failure never happened.
+  // A failed shard mine returns before the batch is appended, so
+  // retrying the same batch appends it exactly once and the stream
+  // continues as if the failure never happened.
   ExpectedSupportParams params;
   params.min_esup = 0.3;
   DeltaMiner delta(std::make_unique<FlakyMiner>(1, 1), params);
@@ -378,8 +337,8 @@ TEST(DeltaMinerTest, TransientInnerFailureRollsBackAndRetrySucceeds) {
   ASSERT_TRUE(delta.MineNext(b1).ok());
   const std::size_t txns_before = delta.view().num_transactions();
 
-  // b2 introduces a previously-unseen item, so the rollback also has to
-  // shrink the grown item universe back.
+  // b2 introduces a previously-unseen item, which must not reach the
+  // stream's item universe either.
   const std::vector<Transaction> b2 = {Txn({{0, 0.7}, {1, 0.9}})};
   Result<MiningResult> failed = delta.MineNext(b2);
   ASSERT_FALSE(failed.ok());
@@ -399,6 +358,37 @@ TEST(DeltaMinerTest, TransientInnerFailureRollsBackAndRetrySucceeds) {
   Result<MiningResult> reference = clean.MineNext(b2);
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(retried.value().ToString(), reference.value().ToString());
+}
+
+TEST(DeltaMinerTest, FailedBatchLeavesTheStreamUntouched) {
+  // The batch is appended only after its shard mine succeeds, so a
+  // failed shard mine leaves no trace in the stream, not even a storage
+  // generation bump, although the batch brings in an unseen item.
+  ExpectedSupportParams params;
+  params.min_esup = 0.3;
+  DeltaMiner delta(std::make_unique<FlakyMiner>(1, 1), params);
+
+  const std::vector<Transaction> b1 = {Txn({{0, 0.9}}), Txn({{0, 0.8}})};
+  ASSERT_TRUE(delta.MineNext(b1).ok());
+  const StreamingFlatView& view = delta.view();
+  const std::uint64_t generation = view.generation();
+  const std::size_t items = view.num_items();
+  const std::size_t transactions = view.num_transactions();
+  const std::size_t compactions = view.compactions();
+  const bool has_delta = view.has_delta();
+  const std::size_t pool = delta.candidate_pool_size();
+
+  const std::vector<Transaction> b2 = {Txn({{0, 0.7}, {1, 0.9}})};
+  Result<MiningResult> failed = delta.MineNext(b2);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(view.generation(), generation);
+  EXPECT_EQ(view.num_items(), items);
+  EXPECT_EQ(view.num_transactions(), transactions);
+  EXPECT_EQ(view.compactions(), compactions);
+  EXPECT_EQ(view.has_delta(), has_delta);
+  EXPECT_EQ(delta.shards_mined(), 1u);
+  EXPECT_EQ(delta.candidate_pool_size(), pool);
 }
 
 TEST(DeltaMinerTest, PollsTheTokenItsInnerMinerWasCreatedWith) {

@@ -81,7 +81,7 @@ TEST(StreamingFlatViewTest, AppendToEmptyView) {
 
   const std::vector<Transaction> batch = {
       Txn({{2, 0.5}, {4, 0.25}}), Txn({}), Txn({{0, 1.0}, {2, 0.75}})};
-  sv.Append(batch);
+  sv.Append(FlatView(batch));
   EXPECT_EQ(sv.num_transactions(), 3u);
   EXPECT_EQ(sv.num_items(), 5u);
   EXPECT_TRUE(sv.has_delta());
@@ -99,7 +99,7 @@ TEST(StreamingFlatViewTest, UnseenItemsGrowTheUniverse) {
   const std::vector<Transaction> batch = {Txn({{1, 0.5}, {7, 0.6}}),
                                           Txn({{3, 0.2}})};
   all.insert(all.end(), batch.begin(), batch.end());
-  sv.Append(batch);
+  sv.Append(FlatView(batch));
   EXPECT_EQ(sv.num_items(), 8u);
   // The new items live purely in the delta region.
   const FlatView view = sv.View();
@@ -165,7 +165,7 @@ TEST(StreamingFlatViewTest, AutomaticCompactionAtEveryRatio) {
     for (int round = 0; round < 8; ++round) {
       const std::vector<Transaction> batch = MakeStreamBatch(rng, spec, 3);
       all.insert(all.end(), batch.begin(), batch.end());
-      const bool compacted = sv.Append(batch);
+      const bool compacted = sv.Append(FlatView(batch));
       EXPECT_EQ(compacted, !sv.has_delta() && !all.empty() &&
                                sv.compactions() > 0)
           << "ratio=" << ratio << " round=" << round;
@@ -201,7 +201,7 @@ TEST(StreamingFlatViewTest, SliceAcrossTheSeam) {
   StreamingFlatView sv{
       UncertainDatabase{std::vector<Transaction>(base_txns)}};
   sv.AssertSoleWriter();  // single-threaded test body: sole writer
-  sv.Append(delta_txns);
+  sv.Append(FlatView(delta_txns));
   ASSERT_TRUE(sv.has_delta());
 
   std::vector<Transaction> all = base_txns;
@@ -275,7 +275,7 @@ TEST(StreamingFlatViewTest, SeamStraddlingJoinBatches) {
   StreamingFlatView sv{UncertainDatabase{std::vector<Transaction>(base_txns)},
                        never};
   sv.AssertSoleWriter();  // single-threaded test body: sole writer
-  sv.Append(delta_txns);
+  sv.Append(FlatView(delta_txns));
   ASSERT_TRUE(sv.has_delta());
   ASSERT_GT(sv.View().PostingCount(0), FlatView::kJoinBatchTids);
 
@@ -305,7 +305,7 @@ TEST(StreamingFlatViewTest, GenerationAdvancesOnEveryMutation) {
 
   const std::vector<Transaction> batch = {Txn({{0, 0.5}, {1, 0.25}}),
                                           Txn({{1, 0.75}})};
-  sv.Append(batch);
+  sv.Append(FlatView(batch));
   const std::uint64_t after_append = sv.generation();
   EXPECT_GT(after_append, 0u);
 
@@ -318,16 +318,6 @@ TEST(StreamingFlatViewTest, GenerationAdvancesOnEveryMutation) {
   // A no-op compaction (no delta) does not mutate anything.
   sv.Compact();
   EXPECT_EQ(sv.generation(), after_compact);
-
-  // A rollback restores the pre-transaction bits but still counts as a
-  // mutation: views handed out inside the transaction must not survive.
-  sv.BeginAppend();
-  sv.Append(batch);
-  const std::uint64_t in_txn = sv.generation();
-  EXPECT_GT(in_txn, after_compact);
-  sv.RollbackAppend();
-  EXPECT_GT(sv.generation(), in_txn);
-  EXPECT_EQ(sv.num_transactions(), batch.size());
 }
 
 TEST(StreamingFlatViewTest, SnapshotSurvivesAppendAndCompact) {
@@ -339,7 +329,7 @@ TEST(StreamingFlatViewTest, SnapshotSurvivesAppendAndCompact) {
 
   std::vector<Transaction> at_snapshot;
   for (int round = 0; round < 3; ++round) {
-    sv.Append(MakeStreamBatch(rng, spec, 5));
+    sv.Append(FlatView(MakeStreamBatch(rng, spec, 5)));
   }
   // Reconstruct the transactions currently in the stream for the
   // rebuild comparison (MakeStreamBatch is deterministic in rng).
@@ -356,19 +346,15 @@ TEST(StreamingFlatViewTest, SnapshotSurvivesAppendAndCompact) {
   EXPECT_EQ(snap.generation(), sv.generation());
   ExpectMatchesRebuild(snap.view(), at_snapshot, "snapshot-at-capture");
 
-  // Hammer the source: interleaved appends, explicit compactions, and a
-  // rolled-back transaction. The snapshot must stay bit-identical to a
-  // from-scratch rebuild of the capture-time transactions throughout.
+  // Hammer the source: interleaved appends and explicit compactions. The
+  // snapshot must stay bit-identical to a from-scratch rebuild of the
+  // capture-time transactions throughout.
   for (int round = 0; round < 4; ++round) {
-    sv.Append(MakeStreamBatch(rng, spec, 7));
+    sv.Append(FlatView(MakeStreamBatch(rng, spec, 7)));
     if (round % 2 == 0) sv.Compact();
     ExpectMatchesRebuild(snap.view(), at_snapshot,
                          "snapshot-after-round-" + std::to_string(round));
   }
-  sv.BeginAppend();
-  sv.Append(MakeStreamBatch(rng, spec, 4));
-  sv.RollbackAppend();
-  ExpectMatchesRebuild(snap.view(), at_snapshot, "snapshot-after-rollback");
 
   // Snapshots are self-contained: one taken from a source that is then
   // destroyed keeps reading.
@@ -376,7 +362,7 @@ TEST(StreamingFlatViewTest, SnapshotSurvivesAppendAndCompact) {
   {
     StreamingFlatView tmp;
     tmp.AssertSoleWriter();
-    tmp.Append(at_snapshot);
+    tmp.Append(FlatView(at_snapshot));
     orphan = tmp.Snapshot();
   }
   ExpectMatchesRebuild(orphan.view(), at_snapshot, "orphan-snapshot");
@@ -389,9 +375,9 @@ TEST(StreamingFlatViewDeathTest, StaleViewAfterAppendAborts) {
   sv.AssertSoleWriter();
   const std::vector<Transaction> seed = {Txn({{0, 0.5}}), Txn({{1, 0.75}})};
   const std::vector<Transaction> more = {Txn({{0, 0.25}})};
-  sv.Append(seed);
+  sv.Append(FlatView(seed));
   const FlatView stale = sv.View();
-  sv.Append(more);
+  sv.Append(FlatView(more));
   EXPECT_DEATH(stale.ItemExpectedSupport(0), "stale view");
 }
 
@@ -399,7 +385,7 @@ TEST(StreamingFlatViewDeathTest, StaleViewAfterCompactAborts) {
   StreamingFlatView sv;
   sv.AssertSoleWriter();
   const std::vector<Transaction> seed = {Txn({{0, 0.5}}), Txn({{1, 0.75}})};
-  sv.Append(seed);
+  sv.Append(FlatView(seed));
   const FlatView stale = sv.View();
   const FlatView stale_slice = stale.Slice(0, 1);
   sv.Compact();
@@ -414,9 +400,9 @@ TEST(StreamingFlatViewDeathTest, SnapshotViewNeverTrips) {
   sv.AssertSoleWriter();
   const std::vector<Transaction> seed = {Txn({{0, 0.5}}), Txn({{1, 0.75}})};
   const std::vector<Transaction> more = {Txn({{0, 0.25}})};
-  sv.Append(seed);
+  sv.Append(FlatView(seed));
   const StreamingSnapshot snap = sv.Snapshot();
-  sv.Append(more);
+  sv.Append(FlatView(more));
   sv.Compact();
   // Frozen storage's generation never moves, so the check passes.
   EXPECT_EQ(snap.view().ItemExpectedSupport(0), 0.5);
@@ -434,7 +420,7 @@ TEST(StreamingFlatViewTest, MomentCachesConsistentAfterCompaction) {
   for (int round = 0; round < 5; ++round) {
     const std::vector<Transaction> batch = MakeStreamBatch(rng, spec, 6);
     all.insert(all.end(), batch.begin(), batch.end());
-    sv.Append(batch);
+    sv.Append(FlatView(batch));
 
     // Capture the cached full-view moments, compact, and require the
     // exact same bits: compaction is a layout change only, and the

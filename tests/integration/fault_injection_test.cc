@@ -207,12 +207,12 @@ TEST(FaultInjectionTest, ShardedMinerSurvivesCancellationAcrossPhases) {
 }
 
 // DeltaMiner's cancellation contract is transactional, not just clean:
-// a batch whose mine is cancelled pre-commit must roll back to the
-// pre-append watermark, a post-commit (recount-phase) cancellation must
-// leave the committed stream consistent, and in both cases the caller
-// recovers with a Reset and one retry — resending the batch if it rolled
-// back, an empty batch if it committed. The watermark tells the two
-// apart, exactly as a resuming client would.
+// a batch whose shard mine is cancelled must leave the stream at the
+// pre-append watermark, a cancellation after the append (recount phase)
+// must leave the appended stream consistent, and in both cases the
+// caller recovers with a Reset and one retry — resending the batch if it
+// was not appended, an empty batch if it was. The watermark tells the
+// two apart, exactly as a resuming client would.
 TEST(FaultInjectionTest, DeltaMinerRollsBackOrCommitsButAlwaysRecovers) {
   ExpectedSupportParams params;
   params.min_esup = 0.2;
@@ -280,7 +280,7 @@ TEST(FaultInjectionTest, DeltaMinerRollsBackOrCommitsButAlwaysRecovers) {
   }
 }
 
-// A recount that trips after CommitAppend must not leave half-updated
+// A recount that trips after the append must not leave half-updated
 // carried moments behind: the miner keeps the per-candidate state of
 // the last completed recount, so the empty-batch retry joins the
 // cancelled batch's transactions again and must report exactly what an
@@ -340,7 +340,7 @@ TEST(FaultInjectionTest, DeltaMinerRecountCancelKeepsCarriedMoments) {
       ctx.ArmFaultAtCheckpoint(nth, StatusCode::kCancelled);
       Result<MiningResult> faulted = delta.value()->MineNext(batches[2]);
       ASSERT_FALSE(faulted.ok()) << at;
-      // Only faults past CommitAppend land in the recount.
+      // Only faults past the append land in the recount.
       if (delta.value()->view().num_transactions() == txns_before) continue;
       ++after_commit;
 

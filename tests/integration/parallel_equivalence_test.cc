@@ -502,7 +502,7 @@ TEST(ParallelEquivalenceTest, PairLevelMatchesPostingJoin) {
   policy.max_delta_ratio = 1.0;  // keep the appended tail as a delta
   StreamingFlatView stream(UncertainDatabase(head), policy);
   stream.AssertSoleWriter();  // single-threaded setup
-  stream.Append(tail);
+  stream.Append(FlatView(tail));
   ASSERT_TRUE(stream.has_delta());
   const StreamingSnapshot snapshot = stream.Snapshot();
 

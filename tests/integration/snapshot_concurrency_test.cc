@@ -86,7 +86,7 @@ TEST_P(SnapshotConcurrencyTest, MineOverSnapshotWithLiveWriter) {
     StreamingFlatView sv{policy};
     sv.AssertSoleWriter();  // setup phase: this thread is the writer
     for (int round = 0; round < 3; ++round) {
-      sv.Append(MakeStreamBatch(rng, spec, 6));
+      sv.Append(FlatView(MakeStreamBatch(rng, spec, 6)));
     }
     const StreamingSnapshot snap = sv.Snapshot();
 
@@ -114,7 +114,7 @@ TEST_P(SnapshotConcurrencyTest, MineOverSnapshotWithLiveWriter) {
     std::thread writer([&sv, &writer_batches] {
       sv.AssertSoleWriter();
       for (std::size_t round = 0; round < writer_batches.size(); ++round) {
-        sv.Append(writer_batches[round]);
+        sv.Append(FlatView(writer_batches[round]));
         if (round % 2 == 0) sv.Compact();
       }
     });

@@ -11,9 +11,10 @@ namespace ufim::testing_util {
 
 /// Inner miner for the wrapper tests: a registry UApriori created with
 /// `options` that fails calls [fail_from, fail_from + failures) (0-based)
-/// and counts every `Mine` call — for pinning the transactional retry
-/// contract around a transiently failing shard miner, and for showing
-/// that a wrapper stops before it calls its inner miner at all.
+/// and counts every `Mine` call — for pinning that a transiently failing
+/// shard mine leaves `DeltaMiner`'s stream untouched and a retry appends
+/// the batch once, and for showing that a wrapper stops before it calls
+/// its inner miner at all.
 class FlakyMiner final : public Miner {
  public:
   FlakyMiner(int fail_from, int failures, const MinerOptions& options = {})

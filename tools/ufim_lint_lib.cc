@@ -239,9 +239,9 @@ void CheckRawMutex(const PreparedFile& f, std::vector<Diagnostic>* out) {
 }
 
 /// raw-view: a live StreamingFlatView::View() dies at the next
-/// Append/Compact/RollbackAppend (debug builds abort the stale read) —
-/// library code that reads across mutations takes a Snapshot() handle.
-/// Any raw call left in src/ carries a written lifetime argument.
+/// Append/Compact (debug builds abort the stale read) — library code
+/// that reads across mutations takes a Snapshot() handle. Any raw call
+/// left in src/ carries a written lifetime argument.
 void CheckRawView(const PreparedFile& f, std::vector<Diagnostic>* out) {
   if (!HasPrefix(f.source->path, "src/")) return;
   static const std::regex kRawView(R"((?:\.|->)\s*View\s*\(\s*\))");

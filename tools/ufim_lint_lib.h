@@ -43,9 +43,8 @@
 ///                        src/: a live view dies at the next
 ///                        Append/Compact (debug builds abort the stale
 ///                        read). Reads that cross mutations go through
-///                        a `Snapshot()` handle; the few justified raw
-///                        calls carry a waiver with their lifetime
-///                        argument.
+///                        a `Snapshot()` handle; a justified raw call
+///                        carries a waiver with its lifetime argument.
 ///
 /// Matching runs on comment- and string-stripped text, so prose and
 /// string literals never trip a rule. A justified exception is waived
