@@ -5,20 +5,20 @@
 // base + 1024 appended transactions, long-tail item skew):
 //
 //  * storage only — StreamingFlatView::Append (the batch built as its
-//    own FlatView, copied column by column into the delta tails, plus
+//    own FlatView and merged with the old delta into a fresh one, plus
 //    whatever compactions the policy triggers) against building a fresh
 //    FlatView over the accumulated database per batch. This isolates the
-//    O(batch units) vs O(total units) claim.
+//    O(delta + batch units) vs O(total units) claim.
 //  * append + mine — DeltaMiner::MineNext (batch-shard mine + exact
 //    pool recount over the streaming layout) against the rebuild
 //    pipeline every batch: FlatView(db) from scratch + a full UApriori
 //    run. This is the end-to-end amortized cost per appended
 //    transaction that a serving system pays.
 //
-// A final sweep prices StreamingFlatView::Snapshot() — the frozen
-// read handle concurrent miners hold — at growing delta sizes: the
-// base arrays are shared by pointer, so the copy is O(delta +
-// num_items), not O(database).
+// A final sweep prices StreamingFlatView::Snapshot() — the read handle
+// concurrent miners hold — at growing delta sizes: published storage is
+// immutable and shared by pointer, so taking one is O(1) at any delta
+// size.
 //
 // Batch sizes sweep 1x/8x/64x (16, 128, 1024 transactions — i.e. 64,
 // 8, 1 MineNext calls for the same 1024-txn stream), and a separate
@@ -157,12 +157,11 @@ void BM_StreamingMineNext(benchmark::State& state) {
   state.counters["itemsets"] = static_cast<double>(frequent);
 }
 
-/// Snapshot cost: freeze a handle (StreamingFlatView::Snapshot — base
-/// pointer shared, delta + moment arrays deep-copied) at a controlled
-/// delta size. `state.range(0)` is the number of appended transactions
-/// left unfolded in the delta; the never-compact policy pins the delta
-/// at exactly that size so the O(delta + num_items) claim is visible
-/// across the sweep.
+/// Snapshot cost: take a handle (StreamingFlatView::Snapshot — a
+/// pointer copy of the published storage) at a controlled delta size.
+/// `state.range(0)` is the number of appended transactions left
+/// unfolded in the delta; the never-compact policy pins the delta at
+/// exactly that size so the O(1) claim is visible across the sweep.
 void BM_Snapshot(benchmark::State& state) {
   const std::size_t delta_txns = static_cast<std::size_t>(state.range(0));
   CompactionPolicy never;
@@ -221,8 +220,8 @@ BENCHMARK(BM_StreamingMineNext)
     ->Args({128, 0})->Args({128, 100})->Args({128, -1})
     ->Unit(benchmark::kMillisecond);
 
-// Snapshot-handle cost at growing delta sizes (base arrays are shared,
-// so this scales with the unfolded delta, not the full database).
+// Snapshot-handle cost at growing delta sizes (storage is shared by
+// pointer, so this stays flat as the unfolded delta grows).
 BENCHMARK(BM_Snapshot)->Arg(0)->Arg(16)->Arg(128)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 

@@ -58,7 +58,7 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
       ++shards_mined_;
     }
     {
-      // Freeze the stream and read the pool (in itemset order) for
+      // Snapshot the stream and read the pool (in itemset order) for
       // phase 2. A recount failure then leaves a consistent stream that
       // an empty-batch call re-mines.
       MutexLock lock(write_mu_);
@@ -70,9 +70,9 @@ Result<MiningResult> DeltaMiner::MineNext(std::span<const Transaction> batch) {
     }
 
     // Phase 2: exact recount of the whole candidate pool over the
-    // frozen snapshot, outside the write mutex — a concurrent explicit
-    // Compact cannot perturb it (copy-on-compact leaves the snapshot's
-    // storage untouched), and the result is bit-identical either way.
+    // snapshot, outside the write mutex — a concurrent explicit Compact
+    // cannot perturb it (it publishes fresh storage and leaves the
+    // snapshot's untouched), and the result is bit-identical either way.
     // Carried candidates join only the transactions appended since the
     // last completed recount.
     const double threshold =

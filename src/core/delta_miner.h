@@ -95,10 +95,11 @@ class DeltaMiner {
   ///
   /// **Threads.** Calls to MineNext must still be serialized by the
   /// caller (it is the stream's one writer), but the shard mine reads
-  /// only the batch, and the expensive recount phase runs over a
-  /// `Snapshot()` taken after the append; both run outside the miner's
-  /// write mutex — so an explicit `Compact()` from another thread may
-  /// overlap them freely without changing a bit of the result.
+  /// only the batch, and the expensive recount phase reads a
+  /// `Snapshot()` taken after the append — a shared pointer to storage
+  /// the stream never changes again. Both run outside the miner's write
+  /// mutex, so an explicit `Compact()` from another thread may overlap
+  /// them freely without changing a bit of the result.
   Result<MiningResult> MineNext(std::span<const Transaction> batch);
 
   /// Read-only storage access. Mutation stays behind MineNext (and the
@@ -110,8 +111,8 @@ class DeltaMiner {
   /// (the differential harness pins this). Serialized with MineNext's
   /// mutation phase by the miner's write mutex, so it may be called
   /// from another thread even while a MineNext recount is in flight:
-  /// the recount reads a frozen snapshot, and copy-on-compact leaves
-  /// retired storage untouched.
+  /// compaction publishes fresh storage and leaves the snapshot the
+  /// recount reads untouched.
   void Compact() {
     MutexLock lock(write_mu_);
     view_.AssertSoleWriter();

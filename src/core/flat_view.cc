@@ -1,38 +1,37 @@
 #include "core/flat_view.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/math_util.h"
 
 namespace ufim {
 
-void FlatView::BuildStorage(std::span<const Transaction> txns,
-                            std::size_t num_items, Storage& s) {
-  s.num_items = num_items;
-  s.full_size = txns.size();
-  s.base_size = txns.size();
+std::shared_ptr<const FlatView::Storage> FlatView::BuildStorage(
+    std::span<const Transaction> txns, std::size_t num_items) {
+  auto s = std::make_shared<Storage>();
+  s->num_items = num_items;
+  s->full_size = txns.size();
+  s->base_size = txns.size();
 
   // Pass 1: postings counted per item so the CSR arrays are filled
   // without reallocation.
-  Storage::BaseArrays b;
+  Csr b;
   std::size_t total_units = 0;
-  std::vector<std::size_t> item_counts(s.num_items, 0);
+  std::vector<std::size_t> item_counts(num_items, 0);
   for (const Transaction& t : txns) {
     total_units += t.size();
     for (const ProbItem& u : t) ++item_counts[u.item];
   }
 
-  b.item_offsets.assign(s.num_items + 1, 0);
-  for (std::size_t i = 0; i < s.num_items; ++i) {
+  b.item_offsets.assign(num_items + 1, 0);
+  for (std::size_t i = 0; i < num_items; ++i) {
     b.item_offsets[i + 1] = b.item_offsets[i] + item_counts[i];
   }
   b.posting_tids.resize(total_units);
   b.posting_probs.resize(total_units);
-  s.item_esup.assign(s.num_items, 0.0);
-  s.item_sq_sum.assign(s.num_items, 0.0);
-  s.item_esup_acc.assign(s.num_items, KahanSum());
+  s->item_esup.assign(num_items, 0.0);
+  s->item_sq_sum.assign(num_items, 0.0);
+  s->item_esup_acc.assign(num_items, KahanSum());
 
   // Pass 2: fill. Transactions are visited in ascending tid order, so
   // each item's postings come out tid-sorted by construction. The Kahan
@@ -46,14 +45,78 @@ void FlatView::BuildStorage(std::span<const Transaction> txns,
       const std::size_t pos = fill[u.item]++;
       b.posting_tids[pos] = static_cast<TransactionId>(ti);
       b.posting_probs[pos] = u.prob;
-      s.item_esup_acc[u.item].Add(u.prob);
-      s.item_sq_sum[u.item] += u.prob * u.prob;
+      s->item_esup_acc[u.item].Add(u.prob);
+      s->item_sq_sum[u.item] += u.prob * u.prob;
     }
   }
-  for (std::size_t i = 0; i < s.num_items; ++i) {
-    s.item_esup[i] = s.item_esup_acc[i].value();
+  for (std::size_t i = 0; i < num_items; ++i) {
+    s->item_esup[i] = s->item_esup_acc[i].value();
   }
-  s.base = std::make_shared<const Storage::BaseArrays>(std::move(b));
+  s->base = std::make_shared<const Csr>(std::move(b));
+  return s;
+}
+
+std::shared_ptr<const FlatView::Csr> FlatView::MergeColumns(
+    std::initializer_list<FlatView> parts, std::size_t num_items) {
+  // Per item, the parts' postings follow each other in tid order, so the
+  // merge is a counting pass plus contiguous copies — the layout a
+  // from-scratch build of the same transactions produces.
+  Csr out;
+  out.item_offsets.assign(num_items + 1, 0);
+  for (std::size_t i = 0; i < num_items; ++i) {
+    std::size_t len = 0;
+    for (const FlatView& part : parts) {
+      len += part.PostingCount(static_cast<ItemId>(i));
+    }
+    out.item_offsets[i + 1] = out.item_offsets[i] + len;
+  }
+  out.posting_tids.resize(out.item_offsets.back());
+  out.posting_probs.resize(out.item_offsets.back());
+  for (std::size_t i = 0; i < num_items; ++i) {
+    std::size_t pos = out.item_offsets[i];
+    TransactionId next_tid = parts.begin()->begin_tid();
+    for (const FlatView& part : parts) {
+      const TransactionId shift = next_tid - part.begin_tid();
+      const SegmentedPostings p = part.PostingSegments(static_cast<ItemId>(i));
+      for (std::size_t si = 0; si < p.count; ++si) {
+        const PostingSegment& seg = p.seg[si];
+        std::transform(seg.tids, seg.tids + seg.len,
+                       out.posting_tids.begin() + pos,
+                       [shift](TransactionId t) { return t + shift; });
+        std::copy_n(seg.probs, seg.len, out.posting_probs.begin() + pos);
+        pos += seg.len;
+      }
+      next_tid += static_cast<TransactionId>(part.num_transactions());
+    }
+  }
+  return std::make_shared<const Csr>(std::move(out));
+}
+
+void FlatView::Csr::AppendSegment(ItemId item, std::size_t run_lo,
+                                  std::size_t run_hi, std::size_t begin,
+                                  std::size_t end,
+                                  SegmentedPostings& out) const {
+  if (item >= num_items() || begin >= run_hi || end <= run_lo) return;
+  const auto first = posting_tids.begin();
+  std::size_t lo = item_offsets[item];
+  std::size_t hi = item_offsets[item + 1];
+  if (begin > run_lo) {
+    lo = static_cast<std::size_t>(
+        std::lower_bound(first + lo, first + hi,
+                         static_cast<TransactionId>(begin)) -
+        first);
+  }
+  if (end < run_hi) {
+    hi = static_cast<std::size_t>(
+        std::lower_bound(first + lo, first + hi,
+                         static_cast<TransactionId>(end)) -
+        first);
+  }
+  if (hi > lo) {
+    out.seg[out.count++] = PostingSegment{
+        posting_tids.data() + lo, posting_probs.data() + lo, hi - lo};
+    out.total += hi - lo;
+  }
 }
 
 namespace {
@@ -78,19 +141,13 @@ FlatView::FlatView(std::span<const Transaction> txns)
 FlatView::FlatView(const UncertainDatabase& db)
     : FlatView(db.transactions(), db.num_items()) {}
 
-FlatView::FlatView(std::span<const Transaction> txns, std::size_t num_items) {
-  auto s = std::make_shared<Storage>();
-  BuildStorage(txns, num_items, *s);
-  begin_ = 0;
-  end_ = s->full_size;
-  born_generation_ = 0;  // freshly built storage starts at generation 0
-  storage_ = std::move(s);
-}
+FlatView::FlatView(std::span<const Transaction> txns, std::size_t num_items)
+    : storage_(BuildStorage(txns, num_items)),
+      end_(storage_->full_size) {}
 
 std::size_t FlatView::num_units() const {
-  CheckNotStale();
   const Storage& s = *storage_;
-  if (IsFullView()) return s.base->posting_tids.size() + s.delta_units;
+  if (IsFullView()) return s.num_units();
   std::size_t units = 0;
   for (std::size_t i = 0; i < s.num_items; ++i) {
     units += PostingCount(static_cast<ItemId>(i));
@@ -99,102 +156,13 @@ std::size_t FlatView::num_units() const {
 }
 
 SegmentedPostings FlatView::PostingSegments(ItemId item) const {
-  CheckNotStale();
   const Storage& s = *storage_;
   SegmentedPostings out;
-
-  // Base segment: the item's base CSR range, cut to the viewed tids
-  // [begin_, min(end_, base_size)).
-  if (item < s.base_num_items() && begin_ < s.base_size) {
-    const Storage::BaseArrays& b = *s.base;
-    std::size_t lo = b.item_offsets[item];
-    std::size_t hi = b.item_offsets[item + 1];
-    if (begin_ > 0) {
-      lo = static_cast<std::size_t>(
-          std::lower_bound(b.posting_tids.begin() + lo,
-                           b.posting_tids.begin() + hi,
-                           static_cast<TransactionId>(begin_)) -
-          b.posting_tids.begin());
-    }
-    if (end_ < s.base_size) {
-      hi = static_cast<std::size_t>(
-          std::lower_bound(b.posting_tids.begin() + lo,
-                           b.posting_tids.begin() + hi,
-                           static_cast<TransactionId>(end_)) -
-          b.posting_tids.begin());
-    }
-    if (hi > lo) {
-      out.seg[out.count++] = PostingSegment{b.posting_tids.data() + lo,
-                                            b.posting_probs.data() + lo,
-                                            hi - lo};
-    }
+  s.base->AppendSegment(item, 0, s.base_size, begin_, end_, out);
+  if (s.delta != nullptr) {
+    s.delta->AppendSegment(item, s.base_size, s.full_size, begin_, end_, out);
   }
-
-  // Delta segment: the item's tail postings, cut to the viewed tids
-  // [max(begin_, base_size), end_).
-  if (end_ > s.base_size && item < s.delta_tids.size() &&
-      !s.delta_tids[item].empty()) {
-    const std::vector<TransactionId>& dt = s.delta_tids[item];
-    std::size_t lo = 0;
-    std::size_t hi = dt.size();
-    if (begin_ > s.base_size) {
-      lo = static_cast<std::size_t>(
-          std::lower_bound(dt.begin(), dt.end(),
-                           static_cast<TransactionId>(begin_)) -
-          dt.begin());
-    }
-    if (end_ < s.full_size) {
-      hi = static_cast<std::size_t>(
-          std::lower_bound(dt.begin() + lo, dt.end(),
-                           static_cast<TransactionId>(end_)) -
-          dt.begin());
-    }
-    if (hi > lo) {
-      out.seg[out.count++] = PostingSegment{
-          dt.data() + lo, s.delta_probs[item].data() + lo, hi - lo};
-    }
-  }
-
-  out.total = (out.count > 0 ? out.seg[0].len : 0) +
-              (out.count > 1 ? out.seg[1].len : 0);
   return out;
-}
-
-namespace {
-
-/// Loud in every build (not just -DNDEBUG-off): returning only the base
-/// segment here would silently drop the delta postings and corrupt
-/// every downstream support.
-[[noreturn]] void DieOnSeamSpanningPostings() {
-  std::fprintf(stderr,
-               "FlatView::PostingTids/PostingProbs: postings span the "
-               "base/delta seam; use PostingSegments\n");
-  std::abort();
-}
-
-}  // namespace
-
-void FlatView::DieOnStaleView() {
-  std::fprintf(stderr,
-               "FlatView: stale view — the backing streaming storage was "
-               "mutated (Append/Compact) after this view was obtained; "
-               "re-take View() after mutating, or hold a "
-               "StreamingFlatView::Snapshot() to read across mutations\n");
-  std::abort();
-}
-
-std::span<const TransactionId> FlatView::PostingTids(ItemId item) const {
-  const SegmentedPostings p = PostingSegments(item);
-  if (p.count == 0) return {};
-  if (p.count > 1) DieOnSeamSpanningPostings();
-  return {p.seg[0].tids, p.seg[0].len};
-}
-
-std::span<const double> FlatView::PostingProbs(ItemId item) const {
-  const SegmentedPostings p = PostingSegments(item);
-  if (p.count == 0) return {};
-  if (p.count > 1) DieOnSeamSpanningPostings();
-  return {p.seg[0].probs, p.seg[0].len};
 }
 
 void FlatView::CopyPostings(ItemId item, std::vector<TransactionId>& tids,
@@ -220,7 +188,6 @@ void FlatView::AppendPostingProbs(ItemId item,
 }
 
 double FlatView::ItemExpectedSupport(ItemId item) const {
-  CheckNotStale();
   if (item >= storage_->num_items) return 0.0;
   if (IsFullView()) return storage_->item_esup[item];
   // Segments in tid order give the same Add sequence a contiguous
@@ -234,7 +201,6 @@ double FlatView::ItemExpectedSupport(ItemId item) const {
 }
 
 double FlatView::ItemSquaredSum(ItemId item) const {
-  CheckNotStale();
   if (item >= storage_->num_items) return 0.0;
   if (IsFullView()) return storage_->item_sq_sum[item];
   const SegmentedPostings p = PostingSegments(item);
@@ -363,9 +329,6 @@ bool FlatView::BeginJoin(const Itemset& itemset, std::size_t driver,
 }
 
 bool FlatView::NextJoinBatch(JoinScratch& s, JoinBatch& batch) const {
-  // The scratch holds raw pointers into the storage between batches, so
-  // a mutation landing mid-join must trip here, not just at BeginJoin.
-  CheckNotStale();
   if (s.driver_pos_ >= s.driver_len_) return false;
   const std::size_t lo = s.driver_pos_;
   const std::size_t len = std::min(kJoinBatchTids, s.driver_len_ - lo);
@@ -508,15 +471,10 @@ FlatView::RankProjection FlatView::ProjectOntoRanks(
 }
 
 FlatView FlatView::Slice(std::size_t lo, std::size_t hi) const {
-  // Slices inherit the parent's birth generation (slicing a stale view
-  // must not launder it into a fresh-looking one).
-  CheckNotStale();
   const std::size_t n = num_transactions();
   lo = std::min(lo, n);
   hi = std::min(std::max(hi, lo), n);
-  return FlatView(storage_, begin_ + lo, begin_ + hi, born_generation_);
+  return FlatView(storage_, begin_ + lo, begin_ + hi);
 }
-
-FlatView FlatView::Prefix(std::size_t n) const { return Slice(0, n); }
 
 }  // namespace ufim

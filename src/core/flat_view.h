@@ -2,9 +2,9 @@
 #define UFIM_CORE_FLAT_VIEW_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <vector>
@@ -15,24 +15,10 @@
 #include "core/types.h"
 #include "core/uncertain_database.h"
 
-/// Stale-view generation checks (see "Storage generations" in the
-/// FlatView class comment) compile into debug and sanitizer builds —
-/// anything built without NDEBUG — and out of Release, keeping the hot
-/// accessors branch-free there. Define UFIM_STALE_VIEW_CHECKS=0/1 to
-/// override either way.
-#ifndef UFIM_STALE_VIEW_CHECKS
-#ifdef NDEBUG
-#define UFIM_STALE_VIEW_CHECKS 0
-#else
-#define UFIM_STALE_VIEW_CHECKS 1
-#endif
-#endif
-
 namespace ufim {
 
 class FlatView;
 class StreamingFlatView;
-class StreamingSnapshot;
 
 /// One contiguous run of an item's postings: parallel (tid, probability)
 /// columns, ascending by tid. An item's postings within a view are a
@@ -138,10 +124,10 @@ struct JoinBatch {
 ///
 /// **Streaming delta.** A view built by `FlatView(db)` is fully
 /// contiguous. A view obtained from a `StreamingFlatView` may carry a
-/// *delta tail*: transactions appended after the last compaction live in
-/// per-item tail segments instead of the base arrays. Appended tids are
-/// strictly greater than every base tid, so an item's logical posting
-/// list is the base segment followed by the delta segment —
+/// *delta*: transactions appended after the last compaction live in a
+/// second CSR of the same layout instead of the base arrays. Appended
+/// tids are strictly greater than every base tid, so an item's logical
+/// posting list is its base segment followed by its delta segment —
 /// `PostingSegments` exposes exactly that, and every accessor and join
 /// kernel walks the segment list transparently, with the *same* logical
 /// batch boundaries and float evaluation order as a contiguous rebuild.
@@ -149,26 +135,19 @@ struct JoinBatch {
 /// rebuilt from scratch (the streaming differential harness enforces
 /// this).
 ///
-/// **Storage generations (stale-view detection).** Every storage
-/// carries a monotonically increasing generation counter; a mutation of
-/// streaming storage (`StreamingFlatView::Append`, `Compact`) bumps it.
-/// A view remembers the generation it was born at, and in
-/// debug/sanitizer builds (`UFIM_STALE_VIEW_CHECKS`) every accessor
-/// verifies the two still agree — a *stale* view, one
-/// that outlived a mutation of its storage, aborts with a clear message
-/// instead of silently reading mutated arrays and returning wrong
-/// supports. Views over `FlatView(db)` storage are never stale (nothing
-/// mutates that storage), and a `StreamingSnapshot`'s view holds frozen
-/// storage whose generation never moves, so both pass the check for
-/// free; only live `StreamingFlatView::View()` views (and their slices
-/// and copies, which inherit the birth generation) can trip it.
+/// **Immutable storage.** No storage is ever changed once a view can see
+/// it. A streaming append or compaction builds fresh storage (sharing
+/// whatever arrays it did not change) and publishes it with one pointer
+/// swap, so every view — whenever and wherever it was obtained — keeps
+/// reading the contents it was made over, and any number of threads may
+/// read one view concurrently.
 ///
 /// A view is cheap to copy: copies share the underlying arrays.
 /// `Slice(lo, hi)` returns an O(1) view of a contiguous transaction
-/// range (`Prefix(n)` is `Slice(0, n)`) — the access pattern of the
-/// scalability sweeps and of per-shard parallel mining; vertical
-/// accessors of a sliced view locate their cuts by binary search on the
-/// tid arrays. Slices may span the base/delta seam.
+/// range — the access pattern of the scalability sweeps and of
+/// per-shard parallel mining; vertical accessors of a sliced view locate
+/// their cuts by binary search on the tid arrays. Slices may span the
+/// base/delta seam.
 ///
 /// Transaction ids are *global* throughout: posting arrays hold ids of
 /// the source database, so ids agree across every slice of one database.
@@ -213,17 +192,6 @@ class FlatView {
   std::size_t PostingCount(ItemId item) const {
     return PostingSegments(item).total;
   }
-
-  /// Transactions containing `item`, ascending, as one contiguous span.
-  /// Precondition: `item`'s postings in this view occupy a single
-  /// segment (always true without a streaming delta); a seam-spanning
-  /// call aborts in every build rather than silently dropping the delta
-  /// segment. Callers that must handle streaming views use
-  /// `PostingSegments`.
-  std::span<const TransactionId> PostingTids(ItemId item) const;
-
-  /// Probabilities parallel to `PostingTids(item)`; same precondition.
-  std::span<const double> PostingProbs(ItemId item) const;
 
   /// Copies `item`'s postings into caller-owned vectors — the seed
   /// containment of a single-item prefix in the DFS miners (brute force,
@@ -361,9 +329,6 @@ class FlatView {
   /// other (hi < lo yields an empty view at lo).
   [[nodiscard]] FlatView Slice(std::size_t lo, std::size_t hi) const;
 
-  /// View over the first `n` transactions: `Slice(0, n)`.
-  [[nodiscard]] FlatView Prefix(std::size_t n) const;
-
   /// True when the view spans the whole database it was built from.
   bool IsFullView() const {
     return begin_ == 0 && end_ == storage_->full_size;
@@ -372,98 +337,77 @@ class FlatView {
  private:
   friend class StreamingFlatView;
 
-  struct Storage {
-    /// The contiguous compacted region's arrays, immutable once
-    /// published and shared by reference: `StreamingFlatView::Compact`
-    /// builds a fresh merged `BaseArrays` into fresh storage
-    /// (copy-on-compact) instead of rewriting these in place, and
-    /// `StreamingFlatView::Snapshot` freezes a storage by copying only
-    /// the delta + moment arrays while sharing this pointer — O(delta),
-    /// bounded by the compaction policy, never O(total).
-    struct BaseArrays {
-      // CSR over the base transactions [0, base_size): postings of
-      // item i live in [item_offsets[i], item_offsets[i+1]) of the two
-      // arrays below, sorted by ascending tid. Covers the *base* item universe only —
-      // items first seen in the delta have no base postings.
-      std::vector<std::size_t> item_offsets;
-      std::vector<TransactionId> posting_tids;
-      std::vector<double> posting_probs;
-    };
+  /// Item-major CSR over one run of consecutive transactions: the
+  /// postings of item i are [item_offsets[i], item_offsets[i+1]) of the
+  /// two columns, ascending by global tid. Covers items
+  /// [0, num_items()); items past that have no postings in the run.
+  struct Csr {
+    std::vector<std::size_t> item_offsets;
+    std::vector<TransactionId> posting_tids;
+    std::vector<double> posting_probs;
 
+    std::size_t num_items() const {
+      return item_offsets.empty() ? 0 : item_offsets.size() - 1;
+    }
+
+    /// Appends to `out` the postings of `item` in this run, which holds
+    /// tids [run_lo, run_hi), cut to the viewed tids [begin, end) — by
+    /// binary search only on a side where the view cuts into the run.
+    void AppendSegment(ItemId item, std::size_t run_lo, std::size_t run_hi,
+                       std::size_t begin, std::size_t end,
+                       SegmentedPostings& out) const;
+  };
+
+  /// Everything a view reads, immutable once published: the streaming
+  /// writer builds fresh storage for each change and shares the arrays
+  /// that did not change (see `StreamingFlatView`).
+  struct Storage {
     std::size_t num_items = 0;  ///< one past the largest item id (base+delta)
     std::size_t full_size = 0;  ///< transactions in the source database
     std::size_t base_size = 0;  ///< transactions in the contiguous base
 
-    /// Immutable base arrays; set by every construction path
-    /// (BuildStorage / Compact / Snapshot), never rewritten after.
-    std::shared_ptr<const BaseArrays> base;
-
-    /// Mutation counter for stale-view detection: bumped by a streaming
-    /// Append, and bumped once more when a compaction retires this
-    /// storage in favour of the freshly merged one. Atomic so a
-    /// stale reader's check races cleanly with the writer's bump
-    /// (relaxed order suffices — the check is advisory, not a fence).
-    std::atomic<std::uint64_t> generation{0};
-
-    // Streaming delta: transactions [base_size, full_size), appended by
-    // StreamingFlatView and folded into a fresh base by Compact(). The
-    // postings are per-item tail vectors (append-friendly, tid-sorted by
-    // arrival); delta_units counts them across all items.
-    std::size_t delta_units = 0;
-    std::vector<std::vector<TransactionId>> delta_tids;  ///< size num_items
-    std::vector<std::vector<double>> delta_probs;        ///< parallel
+    /// Transactions [0, base_size). Never null.
+    std::shared_ptr<const Csr> base;
+    /// Streaming delta: transactions [base_size, full_size), appended
+    /// since the last compaction. Null when there are none.
+    std::shared_ptr<const Csr> delta;
 
     // Full-database per-item moments. The Kahan accumulators are the
-    // live state (streaming appends continue them so the cached value is
-    // bit-identical to a from-scratch rebuild's accumulation); item_esup
-    // holds their current values for branch-free reads.
+    // running state (streaming appends continue copies of them, so the
+    // cached value is bit-identical to a from-scratch rebuild's
+    // accumulation); item_esup holds their values for branch-free reads.
     std::vector<double> item_esup;
     std::vector<double> item_sq_sum;
     std::vector<KahanSum> item_esup_acc;
 
-    /// Items with base postings: item_offsets.size() - 1 (0 before any
-    /// build).
-    std::size_t base_num_items() const {
-      return base == nullptr || base->item_offsets.empty()
-                 ? 0
-                 : base->item_offsets.size() - 1;
+    std::size_t delta_units() const {
+      return delta == nullptr ? 0 : delta->posting_tids.size();
+    }
+    std::size_t num_units() const {
+      return base->posting_tids.size() + delta_units();
     }
   };
 
   FlatView(std::shared_ptr<const Storage> storage, std::size_t begin,
-           std::size_t end, std::uint64_t born_generation)
-      : storage_(std::move(storage)),
-        begin_(begin),
-        end_(end),
-        born_generation_(born_generation) {}
-
-  /// Aborts with the stale-view diagnostic (see CheckNotStale).
-  [[noreturn]] static void DieOnStaleView();
-
-  /// Debug/sanitizer-build guard on every accessor: a view whose
-  /// storage has been mutated since the view was born (a *stale* view —
-  /// the single-writer contract of StreamingFlatView was broken, or a
-  /// raw View() was held across an Append/Compact where a Snapshot()
-  /// was required) aborts loudly instead of silently reading mutated
-  /// arrays. Snapshot views and plain FlatView(db) views always pass:
-  /// their storage's generation never moves.
-  void CheckNotStale() const {
-#if UFIM_STALE_VIEW_CHECKS
-    if (storage_->generation.load(std::memory_order_relaxed) !=
-        born_generation_) {
-      DieOnStaleView();
-    }
-#endif
-  }
+           std::size_t end)
+      : storage_(std::move(storage)), begin_(begin), end_(end) {}
 
   /// Both public constructors: `num_items` is one past `txns`' largest
   /// item id.
   FlatView(std::span<const Transaction> txns, std::size_t num_items);
 
-  /// Builds `s` as the contiguous (no-delta) columnar image of `txns`,
-  /// over items [0, num_items).
-  static void BuildStorage(std::span<const Transaction> txns,
-                           std::size_t num_items, Storage& s);
+  /// The contiguous (no-delta) columnar image of `txns`, over items
+  /// [0, num_items).
+  static std::shared_ptr<const Storage> BuildStorage(
+      std::span<const Transaction> txns, std::size_t num_items);
+
+  /// The one merge of posting columns: a CSR over items [0, num_items)
+  /// that lists, per item, each part's postings in part order. The
+  /// (non-empty) parts are consecutive runs of transactions: the first
+  /// keeps its tids, and each later part is renumbered to follow the one
+  /// before it.
+  static std::shared_ptr<const Csr> MergeColumns(
+      std::initializer_list<FlatView> parts, std::size_t num_items);
 
   /// Folds one member side into the survivor columns (see flat_view.cc).
   static std::size_t FoldMember(const TransactionId* src_t,
@@ -489,10 +433,6 @@ class FlatView {
   std::shared_ptr<const Storage> storage_;
   std::size_t begin_ = 0;  ///< first viewed transaction (global id)
   std::size_t end_ = 0;    ///< one past the last viewed transaction
-  /// Storage generation this view (or the view it was sliced/copied
-  /// from) was obtained at; compared against the live generation by
-  /// CheckNotStale in debug/sanitizer builds.
-  std::uint64_t born_generation_ = 0;
 };
 
 }  // namespace ufim

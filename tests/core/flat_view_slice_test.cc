@@ -60,12 +60,15 @@ TEST(FlatViewSliceTest, SliceMatchesScanBasedGroundTruth) {
       for (std::size_t t = 0; t < expect.size(); ++t) units += expect[t].size();
       EXPECT_EQ(slice.num_units(), units);
 
+      std::vector<TransactionId> tids;
+      std::vector<double> probs;
       for (ItemId item = 0; item < db.num_items(); ++item) {
         EXPECT_NEAR(slice.ItemExpectedSupport(item),
                     expect.ItemExpectedSupport(item), 1e-12)
             << "item " << item << " [" << lo << "," << hi << ")";
         // Posting tids of a slice are global ids within [lo, hi).
-        for (TransactionId tid : slice.PostingTids(item)) {
+        slice.CopyPostings(item, tids, probs);
+        for (TransactionId tid : tids) {
           EXPECT_GE(tid, lo);
           EXPECT_LT(tid, hi);
         }
@@ -90,9 +93,10 @@ TEST(FlatViewSliceTest, PostingsKeepGlobalIds) {
     units += db[t].size();
   }
   std::size_t postings = 0;
+  std::vector<TransactionId> tids;
+  std::vector<double> probs;
   for (ItemId item = 0; item < db.num_items(); ++item) {
-    auto tids = slice.PostingTids(item);
-    auto probs = slice.PostingProbs(item);
+    slice.CopyPostings(item, tids, probs);
     ASSERT_EQ(tids.size(), probs.size());
     postings += tids.size();
     for (std::size_t i = 0; i < tids.size(); ++i) {
@@ -133,10 +137,10 @@ TEST(FlatViewSliceTest, ShardUnionInvariants) {
       std::size_t postings = 0;
       double esup = 0.0;
       for (const FlatView& part : parts) {
-        postings += part.PostingTids(item).size();
+        postings += part.PostingSegments(item).total;
         esup += part.ItemExpectedSupport(item);
       }
-      EXPECT_EQ(postings, full.PostingTids(item).size()) << "item " << item;
+      EXPECT_EQ(postings, full.PostingSegments(item).total) << "item " << item;
       EXPECT_NEAR(esup, full.ItemExpectedSupport(item), 1e-9) << "item " << item;
     }
     for (const Itemset& itemset : SampleItemsets(db.num_items(), 91)) {
@@ -173,7 +177,7 @@ TEST(FlatViewSliceTest, PrefixIsSliceFromZero) {
   UncertainDatabase db = MakeRandomDatabase({.seed = 35});
   FlatView full(db);
   for (std::size_t n : {0u, 1u, 5u, 12u}) {
-    FlatView prefix = full.Prefix(n);
+    const FlatView prefix(db.Prefix(n));
     FlatView slice = full.Slice(0, n);
     EXPECT_EQ(prefix.begin_tid(), slice.begin_tid());
     EXPECT_EQ(prefix.end_tid(), slice.end_tid());

@@ -47,9 +47,10 @@ TEST(FlatViewTest, VerticalPostingsMatchTransactionMembership) {
   std::size_t db_units = 0;
   for (const Transaction& t : db) db_units += t.size();
   std::size_t total_postings = 0;
+  std::vector<TransactionId> tids;
+  std::vector<double> probs;
   for (ItemId item = 0; item < db.num_items(); ++item) {
-    auto tids = view.PostingTids(item);
-    auto probs = view.PostingProbs(item);
+    view.CopyPostings(item, tids, probs);
     ASSERT_EQ(tids.size(), probs.size());
     total_postings += tids.size();
     for (std::size_t i = 0; i < tids.size(); ++i) {
@@ -143,7 +144,7 @@ TEST(FlatViewTest, PrefixSliceMatchesPrefixDatabase) {
       {.seed = 21, .num_transactions = 40, .num_items = 8});
   FlatView full(db);
   for (std::size_t n : {0u, 1u, 17u, 40u, 100u}) {
-    FlatView sliced = full.Prefix(n);
+    FlatView sliced = full.Slice(0, n);
     UncertainDatabase prefix_db = db.Prefix(n);
     ASSERT_EQ(sliced.num_transactions(), prefix_db.size());
     for (const Itemset& itemset : SampleItemsets(db, 5)) {
@@ -161,7 +162,7 @@ TEST(FlatViewTest, PrefixSliceMatchesPrefixDatabase) {
 TEST(FlatViewTest, PrefixSliceSharesStorage) {
   UncertainDatabase db = MakeRandomDatabase({.seed = 22});
   FlatView full(db);
-  FlatView sliced = full.Prefix(db.size() / 2);
+  FlatView sliced = full.Slice(0, db.size() / 2);
   EXPECT_FALSE(sliced.IsFullView());
   EXPECT_TRUE(full.IsFullView());
   // Same underlying arrays: a prefix slice's postings start where the
@@ -169,8 +170,10 @@ TEST(FlatViewTest, PrefixSliceSharesStorage) {
   ASSERT_GT(sliced.num_transactions(), 0u);
   for (ItemId item = 0; item < db.num_items(); ++item) {
     if (sliced.PostingCount(item) == 0) continue;
-    EXPECT_EQ(sliced.PostingTids(item).data(), full.PostingTids(item).data());
-    EXPECT_EQ(sliced.PostingProbs(item).data(), full.PostingProbs(item).data());
+    EXPECT_EQ(sliced.PostingSegments(item).seg[0].tids,
+              full.PostingSegments(item).seg[0].tids);
+    EXPECT_EQ(sliced.PostingSegments(item).seg[0].probs,
+              full.PostingSegments(item).seg[0].probs);
   }
 }
 

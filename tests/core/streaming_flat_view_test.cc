@@ -77,7 +77,7 @@ TEST(StreamingFlatViewTest, AppendToEmptyView) {
   EXPECT_EQ(sv.num_transactions(), 0u);
   EXPECT_EQ(sv.num_items(), 0u);
   EXPECT_FALSE(sv.has_delta());
-  EXPECT_TRUE(sv.View().empty());
+  EXPECT_TRUE(sv.Snapshot().view().empty());
 
   const std::vector<Transaction> batch = {
       Txn({{2, 0.5}, {4, 0.25}}), Txn({}), Txn({{0, 1.0}, {2, 0.75}})};
@@ -85,7 +85,7 @@ TEST(StreamingFlatViewTest, AppendToEmptyView) {
   EXPECT_EQ(sv.num_transactions(), 3u);
   EXPECT_EQ(sv.num_items(), 5u);
   EXPECT_TRUE(sv.has_delta());
-  ExpectMatchesRebuild(sv.View(), batch, "append-to-empty");
+  ExpectMatchesRebuild(sv.Snapshot().view(), batch, "append-to-empty");
 }
 
 TEST(StreamingFlatViewTest, UnseenItemsGrowTheUniverse) {
@@ -102,7 +102,7 @@ TEST(StreamingFlatViewTest, UnseenItemsGrowTheUniverse) {
   sv.Append(FlatView(batch));
   EXPECT_EQ(sv.num_items(), 8u);
   // The new items live purely in the delta region.
-  const FlatView view = sv.View();
+  const FlatView view = sv.Snapshot().view();
   EXPECT_EQ(view.PostingCount(7), 1u);
   EXPECT_EQ(view.PostingCount(3), 1u);
   EXPECT_EQ(view.ItemExpectedSupport(7), 0.6);
@@ -111,7 +111,7 @@ TEST(StreamingFlatViewTest, UnseenItemsGrowTheUniverse) {
   // ... and survive compaction into the base CSR.
   sv.Compact();
   EXPECT_FALSE(sv.has_delta());
-  ExpectMatchesRebuild(sv.View(), all, "unseen-items-compacted");
+  ExpectMatchesRebuild(sv.Snapshot().view(), all, "unseen-items-compacted");
 }
 
 TEST(StreamingFlatViewTest, CompactionPolicyBoundaries) {
@@ -170,7 +170,7 @@ TEST(StreamingFlatViewTest, AutomaticCompactionAtEveryRatio) {
                                sv.compactions() > 0)
           << "ratio=" << ratio << " round=" << round;
       // Whatever the policy did, the view stays equivalent to a rebuild.
-      ExpectMatchesRebuild(sv.View(), all,
+      ExpectMatchesRebuild(sv.Snapshot().view(), all,
                            "auto-compact ratio=" + std::to_string(ratio) +
                                " round=" + std::to_string(round));
       // The policy invariant itself: a surviving delta never exceeds
@@ -207,7 +207,7 @@ TEST(StreamingFlatViewTest, SliceAcrossTheSeam) {
   std::vector<Transaction> all = base_txns;
   all.insert(all.end(), delta_txns.begin(), delta_txns.end());
   const FlatView rebuilt(UncertainDatabase{std::vector<Transaction>(all)});
-  const FlatView view = sv.View();
+  const FlatView view = sv.Snapshot().view();
 
   // Every slice — base-only, delta-only, seam-straddling, empty-at-seam
   // — must agree with the same slice of the rebuilt view, bit for bit.
@@ -277,7 +277,7 @@ TEST(StreamingFlatViewTest, SeamStraddlingJoinBatches) {
   sv.AssertSoleWriter();  // single-threaded test body: sole writer
   sv.Append(FlatView(delta_txns));
   ASSERT_TRUE(sv.has_delta());
-  ASSERT_GT(sv.View().PostingCount(0), FlatView::kJoinBatchTids);
+  ASSERT_GT(sv.Snapshot().view().PostingCount(0), FlatView::kJoinBatchTids);
 
   std::vector<Transaction> all = base_txns;
   all.insert(all.end(), delta_txns.begin(), delta_txns.end());
@@ -285,10 +285,10 @@ TEST(StreamingFlatViewTest, SeamStraddlingJoinBatches) {
 
   for (const Itemset& itemset :
        {Itemset{0, 1}, Itemset{0, 2}, Itemset{0, 1, 2}, Itemset{0}}) {
-    EXPECT_EQ(sv.View().ContainmentProbabilities(itemset),
+    EXPECT_EQ(sv.Snapshot().view().ContainmentProbabilities(itemset),
               rebuilt.ContainmentProbabilities(itemset))
         << itemset.ToString();
-    EXPECT_EQ(sv.View().ExpectedSupport(itemset),
+    EXPECT_EQ(sv.Snapshot().view().ExpectedSupport(itemset),
               rebuilt.ExpectedSupport(itemset))
         << itemset.ToString();
   }
@@ -368,47 +368,29 @@ TEST(StreamingFlatViewTest, SnapshotSurvivesAppendAndCompact) {
   ExpectMatchesRebuild(orphan.view(), at_snapshot, "orphan-snapshot");
 }
 
-#if UFIM_STALE_VIEW_CHECKS
+TEST(StreamingFlatViewTest, SnapshotSharesPublishedStorage) {
+  // Published storage is immutable, so a snapshot is a pointer copy:
+  // two snapshots with no mutation in between read the same delta
+  // arrays, not two copies of them.
+  const std::vector<Transaction> base = {Txn({{0, 0.5}, {1, 0.25}})};
+  const std::vector<Transaction> batch = {Txn({{0, 0.75}}), Txn({{1, 0.5}})};
+  CompactionPolicy never;
+  never.max_delta_ratio = 1e9;
+  never.min_delta_units = ~std::size_t{0};
+  StreamingFlatView sv{UncertainDatabase{std::vector<Transaction>(base)},
+                       never};
+  sv.AssertSoleWriter();  // single-threaded test body: sole writer
+  sv.Append(FlatView(batch));
+  ASSERT_TRUE(sv.has_delta());
 
-TEST(StreamingFlatViewDeathTest, StaleViewAfterAppendAborts) {
-  StreamingFlatView sv;
-  sv.AssertSoleWriter();
-  const std::vector<Transaction> seed = {Txn({{0, 0.5}}), Txn({{1, 0.75}})};
-  const std::vector<Transaction> more = {Txn({{0, 0.25}})};
-  sv.Append(FlatView(seed));
-  const FlatView stale = sv.View();
-  sv.Append(FlatView(more));
-  EXPECT_DEATH(stale.ItemExpectedSupport(0), "stale view");
+  const StreamingSnapshot a = sv.Snapshot();
+  const StreamingSnapshot b = sv.Snapshot();
+  const SegmentedPostings pa = a.view().PostingSegments(0);
+  const SegmentedPostings pb = b.view().PostingSegments(0);
+  ASSERT_EQ(pa.count, 2u);
+  ASSERT_EQ(pb.count, 2u);
+  EXPECT_EQ(pa.seg[1].tids, pb.seg[1].tids);
 }
-
-TEST(StreamingFlatViewDeathTest, StaleViewAfterCompactAborts) {
-  StreamingFlatView sv;
-  sv.AssertSoleWriter();
-  const std::vector<Transaction> seed = {Txn({{0, 0.5}}), Txn({{1, 0.75}})};
-  sv.Append(FlatView(seed));
-  const FlatView stale = sv.View();
-  const FlatView stale_slice = stale.Slice(0, 1);
-  sv.Compact();
-  EXPECT_DEATH(stale.PostingSegments(0), "stale view");
-  // Slices inherit the birth generation: a pre-mutation slice is just
-  // as stale as its parent.
-  EXPECT_DEATH(stale_slice.PostingSegments(0), "stale view");
-}
-
-TEST(StreamingFlatViewDeathTest, SnapshotViewNeverTrips) {
-  StreamingFlatView sv;
-  sv.AssertSoleWriter();
-  const std::vector<Transaction> seed = {Txn({{0, 0.5}}), Txn({{1, 0.75}})};
-  const std::vector<Transaction> more = {Txn({{0, 0.25}})};
-  sv.Append(FlatView(seed));
-  const StreamingSnapshot snap = sv.Snapshot();
-  sv.Append(FlatView(more));
-  sv.Compact();
-  // Frozen storage's generation never moves, so the check passes.
-  EXPECT_EQ(snap.view().ItemExpectedSupport(0), 0.5);
-}
-
-#endif  // UFIM_STALE_VIEW_CHECKS
 
 TEST(StreamingFlatViewTest, MomentCachesConsistentAfterCompaction) {
   Rng rng(555);
@@ -425,7 +407,7 @@ TEST(StreamingFlatViewTest, MomentCachesConsistentAfterCompaction) {
     // Capture the cached full-view moments, compact, and require the
     // exact same bits: compaction is a layout change only, and the
     // persistent Kahan accumulators must equal a from-scratch rebuild's.
-    const FlatView before = sv.View();
+    const FlatView before = sv.Snapshot().view();
     std::vector<double> esup(sv.num_items()), sq(sv.num_items());
     for (std::size_t i = 0; i < sv.num_items(); ++i) {
       esup[i] = before.ItemExpectedSupport(static_cast<ItemId>(i));
@@ -433,7 +415,7 @@ TEST(StreamingFlatViewTest, MomentCachesConsistentAfterCompaction) {
     }
     sv.Compact();
     EXPECT_FALSE(sv.has_delta());
-    const FlatView after = sv.View();
+    const FlatView after = sv.Snapshot().view();
     const FlatView rebuilt(UncertainDatabase{std::vector<Transaction>(all)});
     for (std::size_t i = 0; i < sv.num_items(); ++i) {
       const ItemId item = static_cast<ItemId>(i);

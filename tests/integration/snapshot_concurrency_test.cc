@@ -5,9 +5,9 @@
 // results and MiningCounters — to mining the same handle quiesced
 // (before the writer starts and after it joins). A second leg pins
 // DeltaMiner::MineNext against explicit Compact() calls racing its
-// recount phase. Run under ThreadSanitizer in CI (the copy-on-compact
-// publication and the frozen-snapshot reads are exactly the shared
-// state TSan needs to see).
+// recount phase. Run under ThreadSanitizer in CI (the writer's storage
+// publication and the snapshot reads are exactly the shared state TSan
+// needs to see).
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -65,8 +65,6 @@ const RuleFixture kRuleFixtures[] = {
      "src/core/example.cc"},
     {"raw-mutex", "raw_mutex.bad.cc", "raw_mutex.good.cc",
      "src/core/example.cc"},
-    {"raw-view", "raw_view.bad.cc", "raw_view.good.cc",
-     "src/core/example.cc"},
 };
 
 TEST(UfimLintFixtures, ViolatingFixtureTripsExactlyItsRule) {

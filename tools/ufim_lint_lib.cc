@@ -238,25 +238,6 @@ void CheckRawMutex(const PreparedFile& f, std::vector<Diagnostic>* out) {
   }
 }
 
-/// raw-view: a live StreamingFlatView::View() dies at the next
-/// Append/Compact (debug builds abort the stale read) — library code
-/// that reads across mutations takes a Snapshot() handle. Any raw call
-/// left in src/ carries a written lifetime argument.
-void CheckRawView(const PreparedFile& f, std::vector<Diagnostic>* out) {
-  if (!HasPrefix(f.source->path, "src/")) return;
-  static const std::regex kRawView(R"((?:\.|->)\s*View\s*\(\s*\))");
-  for (std::size_t i = 0; i < f.stripped_lines.size(); ++i) {
-    if (std::regex_search(f.stripped_lines[i], kRawView)) {
-      Emit(f, i + 1, "raw-view",
-           "raw StreamingFlatView::View() call: the view is only valid "
-           "until the next Append/Compact (debug builds abort a stale "
-           "read) — take a Snapshot() to read across mutations, or waive "
-           "with the lifetime argument",
-           out);
-    }
-  }
-}
-
 }  // namespace
 
 std::string StripCommentsAndStrings(const std::string& content) {
@@ -379,7 +360,6 @@ std::vector<Diagnostic> Lint(const std::vector<SourceFile>& files) {
     CheckMissingPoll(f, &out);
     CheckNoIostream(f, &out);
     CheckRawMutex(f, &out);
-    CheckRawView(f, &out);
   }
   std::sort(out.begin(), out.end(),
             [](const Diagnostic& a, const Diagnostic& b) {

@@ -39,12 +39,6 @@
 ///                        common/mutex.h: the annotated Mutex/MutexLock
 ///                        wrappers are what make the -Wthread-safety CI
 ///                        leg able to see locking at all.
-///   raw-view             No bare `StreamingFlatView::View()` calls in
-///                        src/: a live view dies at the next
-///                        Append/Compact (debug builds abort the stale
-///                        read). Reads that cross mutations go through
-///                        a `Snapshot()` handle; a justified raw call
-///                        carries a waiver with its lifetime argument.
 ///
 /// Matching runs on comment- and string-stripped text, so prose and
 /// string literals never trip a rule. A justified exception is waived
